@@ -23,11 +23,13 @@ import numpy as np
 
 from .design import (export_canonical_socp, serialize_socp, solve_classical_E,
                      solve_myopic, solve_naive, solve_steady_state_E)
-from .harness import (ConfigError, parse_config, run_idealized,
-                      run_simulation, write_metrics)
+from .harness import (ConfigError, ExperimentConfig, load_instance,
+                      parse_config, run_idealized, run_simulation,
+                      write_metrics)
 from .model import FlowDesignError, validate_problem
-from .network import (build_measurement_model, design_problem, flow_model,
-                      load_topology, save_topology, synth_topology)
+from .network import (CONSTRAINT_MODES, build_measurement_model,
+                      design_problem, flow_model, load_topology,
+                      save_topology, synth_topology)
 
 _DESIGN_SCHEMES = ("naive", "myopic", "classical", "steady-state")
 
@@ -37,13 +39,10 @@ def _g(v) -> str:
 
 
 def _cmd_design(args) -> int:
-    spec = load_topology(args.topology)
-    mm = build_measurement_model(spec)
-    fm = flow_model(mm)
-    equality = args.constraint_mode == "equality_with_zeroing"
-    p = design_problem(mm, cap=args.cap, equality=equality,
-                       zero_untraversed=equality)
-    report = validate_problem(p, fm)
+    cfg = ExperimentConfig(topology_dir=args.topology, cap=args.cap,
+                           tol_theta=args.tol_theta,
+                           constraint_mode=args.constraint_mode)
+    mm, fm, p, report = load_instance(cfg)
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if args.scheme == "naive":
@@ -53,7 +52,7 @@ def _cmd_design(args) -> int:
     elif args.scheme == "myopic":
         res = solve_myopic(p, fm, np.zeros(fm.n_r))
     else:
-        res = solve_steady_state_E(p, fm, tol_theta=args.tol_theta)
+        res = solve_steady_state_E(p, fm, tol_theta=cfg.tol_theta)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "xi.csv"), "w", newline="") as fh:
         fh.write("# flowdesign xi.csv v1\n")
@@ -80,20 +79,12 @@ def _apply_overrides(cfg, args):
     return cfg
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_experiment(args) -> int:
     cfg = _apply_overrides(parse_config(args.config), args)
-    ms = run_simulation(cfg)
+    run = run_simulation if args.command == "simulate" else run_idealized
+    ms = run(cfg)
     write_metrics(ms, args.out, flows_dump=cfg.flows_dump)
-    print(f"simulate[{ms.scheme}]: median max MSE {_g(ms.median)} over "
-          f"t={ms.window[0]}..{ms.window[1]} -> {args.out}")
-    return 0
-
-
-def _cmd_idealized(args) -> int:
-    cfg = _apply_overrides(parse_config(args.config), args)
-    ms = run_idealized(cfg)
-    write_metrics(ms, args.out, flows_dump=cfg.flows_dump)
-    print(f"idealized[{ms.scheme}]: median max MSE {_g(ms.median)} over "
+    print(f"{args.command}[{ms.scheme}]: median max MSE {_g(ms.median)} over "
           f"t={ms.window[0]}..{ms.window[1]} -> {args.out}")
     return 0
 
@@ -116,17 +107,14 @@ def _cmd_validate(args) -> int:
     fm = flow_model(mm)
     p = design_problem(mm)
     report = validate_problem(p, fm)
-    # structural spot-check: J xi must match the dense GLS diagonal
+    # structural spot-check: L'D^-1 L is diagonal by construction (each
+    # measurement sees one flow); its diagonal must equal J xi
     rng = np.random.default_rng(0)
     for _ in range(5):
         xi = rng.uniform(0.0, 1.0, mm.n_o)
-        d_inv = mm.psi_diag.T @ xi
-        M = mm.L.T @ (d_inv[:, None] * mm.L)
-        off = M - np.diag(np.diag(M))
-        if np.max(np.abs(off)) > 1e-14:
-            print("error: L'D^-1 L is not diagonal", file=sys.stderr)
-            return 1
-        if np.max(np.abs(np.diag(M) - mm.J @ xi)) > 1e-12:
+        diag = np.bincount(mm.l_of, weights=xi[mm.k_of] / mm.mu[mm.l_of],
+                           minlength=mm.n_r)
+        if np.any(np.abs(diag - mm.J @ xi) > 1e-12):
             print("error: diag(L'D^-1 L) != J xi", file=sys.stderr)
             return 1
     for warning in report.warnings:
@@ -146,14 +134,15 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--topology", required=True, help="topology bundle directory")
     d.add_argument("--scheme", choices=_DESIGN_SCHEMES, default="steady-state")
     d.add_argument("--out", required=True, help="output directory")
-    d.add_argument("--cap", type=float, default=1.0)
-    d.add_argument("--tol-theta", type=float, default=1e-9, dest="tol_theta")
+    d.add_argument("--cap", type=float, default=ExperimentConfig.cap)
+    d.add_argument("--tol-theta", type=float, dest="tol_theta",
+                   default=ExperimentConfig.tol_theta)
     d.add_argument("--constraint-mode", dest="constraint_mode",
-                   choices=("inequality", "equality_with_zeroing"),
-                   default="inequality")
+                   choices=CONSTRAINT_MODES,
+                   default=ExperimentConfig.constraint_mode)
     d.set_defaults(func=_cmd_design)
 
-    for name, func in (("simulate", _cmd_simulate), ("idealized", _cmd_idealized)):
+    for name in ("simulate", "idealized"):
         s = sub.add_parser(name, help=f"run {name} experiment from a config")
         s.add_argument("--config", required=True, help="experiment config file")
         s.add_argument("--out", default=".", help="output directory")
@@ -163,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the config's trace seed")
         s.add_argument("--flows-dump", action="store_true", dest="flows_dump",
                        help="also write per-flow MSE to flows.csv")
-        s.set_defaults(func=func)
+        s.set_defaults(func=_cmd_experiment)
 
     g = sub.add_parser("synth", help="generate a synthetic topology bundle")
     g.add_argument("--kind", required=True,

@@ -203,8 +203,8 @@ def solve_steady_state_E(p: DesignProblem, fm: FlowModel,
     """
     if fm.n_r != p.n_r:
         raise ValidationError("flow model and problem disagree on n_r")
-    if tol_theta <= 0:
-        raise ValidationError("tol_theta must be positive")
+    if not (np.isfinite(tol_theta) and tol_theta > 0):
+        raise ValidationError("tol_theta must be finite and positive")
     diagnostics: dict = {"warnings": []}
 
     base = _probe(p, np.zeros(p.n_r))

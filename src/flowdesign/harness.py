@@ -28,13 +28,13 @@ from .design import (DesignResult, solve_myopic, solve_naive,
                      solve_steady_state_E)
 from .filtering import FilterState, predict_update
 from .model import FlowDesignError, FlowModel, validate_problem
-from .network import (build_measurement_model, design_problem, flow_model,
-                      load_topology, remap_mu, synth_topology)
+from .network import (CONSTRAINT_MODES, build_measurement_model,
+                      design_problem, flow_model, load_topology, remap_mu,
+                      synth_topology)
 from .simulate import Trace, fuse_gls, gen_random_walk_trace, load_trace, sample_packets
 
 _SCHEMES = ("naive", "myopic", "steady_state")
 _MU_MODES = ("true_mu", "plugin")
-_CONSTRAINT_MODES = ("inequality", "equality_with_zeroing")
 _WARMUP = ("naive", "scheme")
 _MU_FLOOR = 1.0  # plug-in means are clamped here to keep weights positive
 
@@ -86,9 +86,9 @@ class ExperimentConfig:
             raise ConfigError("scheme", f"must be one of {', '.join(_SCHEMES)}")
         if self.mu_mode not in _MU_MODES:
             raise ConfigError("mu_mode", f"must be one of {', '.join(_MU_MODES)}")
-        if self.constraint_mode not in _CONSTRAINT_MODES:
+        if self.constraint_mode not in CONSTRAINT_MODES:
             raise ConfigError("constraint_mode",
-                              f"must be one of {', '.join(_CONSTRAINT_MODES)}")
+                              f"must be one of {', '.join(CONSTRAINT_MODES)}")
         if self.warmup_scheme not in _WARMUP:
             raise ConfigError("warmup_scheme",
                               f"must be one of {', '.join(_WARMUP)}")
@@ -100,8 +100,8 @@ class ExperimentConfig:
             raise ConfigError("replications", "must be >= 1")
         if not (0 < self.cap <= 1):
             raise ConfigError("cap", "must lie in (0, 1]")
-        if self.tol_theta <= 0:
-            raise ConfigError("tol_theta", "must be > 0")
+        if not (math.isfinite(self.tol_theta) and self.tol_theta > 0):
+            raise ConfigError("tol_theta", "must be finite and > 0")
         if self.trace_floor < 0:
             raise ConfigError("trace_floor", "must be >= 0")
         if (self.topology_dir is None) == (self.topology_kind is None):
@@ -176,15 +176,27 @@ class MetricsSeries:
     meta: dict = field(default_factory=dict)
 
 
-def _median_window(cfg: ExperimentConfig):
+def _series(cfg: ExperimentConfig, per_flow: np.ndarray,
+            block_starts: np.ndarray, rates: np.ndarray,
+            meta: dict) -> MetricsSeries:
+    """Series over t = 1..horizon; the median of max MSE is taken over
+    [median_window_start (default floor(0.2 T) + 1), T]."""
+    T = cfg.horizon
     start = cfg.median_window_start
     if start is None:
-        start = math.floor(0.2 * cfg.horizon) + 1
-    start = min(start, cfg.horizon)
-    return start, cfg.horizon
+        start = math.floor(0.2 * T) + 1
+    start = min(start, T)
+    max_mse = per_flow.max(axis=1)
+    return MetricsSeries(
+        t=np.arange(1, T + 1), max_mse=max_mse, per_flow_mse=per_flow,
+        block_starts=block_starts, rates=rates,
+        median=float(np.median(max_mse[start - 1:])), window=(start, T),
+        scheme=cfg.scheme, meta=meta)
 
 
-def _load_instance(cfg: ExperimentConfig):
+def load_instance(cfg: ExperimentConfig):
+    """Topology, measurement model, flow model and validated design
+    problem for ``cfg``: returns (mm, fm, p, report)."""
     if cfg.topology_dir is not None:
         spec = load_topology(cfg.topology_dir)
     else:
@@ -196,9 +208,7 @@ def _load_instance(cfg: ExperimentConfig):
             seed=cfg.topology_seed)
     mm = build_measurement_model(spec)
     fm = flow_model(mm)
-    equality = cfg.constraint_mode == "equality_with_zeroing"
-    p = design_problem(mm, cap=cfg.cap, equality=equality,
-                       zero_untraversed=equality)
+    p = design_problem(mm, cap=cfg.cap, constraint_mode=cfg.constraint_mode)
     report = validate_problem(p, fm)
     return mm, fm, p, report
 
@@ -234,7 +244,7 @@ def run_idealized(cfg: ExperimentConfig) -> MetricsSeries:
     """
     if cfg.mu_mode != "true_mu":
         raise ConfigError("mu_mode", "run_idealized requires true_mu")
-    mm, fm, p, report = _load_instance(cfg)
+    mm, fm, p, report = load_instance(cfg)
     T = cfg.horizon
     meta = {"mode": "idealized", "scheme": cfg.scheme,
             "constraint_mode": cfg.constraint_mode,
@@ -252,10 +262,8 @@ def run_idealized(cfg: ExperimentConfig) -> MetricsSeries:
             per_flow[t] = _mse_from_info(info)
         meta["theta_final"] = float(np.min(info))
     else:
-        if cfg.scheme == "naive":
-            res = solve_naive(p, mm.traversal)
-        else:
-            res = solve_steady_state_E(p, fm, tol_theta=cfg.tol_theta)
+        res = _design_for_block(cfg, mm, fm, p, cfg.scheme, fm.mu,
+                                np.zeros(fm.n_r))
         rates = res.xi[None, :]
         block_starts = np.array([1])
         meta["theta"] = res.theta
@@ -265,23 +273,14 @@ def run_idealized(cfg: ExperimentConfig) -> MetricsSeries:
         for t in range(T):
             info = info / (1.0 + fm.sigma2 * info) + m
             per_flow[t] = _mse_from_info(info)
-
-    max_mse = per_flow.max(axis=1)
-    lo, hi = _median_window(cfg)
-    return MetricsSeries(
-        t=np.arange(1, T + 1), max_mse=max_mse, per_flow_mse=per_flow,
-        block_starts=block_starts, rates=rates,
-        median=float(np.median(max_mse[lo - 1:hi])), window=(lo, hi),
-        scheme=cfg.scheme, meta=meta)
+    return _series(cfg, per_flow, block_starts, rates, meta)
 
 
 def _design_for_block(cfg: ExperimentConfig, mm, fm, p, scheme: str,
                       mu_hat: np.ndarray, prior_info: np.ndarray) -> DesignResult:
     if cfg.mu_mode == "plugin":
         mm = remap_mu(mm, mu_hat)
-        equality = cfg.constraint_mode == "equality_with_zeroing"
-        p = design_problem(mm, cap=cfg.cap, equality=equality,
-                           zero_untraversed=equality)
+        p = design_problem(mm, cap=cfg.cap, constraint_mode=cfg.constraint_mode)
     if scheme == "naive":
         return solve_naive(p, mm.traversal)
     if scheme == "steady_state":
@@ -301,7 +300,7 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
     rates come from replication 0 (plug-in designs differ across
     replications).
     """
-    mm, fm, p, report = _load_instance(cfg)
+    mm, fm, p, report = load_instance(cfg)
     trace = _get_trace(cfg, fm)
     T = cfg.horizon
     B = cfg.block_size
@@ -333,9 +332,6 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
             y, m = fuse_gls(raw, mm, xi, mu_hat)
             state = predict_update(state, fm, m, y)
             sq_sum[t - 1] += (state.mean - x_t) ** 2
-    per_flow = sq_sum / cfg.replications
-    max_mse = per_flow.max(axis=1)
-    lo, hi = _median_window(cfg)
     meta = {"mode": "simulation", "scheme": cfg.scheme,
             "constraint_mode": cfg.constraint_mode,
             "mu_mode": cfg.mu_mode, "replications": cfg.replications,
@@ -343,11 +339,7 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
             "trace_source": trace.source, "seed": cfg.seed,
             "warnings": list(report.warnings),
             "rates_replication": 0}
-    return MetricsSeries(
-        t=np.arange(1, T + 1), max_mse=max_mse, per_flow_mse=per_flow,
-        block_starts=block_starts, rates=rates,
-        median=float(np.median(max_mse[lo - 1:hi])), window=(lo, hi),
-        scheme=cfg.scheme, meta=meta)
+    return _series(cfg, sq_sum / cfg.replications, block_starts, rates, meta)
 
 
 # ---------------------------------------------------------------------------

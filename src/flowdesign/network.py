@@ -13,6 +13,8 @@ with L a 0/1 matrix having one 1 per row. Because distinct flows never
 share a measurement row, L'D^-1 L is diagonal and the per-flow
 information is simply m = J xi with J[i, k] = 1/mu_i when flow i crosses
 OP k. Budget rows R xi <= b cap the total sampling rate per router.
+The model stores only J and the measurement -> (flow, OP) incidence;
+dense L and Psi_k are views built on demand for checks and demos.
 
 Observation points are numbered 1..n_o in files and op_id columns;
 arrays here are 0-indexed.
@@ -28,6 +30,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import DesignProblem, FlowDesignError, FlowModel, ValidationError
+
+
+CONSTRAINT_MODES = ("inequality", "equality_with_zeroing")
 
 
 class RoutingError(FlowDesignError):
@@ -189,18 +194,18 @@ class MeasurementModel:
     """Assembled linear model for one topology and routing.
 
     Measurements are ordered flow-major: all OPs along flow 0's path,
-    then flow 1's, and so on. ``psi_diag[k]`` holds the diagonal of
-    Psi_k, so the sampling covariance inverse is
-    D(xi)^-1 = diag(psi_diag.T @ xi).
+    then flow 1's, and so on; measurement g observes flow l_of[g] at OP
+    k_of[g], and n_g = l_of.size. The dense ``L`` and ``psi_diag`` are
+    not stored: they are properties that rebuild the view from l_of,
+    k_of and mu on each access, for checks and demos; the runtime never
+    calls them.
     """
 
     spec: TopologySpec
     paths: tuple           # node tuples per flow
     flow_ops: tuple        # OP index tuples per flow
-    L: np.ndarray          # (n_g, n_r) one-hot rows
     l_of: np.ndarray       # (n_g,) measurement -> flow index
     k_of: np.ndarray       # (n_g,) measurement -> OP index
-    psi_diag: np.ndarray   # (n_o, n_g)
     J: np.ndarray          # (n_r, n_o)
     R: np.ndarray          # (n_v, n_o) budget rows, R[j,k]=1 iff router j owns OP k
     b: np.ndarray          # (n_v,)
@@ -223,11 +228,33 @@ class MeasurementModel:
 
     @property
     def n_g(self) -> int:
-        return self.L.shape[0]
+        return self.l_of.size
+
+    @property
+    def L(self) -> np.ndarray:
+        """Dense (n_g, n_r) one-hot view of l_of, built on each access."""
+        L = np.zeros((self.n_g, self.n_r))
+        L[np.arange(self.n_g), self.l_of] = 1.0
+        return L
+
+    @property
+    def psi_diag(self) -> np.ndarray:
+        """Dense (n_o, n_g) view, row k = diag(Psi_k), built on each access."""
+        psi = np.zeros((self.n_o, self.n_g))
+        psi[self.k_of, np.arange(self.n_g)] = 1.0 / self.mu[self.l_of]
+        return psi
+
+
+def _information_matrix(l_of, k_of, mu, n_o: int) -> np.ndarray:
+    """J[i, k] = 1/mu_i where flow i crosses OP k (a path never crosses
+    the same OP twice, so each cell is written at most once)."""
+    J = np.zeros((mu.size, n_o))
+    J[l_of, k_of] = 1.0 / mu[l_of]
+    return J
 
 
 def build_measurement_model(t: TopologySpec, paths=None) -> MeasurementModel:
-    """Assemble L, Psi_k, J, R, b from a topology and its routing."""
+    """Route flows (unless ``paths`` is given) and assemble J, R, b."""
     if paths is None:
         paths = route_flows(t)
     paths = tuple(tuple(p) for p in paths)
@@ -238,25 +265,10 @@ def build_measurement_model(t: TopologySpec, paths=None) -> MeasurementModel:
     mu = np.array([f.mu for f in t.flows])
     sigma2 = np.array([f.sigma2 for f in t.flows])
 
-    flow_ops = []
-    l_of = []
-    k_of = []
-    for i, p in enumerate(paths):
-        ops = tuple(edge_index[(a, b)] for a, b in zip(p, p[1:]))
-        flow_ops.append(ops)
-        l_of.extend([i] * len(ops))
-        k_of.extend(ops)
-    l_of = np.array(l_of, dtype=int)
-    k_of = np.array(k_of, dtype=int)
-    n_g = l_of.size
-
-    L = np.zeros((n_g, t.n_r))
-    L[np.arange(n_g), l_of] = 1.0
-    psi_diag = np.zeros((t.n_o, n_g))
-    psi_diag[k_of, np.arange(n_g)] = 1.0 / mu[l_of]
-    J = np.zeros((t.n_r, t.n_o))
-    for i, ops in enumerate(flow_ops):
-        J[i, list(ops)] = 1.0 / mu[i]
+    flow_ops = tuple(tuple(edge_index[(a, b)] for a, b in zip(p, p[1:]))
+                     for p in paths)
+    l_of = np.repeat(np.arange(t.n_r), [len(ops) for ops in flow_ops])
+    k_of = np.array([k for ops in flow_ops for k in ops], dtype=int)
 
     owner = np.array([node_index[v] for _u, v in t.edges], dtype=int)
     R = np.zeros((t.n_v, t.n_o))
@@ -267,9 +279,9 @@ def build_measurement_model(t: TopologySpec, paths=None) -> MeasurementModel:
     traversal = (R > 0) & crossed[None, :]
 
     return MeasurementModel(
-        spec=t, paths=paths, flow_ops=tuple(flow_ops), L=L, l_of=l_of,
-        k_of=k_of, psi_diag=psi_diag, J=J, R=R, b=b, owner=owner,
-        traversal=traversal, mu=mu, sigma2=sigma2)
+        spec=t, paths=paths, flow_ops=flow_ops, l_of=l_of,
+        k_of=k_of, J=_information_matrix(l_of, k_of, mu, t.n_o), R=R, b=b,
+        owner=owner, traversal=traversal, mu=mu, sigma2=sigma2)
 
 
 def effective_information(mm: MeasurementModel, xi) -> np.ndarray:
@@ -284,21 +296,25 @@ def flow_model(mm: MeasurementModel) -> FlowModel:
     return FlowModel(sigma2=mm.sigma2, mu=mm.mu)
 
 
-def design_problem(mm: MeasurementModel, cap=1.0, equality: bool = False,
-                   zero_untraversed: bool = False) -> DesignProblem:
+def design_problem(mm: MeasurementModel, cap=1.0,
+                   constraint_mode: str = "inequality") -> DesignProblem:
     """DesignProblem view of the model.
 
     ``cap`` bounds each rate from above (sampling probabilities: 1).
-    ``equality`` turns budget rows into Rxi = b, but only for routers
-    with at least one traversed interface; a router nothing crosses
-    would make 0 = b_j infeasible, so its row stays an inequality.
-    ``zero_untraversed`` pins rates of uncrossed observation points to 0.
+    ``constraint_mode`` is one of CONSTRAINT_MODES: "inequality" keeps
+    the budget rows R xi <= b; "equality_with_zeroing" turns them into
+    R xi = b and pins rates of uncrossed observation points to 0. Only
+    routers with at least one traversed interface get an equality row;
+    a router nothing crosses would make 0 = b_j infeasible, so its row
+    stays an inequality.
     """
+    if constraint_mode not in CONSTRAINT_MODES:
+        raise ValidationError(
+            f"constraint_mode must be one of {', '.join(CONSTRAINT_MODES)}")
     upper = np.broadcast_to(np.asarray(cap, dtype=float), (mm.n_o,)).copy()
-    if zero_untraversed:
-        upper[~np.any(mm.traversal, axis=0)] = 0.0
     row_is_equality = None
-    if equality:
+    if constraint_mode == "equality_with_zeroing":
+        upper[~np.any(mm.traversal, axis=0)] = 0.0
         row_is_equality = np.any(mm.traversal, axis=1)
     return DesignProblem(J=mm.J, R=mm.R, b=mm.b,
                          row_is_equality=row_is_equality, upper=upper)
@@ -311,12 +327,8 @@ def remap_mu(mm: MeasurementModel, mu_new) -> MeasurementModel:
         raise ValidationError("mu must have one entry per flow")
     if np.any(mu_new <= 0) or not np.all(np.isfinite(mu_new)):
         raise ValidationError("mu must be finite and > 0")
-    psi_diag = np.zeros_like(mm.psi_diag)
-    psi_diag[mm.k_of, np.arange(mm.n_g)] = 1.0 / mu_new[mm.l_of]
-    J = np.zeros_like(mm.J)
-    for i, ops in enumerate(mm.flow_ops):
-        J[i, list(ops)] = 1.0 / mu_new[i]
-    return replace(mm, psi_diag=psi_diag, J=J, mu=mu_new)
+    J = _information_matrix(mm.l_of, mm.k_of, mu_new, mm.n_o)
+    return replace(mm, J=J, mu=mu_new)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,14 @@ def test_usage_errors_exit_2(bundle, tmp_path, capsys):
     cfg = write_cfg(tmp_path, bundle, horizon="never")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert "horizon" in capsys.readouterr().err
+    # design flags go through the experiment config's range checks
+    for flag, value, field in (("--cap", "2", "cap"), ("--cap", "0", "cap"),
+                               ("--cap", "-1", "cap"), ("--cap", "nan", "cap"),
+                               ("--tol-theta", "0", "tol_theta"),
+                               ("--tol-theta", "nan", "tol_theta")):
+        assert main(["design", "--topology", bundle, "--out",
+                     str(tmp_path / "x"), flag, value]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
 
 
 def test_runtime_errors_exit_1(bundle, tmp_path, capsys):

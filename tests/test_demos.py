@@ -1,0 +1,20 @@
+"""Smoke test: every narrative script under demos/ runs to completion."""
+
+import glob
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=os.path.basename)
+def test_demo_runs(script, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
+               TMPDIR=str(tmp_path))
+    proc = subprocess.run([sys.executable, script], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

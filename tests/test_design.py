@@ -203,6 +203,9 @@ def test_steady_state_infinite_caps_use_lp_bracket():
 def test_steady_state_tol_validation():
     with pytest.raises(ValidationError):
         solve_steady_state_E(pair_problem(), pair_fm(), tol_theta=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            solve_steady_state_E(pair_problem(), pair_fm(), tol_theta=bad)
     with pytest.raises(ValidationError):
         solve_steady_state_E(pair_problem(), FlowModel(sigma2=[1.0], mu=[1.0]))
 

@@ -42,8 +42,7 @@ def rebuild_problem(cfg):
                           mu_scale=cfg.mu_scale, sigma_rel=cfg.sigma_rel,
                           budget=cfg.budget, seed=cfg.topology_seed)
     mm = build_measurement_model(spec)
-    eq = cfg.constraint_mode == "equality_with_zeroing"
-    return mm, design_problem(mm, cap=cfg.cap, equality=eq, zero_untraversed=eq)
+    return mm, design_problem(mm, cap=cfg.cap, constraint_mode=cfg.constraint_mode)
 
 
 # ------------------------------------------------------------------ config
@@ -120,6 +119,8 @@ def test_config_requires_one_topology_source(tmp_path):
     {"trace_floor": -1.0},
     {"median_window_start": 0},
     {"median_window_start": 500},
+    {"tol_theta": float("nan")},
+    {"tol_theta": float("inf")},
 ])
 def test_config_validation(kw):
     with pytest.raises(ConfigError):

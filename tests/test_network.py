@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -201,16 +203,17 @@ def test_design_problem_modes():
     assert np.all(p.upper == 1.0)
     assert not p.row_is_equality.any()
 
-    p_eq = design_problem(mm, equality=True)
+    p_eq = design_problem(mm, cap=0.5, constraint_mode="equality_with_zeroing")
     # only routers with a traversed interface become equalities
     traversed_routers = np.any(mm.traversal, axis=1)
     assert np.array_equal(p_eq.row_is_equality, traversed_routers)
     assert p_eq.row_is_equality.sum() == 2
-
-    p_zero = design_problem(mm, cap=0.5, zero_untraversed=True)
     crossed = np.any(mm.traversal, axis=0)
-    assert np.all(p_zero.upper[crossed] == 0.5)
-    assert np.all(p_zero.upper[~crossed] == 0.0)
+    assert np.all(p_eq.upper[crossed] == 0.5)
+    assert np.all(p_eq.upper[~crossed] == 0.0)
+
+    with pytest.raises(ValidationError):
+        design_problem(mm, constraint_mode="soft")
 
 
 def test_remap_mu():
@@ -227,6 +230,24 @@ def test_remap_mu():
         remap_mu(mm, [1.0])
     with pytest.raises(ValidationError):
         remap_mu(mm, [0.0, 1.0])
+
+
+def test_lean_model_stores_no_dense_views():
+    t = synth_topology("grid", rows=8, cols=8, budget=0.02, seed=1)
+    mm = build_measurement_model(t)
+    stored = [getattr(mm, f.name) for f in dataclasses.fields(mm)]
+    nbytes = sum(a.nbytes for a in stored if isinstance(a, np.ndarray))
+    assert nbytes < 4e6
+    assert mm.n_g == mm.l_of.size
+    # the scatter-built J equals the per-flow loop bit for bit
+    J_ref = np.zeros((mm.n_r, mm.n_o))
+    for i, ops in enumerate(mm.flow_ops):
+        J_ref[i, list(ops)] = 1.0 / mm.mu[i]
+    assert np.array_equal(mm.J, J_ref)
+    mu2 = mm.mu * np.random.default_rng(0).uniform(0.5, 2.0, mm.n_r)
+    t2 = dataclasses.replace(t, flows=tuple(
+        dataclasses.replace(f, mu=float(m)) for f, m in zip(t.flows, mu2)))
+    assert np.array_equal(remap_mu(mm, mu2).J, build_measurement_model(t2).J)
 
 
 # ------------------------------------------------------------------ topology spec
