@@ -6,10 +6,12 @@ Four strategies over a common DesignProblem:
   information, a plain LP (max theta s.t. J xi >= theta).
 * steady-state E-optimal: max over xi of the minimum steady-state
   Kalman information. Each flow contributes the hyperbolic constraint
-  theta^2 <= m_i (theta + 1/sigma_i^2); for fixed theta the constraints
-  are linear in xi and tighten monotonically as theta grows, so the
-  problem is solved exactly by bisection on theta with an LP
-  feasibility probe per step. No cone solver needed, but
+  theta^2 <= m_i (theta + 1/sigma_i^2), i.e. m_i must reach a convex
+  function of theta, so its tangents give LP relaxations. A handful of
+  tangent-cut LPs (Kelley's cutting planes, latest cut only) close the
+  gap between the relaxation's theta (upper bound) and the witness
+  design's actual theta (lower bound); the returned design carries that
+  bracket as its certificate. No cone solver needed, but
   export_canonical_socp emits the equivalent second-order cone data
   for cross-checking against one.
 * myopic: max over xi of the minimum one-step-ahead posterior
@@ -29,12 +31,14 @@ import numpy as np
 
 from . import model
 from .filtering import steady_state_info
-from .lp import LinearProgram, check_feasible, solve_lp
+# check_feasible is unused here but stays bound: perfbench/tracing.py patches it
+from .lp import LinearProgram, check_feasible, solve_lp  # noqa: F401
 from .model import DesignProblem, FlowDesignError, FlowModel, ValidationError
 
 _THETA_REL_TOL = 1e-6   # reported theta vs min per-flow information
-_SLACK_TOL = 1e-8       # hyperbolic / budget slack on returned designs
-_BISECT_MAX_ITER = 200
+_SLACK_TOL = 1e-8       # hyperbolic slack on returned designs, relative to theta^2
+_BRACKET_REL = 1e-12    # roundoff allowed around the certified theta bracket
+_CUT_MAX_ROUNDS = 50
 
 
 class InfeasibleError(FlowDesignError):
@@ -65,19 +69,20 @@ def _check_theta(theta: float, info: np.ndarray, scheme: str) -> None:
         )
 
 
-def _lp_design(p: DesignProblem, offsets: np.ndarray, scheme: str) -> DesignResult:
-    """Shared LP core: max theta s.t. offsets + J xi >= theta, budgets, bounds.
+def _theta_lp(p: DesignProblem, slopes, offsets: np.ndarray):
+    """Solve max theta s.t. slopes*theta - J xi <= offsets, budgets, bounds.
 
     Variable order is (theta, xi_1 .. xi_no) to match the canonical cone
-    form's x' = (theta, xi').
+    form's x' = (theta, xi'). Slope 1 gives the classical and myopic
+    rows; the steady-state cuts pass per-flow tangent slopes.
     """
     n = 1 + p.n_o
     c = np.zeros(n)
     c[0] = 1.0
     R_ub, b_ub, R_eq, b_eq = _split_rows(p)
-    # theta - (J xi)_i <= offsets_i, then budget rows with a zero theta column
+    # slopes*theta - (J xi)_i <= offsets_i, then budget rows with a zero theta column
     A_ub = np.zeros((p.n_r + R_ub.shape[0], n))
-    A_ub[:p.n_r, 0] = 1.0
+    A_ub[:p.n_r, 0] = slopes
     A_ub[:p.n_r, 1:] = -p.J
     A_ub[p.n_r:, 1:] = R_ub
     rhs = np.concatenate([offsets, b_ub])
@@ -87,18 +92,27 @@ def _lp_design(p: DesignProblem, offsets: np.ndarray, scheme: str) -> DesignResu
         A_eq[:, 1:] = R_eq
     lower = np.concatenate([[0.0], p.lower])
     upper = np.concatenate([[np.inf], p.upper])
-    sol = solve_lp(LinearProgram(c=c, A_ub=A_ub, b_ub=rhs,
-                                 A_eq=A_eq, b_eq=b_eq if A_eq is not None else None,
-                                 lower=lower, upper=upper))
+    return solve_lp(LinearProgram(c=c, A_ub=A_ub, b_ub=rhs,
+                                  A_eq=A_eq, b_eq=b_eq if A_eq is not None else None,
+                                  lower=lower, upper=upper))
+
+
+def _require_optimal(sol, scheme: str, unbounded: str,
+                     infeasible: str = "budget system is infeasible") -> None:
     if sol.status == "infeasible":
-        raise InfeasibleError(f"{scheme}: budget system is infeasible")
+        raise InfeasibleError(f"{scheme}: {infeasible}")
     if sol.status == "unbounded":
-        raise FlowDesignError(
-            f"{scheme}: objective unbounded; add caps or budget rows")
+        raise FlowDesignError(f"{scheme}: {unbounded}")
     if sol.status != "optimal":
         raise FlowDesignError(
             f"{scheme}: LP ended with status {sol.status} "
             f"(max violation {sol.max_violation:.3e})")
+
+
+def _lp_design(p: DesignProblem, offsets: np.ndarray, scheme: str) -> DesignResult:
+    """Shared LP core: max theta s.t. offsets + J xi >= theta, budgets, bounds."""
+    sol = _theta_lp(p, 1.0, offsets)
+    _require_optimal(sol, scheme, "objective unbounded; add caps or budget rows")
     xi = model.check_design_output(p, sol.x[1:])
     info = offsets + p.J @ xi
     theta = float(np.min(info))
@@ -135,139 +149,101 @@ def solve_myopic(p: DesignProblem, fm: FlowModel, prior_info,
     return _lp_design(p, a, "myopic")
 
 
-def _theta_threshold(theta: float, sigma2: np.ndarray) -> np.ndarray:
-    """Information each flow needs for steady-state information theta.
-
-    Inverts the steady-state fixed point: m = theta^2 / (theta + 1/sigma^2).
-    """
-    return theta * theta / (theta + 1.0 / sigma2)
-
-
-def _probe(p: DesignProblem, thresholds: np.ndarray):
-    """LP feasibility of {J xi >= thresholds} within the budget polytope."""
-    R_ub, b_ub, R_eq, b_eq = _split_rows(p)
-    A_ub = np.vstack([-p.J, R_ub])
-    b = np.concatenate([-thresholds, b_ub])
-    return check_feasible(
-        p.n_o, A_ub=A_ub, b_ub=b,
-        A_eq=R_eq if R_eq.shape[0] else None,
-        b_eq=b_eq if R_eq.shape[0] else None,
-        lower=p.lower, upper=p.upper)
-
-
-def _info_ceiling(p: DesignProblem, fm: FlowModel, diagnostics: dict) -> float:
-    """Upper bracket for bisection: best steady-state information any flow
-    could reach if it alone got the whole box."""
-    if np.all(np.isfinite(p.upper)):
-        m_cap = p.J @ p.upper
-        return float(np.max(steady_state_info(m_cap, fm.sigma2)))
-    # unbounded caps: bound each flow's information by its own LP maximum
-    R_ub, b_ub, R_eq, b_eq = _split_rows(p)
-    best = 0.0
-    bounded = False
-    pivots = 0
-    for i in range(p.n_r):
-        sol = solve_lp(LinearProgram(
-            c=p.J[i], A_ub=R_ub if R_ub.shape[0] else None,
-            b_ub=b_ub if R_ub.shape[0] else None,
-            A_eq=R_eq if R_eq.shape[0] else None,
-            b_eq=b_eq if R_eq.shape[0] else None,
-            lower=p.lower, upper=p.upper))
-        pivots += sol.iterations
-        if sol.status == "infeasible":
-            raise InfeasibleError("steady_state_E: budget system is infeasible")
-        if sol.status == "unbounded":
-            continue  # this flow cannot cap theta
-        if sol.status != "optimal":
-            raise FlowDesignError(f"steady_state_E: bracket LP status {sol.status}")
-        bounded = True
-        best = max(best, steady_state_info(sol.objective, float(fm.sigma2[i])))
-    diagnostics["bracket_lp_pivots"] = pivots
-    if not bounded:
+def _check_certificate(theta: float, m: np.ndarray, sigma2: np.ndarray,
+                       bracket: tuple) -> None:
+    """Raise unless every flow meets theta^2 <= m_i (theta + 1/sigma_i^2),
+    with slack relative to theta^2, and theta lies in its certified
+    bracket up to roundoff."""
+    slack = m * (theta + 1.0 / sigma2) - theta * theta
+    if np.any(slack < -_SLACK_TOL * theta * theta):
+        raise FlowDesignError("steady_state_E: hyperbolic constraint violated")
+    lo, hi = bracket
+    if not lo * (1.0 - _BRACKET_REL) <= theta <= hi * (1.0 + _BRACKET_REL):
         raise FlowDesignError(
-            "steady_state_E: information unbounded for every flow; add caps")
-    return best
+            f"steady_state_E: theta {theta!r} outside its bracket {bracket!r}")
 
 
 def solve_steady_state_E(p: DesignProblem, fm: FlowModel,
                          tol_theta: float = 1e-9) -> DesignResult:
     """Maximize the minimum steady-state information across flows.
 
-    Bisects on theta: for fixed theta the hyperbolic constraints
-    theta^2 <= (J xi)_i (theta + 1/sigma_i^2) become the linear rows
-    (J xi)_i >= theta^2/(theta + 1/sigma_i^2), and they only tighten as
-    theta grows, so each probe is one LP feasibility check.
-    ``tol_theta`` is relative. The returned theta is the actual minimum
-    steady-state information of the witness design, which lies within
-    the bisection bracket of the true optimum.
+    Flow i's hyperbolic constraint theta^2 <= (J xi)_i (theta + c_i),
+    c_i = 1/sigma_i^2, says (J xi)_i >= h_i(theta) = theta^2/(theta + c_i)
+    with h_i convex, so any tangent of h_i gives a valid LP relaxation
+    (Kelley's cutting planes). The first LP uses the asymptotes
+    theta - (J xi)_i <= c_i; each later one replaces them by the tangents
+    at the current upper bound t,
+
+        h_i'(t) theta - (J xi)_i <= c_i t^2/(t + c_i)^2,
+        h_i'(t) = t (t + 2 c_i)/(t + c_i)^2,
+
+    keeping only the latest cut, so the LP never outgrows the classical
+    one. Every LP's theta bounds the optimum from above and, after the
+    first, falls below the previous tangent point; the best witness's
+    actual minimum steady-state information bounds it from below. The
+    loop stops when the gap is within ``tol_theta`` (relative), usually
+    after 2-5 LPs, and the witness is returned with the certificate
+    ``diagnostics["theta_bracket"] = (lo, hi)``.
+    ``diagnostics["bisection_iterations"]`` counts the LP rounds; it
+    keeps the name of the bisection this replaced because the benchmark
+    tracer (perfbench/tracing.py) reads it.
     """
     if fm.n_r != p.n_r:
         raise ValidationError("flow model and problem disagree on n_r")
     if not (np.isfinite(tol_theta) and tol_theta > 0):
         raise ValidationError("tol_theta must be finite and positive")
     diagnostics: dict = {"warnings": []}
-
-    base = _probe(p, np.zeros(p.n_r))
-    if base.status == "infeasible":
-        raise InfeasibleError(
-            "steady_state_E: budget system is infeasible at theta=0 "
-            "(over-constrained equalities?)")
-    if base.status != "optimal":
-        raise FlowDesignError(f"steady_state_E: base probe status {base.status}")
-    xi_best = base.x
-    pivots = base.iterations
-    perturbed = base.perturbed
-
+    c = 1.0 / fm.sigma2
     zero_rows = np.where(np.max(p.J, axis=1) <= 0.0)[0]
-    if zero_rows.size:
-        diagnostics["warnings"].append(
-            f"flows {zero_rows.tolist()} are unobservable; theta* = 0")
-        hi = 0.0
-    else:
-        hi = _info_ceiling(p, fm, diagnostics)
 
-    lo = 0.0
-    iters = 0
-    if hi > 0.0:
-        top = _probe(p, _theta_threshold(hi, fm.sigma2))
-        pivots += top.iterations
-        perturbed = perturbed or top.perturbed
-        if top.status == "optimal":
-            lo, xi_best = hi, top.x  # every flow can hit the ceiling at once
-        else:
-            while iters < _BISECT_MAX_ITER and hi - lo > tol_theta * hi:
-                mid = 0.5 * (lo + hi)
-                probe = _probe(p, _theta_threshold(mid, fm.sigma2))
-                pivots += probe.iterations
-                perturbed = perturbed or probe.perturbed
-                if probe.status == "optimal":
-                    lo, xi_best = mid, probe.x
-                elif probe.status == "infeasible":
-                    hi = mid
-                else:
-                    # probes land exactly on the feasibility boundary as the
-                    # bisection converges; a marginal system may come back
-                    # "numerical", and counting it infeasible only moves hi by
-                    # an amount the final witness check absorbs
-                    diagnostics["warnings"].append(
-                        f"probe at theta={mid} ended {probe.status}; "
-                        "treated as infeasible")
-                    hi = mid
-                iters += 1
+    slopes, offsets = 1.0, c   # asymptote cut: h_i(theta) >= theta - c_i
+    lo, hi = 0.0, np.inf
+    xi_best = None
+    rounds = pivots = 0
+    perturbed = False
+    while True:
+        sol = _theta_lp(p, slopes, offsets)
+        rounds += 1
+        pivots += sol.iterations
+        perturbed = perturbed or sol.perturbed
+        if xi_best is not None and sol.status != "optimal":
+            # a cut LP is never infeasible or unbounded in exact arithmetic
+            # (theta = 0 fits any budget-feasible xi); keep the last bracket
+            diagnostics["warnings"].append(
+                f"cut LP {rounds} ended {sol.status}; bracket kept")
+            break
+        _require_optimal(sol, "steady_state_E",
+                         "information unbounded for every flow; add caps",
+                         "budget system is infeasible at theta=0 "
+                         "(over-constrained equalities?)")
+        xi = model.check_design_output(p, sol.x[1:])
+        theta_w = float(np.min(steady_state_info(p.J @ xi, fm.sigma2)))
+        if xi_best is None or theta_w > lo:
+            lo, xi_best = theta_w, xi
+        hi = min(hi, float(sol.x[0]))
+        if zero_rows.size:
+            diagnostics["warnings"].append(
+                f"flows {zero_rows.tolist()} are unobservable; theta* = 0")
+            hi = 0.0
+            break
+        if hi - lo <= tol_theta * hi:
+            break
+        if rounds == _CUT_MAX_ROUNDS:
+            diagnostics["warnings"].append(
+                f"gap {hi - lo!r} still open after {rounds} cut LPs")
+            break
+        t = hi
+        slopes = t * (t + 2.0 * c) / (t + c) ** 2
+        offsets = c * t * t / (t + c) ** 2
 
-    xi = model.check_design_output(p, xi_best)
-    m = p.J @ xi
+    m = p.J @ xi_best
     info = steady_state_info(m, fm.sigma2)
-    theta = float(np.min(info)) if info.size else 0.0
-    _check_theta(theta, info, "steady_state_E")
-    # hyperbolic slack on the returned design must be nonnegative
-    slack = m * (theta + 1.0 / fm.sigma2) - theta * theta
-    if np.any(slack < -_SLACK_TOL * max(theta * theta, 1.0)):
-        raise FlowDesignError("steady_state_E: hyperbolic constraint violated")
-    diagnostics.update(bisection_iterations=iters, lp_pivots=pivots,
+    theta = float(np.min(info))
+    _check_certificate(theta, m, fm.sigma2, (lo, hi))
+    diagnostics.update(bisection_iterations=rounds, lp_pivots=pivots,
                        lp_perturbed=perturbed, theta_bracket=(lo, hi),
                        tol_theta=tol_theta)
-    return DesignResult(xi=xi, theta=theta, scheme="steady_state_E",
+    return DesignResult(xi=xi_best, theta=theta, scheme="steady_state_E",
                         info=info, diagnostics=diagnostics)
 
 

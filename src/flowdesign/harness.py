@@ -296,9 +296,12 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
     (t = 1, B+1, ...); block 1 follows warmup_scheme because no
     estimates exist yet. In plugin mode the design and the GLS weights
     use the latest filter means clamped at 1; filter means start at the
-    model mu, so the diffuse first update is unaffected. The logged
-    rates come from replication 0 (plug-in designs differ across
-    replications).
+    model mu, so the diffuse first update is unaffected. Under true_mu
+    the naive and steady_state designs depend on neither the block nor
+    the replication, so each is solved once per run, at its first block,
+    and reused; myopic designs and every plugin design are solved per
+    block. The logged rates come from replication 0 (plug-in designs
+    differ across replications).
     """
     mm, fm, p, report = load_instance(cfg)
     trace = _get_trace(cfg, fm)
@@ -309,6 +312,7 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
 
     sq_sum = np.zeros((T, fm.n_r))
     rates = np.zeros((block_starts.size, mm.n_o))
+    fixed = {}  # scheme -> its true_mu design, shared by every block
     for r, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
         state = FilterState(info=np.zeros(fm.n_r), mean=fm.mu.copy(), t=0)
@@ -322,8 +326,13 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
                 scheme = cfg.scheme
                 if t == 1 and cfg.warmup_scheme == "naive":
                     scheme = "naive"
-                res = _design_for_block(cfg, mm, fm, p, scheme, mu_hat,
-                                        state.info)
+                if scheme in fixed:
+                    res = fixed[scheme]
+                else:
+                    res = _design_for_block(cfg, mm, fm, p, scheme, mu_hat,
+                                            state.info)
+                    if cfg.mu_mode == "true_mu" and scheme != "myopic":
+                        fixed[scheme] = res
                 xi = res.xi
                 if r == 0:
                     rates[(t - 1) // B] = xi

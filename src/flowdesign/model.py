@@ -173,8 +173,10 @@ def validate_problem(p: DesignProblem, fm: FlowModel) -> ValidationReport:
 def check_design_output(p: DesignProblem, xi: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """Re-substitute a solver's design vector into the constraint system.
 
-    Returns the (possibly tiny-negative-clipped) vector and raises if any
-    budget row, equality row, or bound is violated by more than ``tol``.
+    Returns the (possibly tiny-negative-clipped) vector and raises if a
+    bound is violated by more than ``tol``, or a budget or equality row
+    by more than ``tol`` relative to its b_j (with a floor of one ulp of
+    a unit rate per coefficient, for rows with b_j = 0).
     Solvers call this on every output, so downstream code can rely on
     the feasibility of the vector plus nonnegativity of ``J @ xi``.
     """
@@ -184,10 +186,12 @@ def check_design_output(p: DesignProblem, xi: np.ndarray, tol: float = 1e-8) -> 
     if np.any(xi < p.lower - tol) or np.any(xi > p.upper + tol):
         raise ValidationError("design vector violates variable bounds")
     resid = p.R @ xi - p.b
-    ineq = ~p.row_is_equality
-    if np.any(resid[ineq] > tol):
+    limit = np.maximum(tol * np.abs(p.b),
+                       np.finfo(float).eps * np.abs(p.R).sum(axis=1))
+    eq = p.row_is_equality
+    if np.any(resid[~eq] > limit[~eq]):
         raise ValidationError("design vector violates a budget row")
-    if np.any(np.abs(resid[p.row_is_equality]) > tol):
+    if np.any(np.abs(resid[eq]) > limit[eq]):
         raise ValidationError("design vector violates an equality budget row")
     xi = np.clip(xi, p.lower, p.upper)
     m = p.J @ xi

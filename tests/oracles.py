@@ -12,6 +12,8 @@ different route, so agreement is meaningful:
 * grid_design_bounds: a grid search over the budget face returning a
   certified two-sided sandwich [theta_lower, theta_upper] for the
   steady-state design optimum.
+* bisect_steady_state: the steady-state design optimum by bisection on
+  theta, with scipy HiGHS feasibility probes.
 * dense_gls: the full matrix GLS solve (L' W L) y = L' W z.
 """
 
@@ -212,6 +214,64 @@ def grid_design_bounds(J, sigma2, b, upper, h=1e-4):
             theta_upper = max(theta_upper, float(np.max(np.where(near, vals_up,
                                                                  -np.inf))))
     return theta_lower, theta_upper, xi_best
+
+
+# ---------------------------------------------------------------------------
+# steady-state design by bisection (any size; needs scipy)
+
+
+_HIGHS = {"primal_feasibility_tolerance": 1e-10,
+          "dual_feasibility_tolerance": 1e-10}
+
+
+def bisect_steady_state(J, sigma2, R, b, upper, row_is_equality=None,
+                        lower=None, rel=1e-12):
+    """max theta s.t. every flow's limiting information reaches theta,
+    over {R xi <= b (= b on equality rows), lower <= xi <= upper}.
+
+    For fixed theta the flow constraints are the linear rows
+    (J xi)_i >= theta^2 / (theta + 1/sigma_i^2), so feasibility is
+    monotone in theta and bisection converges to the optimum. Each flow
+    row is divided by its threshold and each budget row by its b_j > 0,
+    which keeps HiGHS's absolute feasibility tolerance meaningful next
+    to information values of order 1e-6. Caps must be finite (they give
+    the starting ceiling). Returns the largest theta found feasible.
+    """
+    from scipy.optimize import linprog
+    J = np.asarray(J, dtype=float)
+    sigma2 = np.asarray(sigma2, dtype=float)
+    R = np.asarray(R, dtype=float)
+    b = np.asarray(b, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    assert np.all(np.isfinite(upper))
+    lower = np.zeros(J.shape[1]) if lower is None else np.asarray(lower, float)
+    eq = (np.zeros(b.size, dtype=bool) if row_is_equality is None
+          else np.asarray(row_is_equality, dtype=bool))
+    scale = np.where(b > 0, b, 1.0)
+    Rs, bs = R / scale[:, None], b / scale
+    bounds = list(zip(lower, upper))
+
+    def feasible(theta):
+        thr = theta * theta / (theta + 1.0 / sigma2)
+        A = np.vstack([-J / thr[:, None], Rs[~eq]])
+        rhs = np.concatenate([-np.ones(J.shape[0]), bs[~eq]])
+        res = linprog(np.zeros(J.shape[1]), A_ub=A, b_ub=rhs,
+                      A_eq=Rs[eq] if eq.any() else None,
+                      b_eq=bs[eq] if eq.any() else None,
+                      bounds=bounds, method="highs", options=_HIGHS)
+        assert res.status in (0, 2), res.message
+        return res.status == 0
+
+    m_cap = J @ upper
+    lo = 0.0
+    hi = float(np.max(0.5 * m_cap + np.sqrt(0.25 * m_cap ** 2 + m_cap / sigma2)))
+    while hi - lo > rel * hi:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def test_acceptance_3_steady_state_vs_grid_oracle():
     secs = time.perf_counter() - t0
     ok = n_checked == 50 and asym_ok and secs < 30.0
     record_acceptance(_line(
-        3, ok, f"steady-state bisection within grid-oracle bracket on 50 "
+        3, ok, f"steady-state design within grid-oracle bracket on 50 "
                f"instances (worst signed gap {worst_gap:.1e}); asymmetric "
                f"pair xi=({res.xi[0]:.4f},{res.xi[1]:.4f}) has xi1 < xi2; "
                f"{secs:.1f} s"))

@@ -7,18 +7,24 @@ from flowdesign import (
     FlowModel,
     InfeasibleError,
     ValidationError,
+    build_measurement_model,
     cone_residuals,
+    design,
+    design_problem,
     export_canonical_socp,
+    flow_model,
     parse_socp_text,
     serialize_socp,
     solve_classical_E,
     solve_myopic,
     solve_naive,
+    solve_lp,
     solve_steady_state_E,
     steady_state_info,
+    synth_topology,
 )
 
-from oracles import grid_design_bounds
+from oracles import bisect_steady_state, grid_design_bounds
 
 
 def pair_problem():
@@ -147,9 +153,12 @@ def test_steady_state_asymmetric_noise_exact():
     assert res.theta == pytest.approx(50.0, rel=1e-6)
     assert np.allclose(res.xi, [2.0 / 9.0, 7.0 / 9.0], atol=1e-6)
     assert res.xi[0] < res.xi[1]
-    assert res.diagnostics["bisection_iterations"] > 5
-    # theta is recomputed from the witness, so allow roundoff around the bracket
+    # a certified bracket closed to tol_theta within a handful of cut LPs
+    # ("bisection_iterations" counts them; the name is kept for the tracer)
+    assert res.diagnostics["bisection_iterations"] <= 10
     lo, hi = res.diagnostics["theta_bracket"]
+    assert 0.0 < lo and hi - lo <= res.diagnostics["tol_theta"] * hi
+    # theta is recomputed from the witness, so allow roundoff around the bracket
     assert lo * (1 - 1e-12) - 1e-12 <= res.theta <= hi * (1 + 1e-12) + 1e-12
 
 
@@ -192,12 +201,22 @@ def test_steady_state_monotone_in_budget():
     assert all(a < b for a, b in zip(thetas, thetas[1:]))
 
 
-def test_steady_state_infinite_caps_use_lp_bracket():
+def test_steady_state_infinite_caps_use_lp_bracket(monkeypatch):
+    # the first cut (theta - (J xi)_i <= 1/sigma_i^2) bounds theta without
+    # any cap, so no per-flow LP is needed for the upper bracket
+    lps = []
+
+    def counting_solve_lp(lp):
+        lps.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(design, "solve_lp", counting_solve_lp)
     p = DesignProblem(J=[[40.0, 10.0], [10.0, 40.0]], R=[[1.0, 1.0]],
                       b=[1.0], upper=[np.inf, np.inf])
     res = solve_steady_state_E(p, pair_fm())
     assert res.theta == pytest.approx(50.0, rel=1e-6)
-    assert "bracket_lp_pivots" in res.diagnostics
+    assert len(lps) == res.diagnostics["bisection_iterations"]
+    assert all(lp.n == 1 + p.n_o and lp.c[0] == 1.0 for lp in lps)
 
 
 def test_steady_state_tol_validation():
@@ -232,6 +251,51 @@ def test_steady_state_matches_grid_oracle():
                 p.J, fm.sigma2, float(p.b[0]), p.upper)
             slack = 2e-9 * max(upper, 1.0)
             assert lower - slack <= res.theta <= upper + slack, (n_o, lower, upper, res.theta)
+
+
+def _highs_bisection(p, fm):
+    pytest.importorskip("scipy.optimize")
+    return bisect_steady_state(p.J, fm.sigma2, p.R, p.b, p.upper,
+                               row_is_equality=p.row_is_equality,
+                               lower=p.lower)
+
+
+@pytest.mark.parametrize("mode", ["inequality", "equality_with_zeroing"])
+@pytest.mark.parametrize("topology_seed", [1, 2, 3])
+def test_steady_state_matches_highs_bisection_on_grid(topology_seed, mode):
+    mm = build_measurement_model(synth_topology(
+        "grid", rows=4, cols=4, budget=0.02, seed=topology_seed))
+    p = design_problem(mm, constraint_mode=mode)
+    fm = flow_model(mm)
+    res = solve_steady_state_E(p, fm)
+    assert res.theta == pytest.approx(_highs_bisection(p, fm), rel=1e-7)
+
+
+def test_steady_state_matches_highs_bisection_on_random_instances():
+    rng = np.random.default_rng(42)  # the instances of the grid-oracle test
+    for n_o in [1, 2, 3]:
+        for _ in range(3):
+            p, fm = _random_design_instance(rng, n_o)
+            res = solve_steady_state_E(p, fm)
+            assert res.theta == pytest.approx(_highs_bisection(p, fm), rel=1e-7)
+
+
+def test_steady_state_certificate_rejects_overstated_theta():
+    # at network scale theta^2 ~ 1e-11, so a slack floor of 1 (instead of
+    # a tolerance relative to theta^2) let a doubled theta through
+    mm = build_measurement_model(synth_topology(
+        "grid", rows=4, cols=4, budget=0.02, seed=1))
+    p, fm = design_problem(mm), flow_model(mm)
+    naive = solve_naive(p, mm.traversal)
+    m = p.J @ naive.xi
+    theta = float(np.min(steady_state_info(m, fm.sigma2)))
+    design._check_certificate(theta, m, fm.sigma2, (theta, theta))
+    with pytest.raises(FlowDesignError, match="hyperbolic"):
+        design._check_certificate(2 * theta, m, fm.sigma2,
+                                  (2 * theta, 2 * theta))
+    with pytest.raises(FlowDesignError, match="bracket"):
+        design._check_certificate(theta, m, fm.sigma2,
+                                  (0.5 * theta, theta * (1 - 1e-9)))
 
 
 def test_steady_state_loose_tolerance_still_sandwiched():

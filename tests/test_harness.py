@@ -1,4 +1,6 @@
+import collections
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,15 +8,20 @@ import pytest
 from flowdesign import (
     ConfigError,
     ExperimentConfig,
+    FilterState,
     Flow,
     TopologySpec,
     build_measurement_model,
     design_problem,
     flow_model,
+    fuse_gls,
     gen_random_walk_trace,
+    harness,
     parse_config,
+    predict_update,
     run_idealized,
     run_simulation,
+    sample_packets,
     save_topology,
     save_trace,
     solve_naive,
@@ -226,6 +233,73 @@ def test_simulation_warmup_block():
     ms2 = run_simulation(synth_cfg(horizon=8, block_size=4, replications=1,
                                    scheme="steady_state", warmup_scheme="scheme"))
     assert np.array_equal(ms2.rates[0], ss.xi)
+
+
+def _per_block_reference(cfg):
+    """run_simulation's true_mu loop with every block's design solved
+    afresh, the reference for the once-per-run fixed designs."""
+    mm, fm, p, _ = harness.load_instance(cfg)
+    trace = harness._get_trace(cfg, fm)
+    T, B = cfg.horizon, cfg.block_size
+    block_starts = np.arange(1, T + 1, B)
+    sq_sum = np.zeros((T, fm.n_r))
+    rates = np.zeros((block_starts.size, mm.n_o))
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
+    for r, stream in enumerate(streams):
+        rng = np.random.default_rng(stream)
+        state = FilterState(info=np.zeros(fm.n_r), mean=fm.mu.copy(), t=0)
+        for t in range(1, T + 1):
+            if (t - 1) % B == 0:
+                scheme = cfg.scheme
+                if t == 1 and cfg.warmup_scheme == "naive":
+                    scheme = "naive"
+                xi = harness._design_for_block(cfg, mm, fm, p, scheme, fm.mu,
+                                               state.info).xi
+                if r == 0:
+                    rates[(t - 1) // B] = xi
+            raw = sample_packets(trace.x[t - 1], mm, xi, rng)
+            y, m = fuse_gls(raw, mm, xi, fm.mu)
+            state = predict_update(state, fm, m, y)
+            sq_sum[t - 1] += (state.mean - trace.x[t - 1]) ** 2
+    return harness._series(cfg, sq_sum / cfg.replications, block_starts,
+                           rates, {})
+
+
+@pytest.mark.parametrize("scheme,warmup", [("steady_state", "naive"),
+                                           ("steady_state", "scheme"),
+                                           ("naive", "naive")])
+def test_simulation_solves_fixed_true_mu_designs_once(tmp_path, monkeypatch,
+                                                      scheme, warmup):
+    calls = collections.Counter()
+
+    def counting(name):
+        fn = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("solve_naive", "solve_steady_state_E"):
+        monkeypatch.setattr(harness, name, counting(name))
+    cfg = synth_cfg(horizon=20, block_size=5, replications=3, seed=4,
+                    scheme=scheme, warmup_scheme=warmup)
+    ms = run_simulation(cfg)
+    solver = {"naive": "solve_naive", "steady_state": "solve_steady_state_E"}
+    expect = collections.Counter({solver[scheme]: 1})
+    if warmup == "naive":
+        expect["solve_naive"] = 1
+    assert calls == expect
+    # the same files as solving every block of every replication
+    write_metrics(ms, str(tmp_path / "once"))
+    write_metrics(_per_block_reference(cfg), str(tmp_path / "per_block"))
+    for name in ("metrics.csv", "rates.csv"):
+        assert ((tmp_path / "once" / name).read_bytes()
+                == (tmp_path / "per_block" / name).read_bytes())
+    # plug-in designs still follow the filter means, block by block
+    calls.clear()
+    run_simulation(replace(cfg, mu_mode="plugin"))
+    assert sum(calls.values()) == 4 * 3
 
 
 def test_simulation_deterministic(tmp_path):

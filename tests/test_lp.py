@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowdesign import LinearProgram, ValidationError, check_feasible, solve_lp
 
@@ -155,3 +157,57 @@ def test_random_lps_against_vertex_oracle_and_scipy():
             assert res.status == 2
     # the generator must actually exercise both outcomes
     assert 30 < n_feasible < 150
+
+
+@st.composite
+def _design_family_lp(draw):
+    """max theta s.t. s_i theta - (J xi)_i <= r_i, unit budget rows
+    R xi <= b (sometimes = b), 0 <= xi <= cap: the shape of every design
+    LP (slope 1 for classical/myopic, tangent slopes for steady-state
+    cuts), with information coefficients at network scale."""
+    n_r = draw(st.integers(1, 5))
+    n_o = draw(st.integers(1, 6))
+    n_v = draw(st.integers(1, 3))
+    unit = st.floats(0.0, 1.0)
+    slopes = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n_r,
+                                    max_size=n_r)))
+    J = np.array(draw(st.lists(unit, min_size=n_r * n_o, max_size=n_r * n_o)))
+    J = np.where(J < 0.3, 0.0, 1e-4 + 9e-4 * J).reshape(n_r, n_o)
+    r = 2e-5 * (np.array(draw(st.lists(unit, min_size=n_r, max_size=n_r))) - 0.2)
+    owner = np.array(draw(st.lists(st.integers(0, n_v - 1), min_size=n_o,
+                                   max_size=n_o)))
+    R = (owner[None, :] == np.arange(n_v)[:, None]).astype(float)
+    b = np.array(draw(st.lists(st.floats(0.005, 0.05), min_size=n_v,
+                               max_size=n_v)))
+    eq = np.array(draw(st.lists(st.booleans(), min_size=n_v, max_size=n_v)))
+    cap = draw(st.sampled_from([1.0, 0.01, 0.003]))
+    A_ub = np.vstack([np.column_stack([slopes, -J]),
+                      np.column_stack([np.zeros(int((~eq).sum())), R[~eq]])])
+    A_eq = np.column_stack([np.zeros(int(eq.sum())), R[eq]])
+    return dict(c=np.eye(1 + n_o)[0], A_ub=A_ub,
+                b_ub=np.concatenate([r, b[~eq]]),
+                A_eq=A_eq if eq.any() else None,
+                b_eq=b[eq] if eq.any() else None,
+                lower=np.zeros(1 + n_o),
+                upper=np.concatenate([[np.inf], np.full(n_o, cap)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_design_family_lp())
+def test_design_family_lps_against_highs(kw):
+    sol = solve_lp(LinearProgram(**kw))
+    # HiGHS's feasibility tolerance is absolute, so hand it rows scaled
+    # to unit coefficients, as the simplex does internally
+    A_ub, b_ub = kw["A_ub"], kw["b_ub"]
+    s = np.max(np.abs(A_ub), axis=1, initial=0.0)
+    s = np.where(s > 0, s, 1.0)
+    res = scipy_opt.linprog(
+        -kw["c"], A_ub=A_ub / s[:, None], b_ub=b_ub / s,
+        A_eq=kw["A_eq"], b_eq=kw["b_eq"],
+        bounds=list(zip(kw["lower"], kw["upper"])), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10})
+    assert res.status in (0, 2), res.message
+    assert sol.status == ("optimal" if res.status == 0 else "infeasible")
+    if res.status == 0:
+        assert sol.objective == pytest.approx(-res.fun, rel=1e-7)

@@ -120,3 +120,17 @@ def test_check_design_output_equality_row():
     check_design_output(p, np.array([0.25, 0.75]))
     with pytest.raises(ValidationError):
         check_design_output(p, np.array([0.25, 0.5]))
+
+
+def test_check_design_output_budget_rows_are_relative_to_b():
+    # at b = 0.02 an absolute 1e-8 allowed 5e-7 of the budget
+    for eq in (False, True):
+        p = DesignProblem(J=np.eye(2), R=np.eye(2), b=[0.02, 0.0],
+                          row_is_equality=[eq, False])
+        check_design_output(p, np.array([0.02 * (1 + 1e-12), 0.0]))
+        with pytest.raises(ValidationError, match="budget row"):
+            check_design_output(p, np.array([0.02 + 1e-9, 0.0]))
+        with pytest.raises(ValidationError, match="budget row"):
+            check_design_output(p, np.array([0.02, 1e-12]))  # b_j = 0 row
+    with pytest.raises(ValidationError, match="equality"):
+        check_design_output(p, np.array([0.02 - 1e-9, 0.0]))
