@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowdesign import LinearProgram, ValidationError, check_feasible, solve_lp
+from flowdesign import (LinearProgram, ValidationError, build_measurement_model,
+                        check_feasible, design, design_problem, flow_model,
+                        solve_lp, synth_topology)
 
 from oracles import vertex_lp_max
 
@@ -115,6 +117,145 @@ def test_determinism_bit_identical():
 def test_validation(kwargs):
     with pytest.raises(ValidationError):
         LinearProgram(**kwargs)
+
+
+# ------------------------------------------------------------ pivot sequence
+#
+# Bland's rule fixes every pivot, so the iteration count of each LP below
+# pins the whole pivot sequence. The values were recorded from the
+# row-by-row implementation; any rewrite of the tableau code must
+# reproduce them exactly.
+
+
+def _degenerate_lp(seed):
+    # integer rows with mostly zero right-hand sides: many ratio ties
+    rng = np.random.default_rng(seed)
+    n, m = 4, 5
+    A = rng.integers(-3, 4, size=(m, n)).astype(float)
+    b = np.where(rng.random(m) < 0.7, 0.0, rng.integers(-1, 3, size=m))
+    return LinearProgram(c=rng.integers(-2, 4, size=n), A_ub=A, b_ub=b,
+                         A_eq=rng.integers(0, 3, size=(seed % 2, n)),
+                         b_eq=np.ones(seed % 2), upper=np.full(n, 2.0))
+
+
+def _grid_lp(mode, cut):
+    mm = build_measurement_model(synth_topology(
+        "grid", rows=4, cols=4, budget=0.02, seed=1))
+    p, fm = design_problem(mm, constraint_mode=mode), flow_model(mm)
+    c = 1.0 / fm.sigma2
+    if cut == "classical":
+        return design._theta_lp(p, 1.0, np.zeros(p.n_r))
+    first = design._theta_lp(p, 1.0, c)
+    if cut == "asymptote":
+        return first
+    t = float(first.x[0])
+    return design._theta_lp(p, t * (t + 2.0 * c) / (t + c) ** 2,
+                            c * t * t / (t + c) ** 2)
+
+
+_LP_CORPUS = {
+    "design": lambda: solve_lp(design_lp()),
+    # Beale's cycling example (degenerate ties under the textbook rule)
+    "beale": lambda: solve_lp(LinearProgram(
+        c=[0.75, -20.0, 0.5, -6.0],
+        A_ub=[[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0],
+              [0.0, 0.0, 1.0, 0.0]],
+        b_ub=[0.0, 0.0, 1.0])),
+    "tie": lambda: solve_lp(LinearProgram(
+        c=[1.0, 1.0, 1.0],
+        A_ub=[[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0],
+              [2.0, 1.0, 1.0]],
+        b_ub=[1.0, 1.0, 1.0, 2.0])),
+    "flipped": lambda: solve_lp(LinearProgram(
+        c=[-1.0, -2.0, 1.0],
+        A_ub=[[-1.0, -1.0, 0.0], [0.0, -1.0, -1.0], [1.0, 1.0, 1.0]],
+        b_ub=[-0.5, -0.25, 2.0], upper=[1.0, 1.0, 1.0])),
+    "equality": lambda: solve_lp(LinearProgram(
+        c=[1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[0.7], upper=[1.0, 1.0])),
+    "redundant": lambda: solve_lp(LinearProgram(
+        c=[1.0, 0.0, 0.5], A_ub=[[1.0, 0.0, 1.0]], b_ub=[1.5],
+        A_eq=[[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [1.0, 1.0, 0.0]],
+        b_eq=[1.0, 2.0, 1.0], upper=[1.0, 1.0, 1.0])),
+    "pinned": lambda: solve_lp(LinearProgram(
+        c=[1.0, 1.0, -1.0], A_ub=[[1.0, 1.0, 1.0]], b_ub=[1.0],
+        A_eq=[[1.0, 0.0, -1.0]], b_eq=[0.1],
+        lower=[0.0, 0.3, 0.2], upper=[1.0, 0.3, 0.2])),
+    "all_fixed": lambda: solve_lp(LinearProgram(
+        c=[2.0, -1.0], A_ub=[[1.0, 1.0]], b_ub=[1.0],
+        lower=[0.4, 0.1], upper=[0.4, 0.1])),
+    "unbounded": lambda: solve_lp(LinearProgram(
+        c=[1.0, 1.0], A_ub=[[1.0, -1.0]], b_ub=[1.0])),
+    "infeasible": lambda: solve_lp(LinearProgram(
+        c=[0.0, 0.0], A_ub=[[1.0, 1.0]], b_ub=[1.0],
+        lower=[0.8, 0.8], upper=[1.0, 1.0])),
+    "infeasible_eq": lambda: solve_lp(LinearProgram(
+        c=[1.0, 1.0], A_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[0.5, 0.8],
+        upper=[1.0, 1.0])),
+    "perturbed_cap": lambda: solve_lp(design_lp(), max_iter=1),
+    "perturbed_optimal": lambda: solve_lp(_degenerate_lp(12), max_iter=4),
+    "perturbed_infeasible": lambda: solve_lp(_degenerate_lp(16), max_iter=3),
+    **{f"degenerate_{s}": (lambda s=s: solve_lp(_degenerate_lp(s)))
+       for s in range(20)},
+    **{f"grid4_{mode}_{cut}": (lambda mode=mode, cut=cut: _grid_lp(mode, cut))
+       for mode in ("inequality", "equality_with_zeroing")
+       for cut in ("classical", "asymptote", "tangent")},
+}
+
+
+# name: (status, iterations, perturbed, objective)
+_LP_GOLDEN = {
+    "design": ("optimal", 3, False, 25.0),
+    "beale": ("optimal", 6, False, 1.2500000000000004),
+    "tie": ("optimal", 3, False, 1.5),
+    "flipped": ("optimal", 4, False, 0.5),
+    "equality": ("optimal", 1, False, 0.7),
+    "redundant": ("optimal", 3, False, 1.25),
+    "pinned": ("optimal", 1, False, 0.4000000000000001),
+    "all_fixed": ("optimal", 0, False, 0.7000000000000001),
+    "unbounded": ("unbounded", 1, False, None),
+    "infeasible": ("infeasible", 0, False, None),
+    "infeasible_eq": ("infeasible", 1, False, None),
+    "perturbed_cap": ("numerical", 2, True, None),
+    "perturbed_optimal": ("optimal", 7, True, 4.274509803921567e-11),
+    "perturbed_infeasible": ("infeasible", 5, True, None),
+    "degenerate_0": ("infeasible", 1, False, None),
+    "degenerate_1": ("infeasible", 3, False, None),
+    "degenerate_2": ("optimal", 3, False, 0.0),
+    "degenerate_3": ("optimal", 9, False, 9.166666666666659),
+    "degenerate_4": ("optimal", 2, False, 3.0),
+    "degenerate_5": ("optimal", 5, False, 1.0),
+    "degenerate_6": ("optimal", 6, False, 6.0),
+    "degenerate_7": ("infeasible", 2, False, None),
+    "degenerate_8": ("optimal", 6, False, 4.0),
+    "degenerate_9": ("infeasible", 1, False, None),
+    "degenerate_10": ("optimal", 3, False, -2.0),
+    "degenerate_11": ("infeasible", 3, False, None),
+    "degenerate_12": ("optimal", 7, False, 0.0),
+    "degenerate_13": ("infeasible", 1, False, None),
+    "degenerate_14": ("infeasible", 1, False, None),
+    "degenerate_15": ("infeasible", 4, False, None),
+    "degenerate_16": ("infeasible", 3, False, None),
+    "degenerate_17": ("optimal", 7, False, 1.9999999999999996),
+    "degenerate_18": ("optimal", 6, False, 0.5),
+    "degenerate_19": ("optimal", 4, False, 1.125),
+    "grid4_inequality_classical": ("optimal", 43, False, 1.5649196143978e-06),
+    "grid4_inequality_asymptote": ("optimal", 5, False, 4.3398542551003865e-06),
+    "grid4_inequality_tangent": ("optimal", 23, False, 3.0633912297071984e-06),
+    "grid4_equality_with_zeroing_classical": ("optimal", 34, False, 1.5649196143977976e-06),
+    "grid4_equality_with_zeroing_asymptote": ("optimal", 19, False, 4.3398542551003865e-06),
+    "grid4_equality_with_zeroing_tangent": ("optimal", 28, False, 3.063391229707202e-06),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LP_CORPUS))
+def test_pivot_sequence_golden(name):
+    status, iterations, perturbed, objective = _LP_GOLDEN[name]
+    sol = _LP_CORPUS[name]()
+    assert (sol.status, sol.iterations, sol.perturbed) == (status, iterations, perturbed)
+    if objective is None:
+        assert sol.objective is None
+    else:
+        assert sol.objective == pytest.approx(objective, rel=1e-12, abs=0.0)
 
 
 def _random_instance(rng):
