@@ -3,8 +3,7 @@
 from .model import (DesignProblem, FlowDesignError, FlowModel,
                     ValidationError, ValidationReport, check_design_output,
                     validate_problem)
-from .filtering import (ConvergenceError, FilterState, diffuse_state,
-                        iterate_to_steady_state, predict_update,
+from .filtering import (FilterState, diffuse_state, predict_update,
                         predicted_info, steady_state_info)
 from .lp import LinearProgram, LpSolution, check_feasible, solve_lp
 from .design import (CanonicalSocp, DesignResult, InfeasibleError, SocpCone,
@@ -12,9 +11,9 @@ from .design import (CanonicalSocp, DesignResult, InfeasibleError, SocpCone,
                      serialize_socp, solve_classical_E, solve_myopic,
                      solve_naive, solve_steady_state_E)
 from .network import (Flow, MeasurementModel, RoutingError, TopologySpec,
-                      build_measurement_model, design_problem,
-                      effective_information, flow_model, load_topology,
-                      remap_mu, route_flows, save_topology, synth_topology)
+                      build_measurement_model, design_problem, flow_model,
+                      load_topology, remap_mu, route_flows, save_topology,
+                      synth_topology)
 from .simulate import (RawMeasurements, Trace, fuse_gls,
                        gen_random_walk_trace, load_trace, sample_packets,
                        save_trace)
@@ -25,20 +24,19 @@ from .harness import (ConfigError, ExperimentConfig, MetricsSeries,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CanonicalSocp", "ConfigError", "ConvergenceError", "DesignProblem",
-    "DesignResult", "ExperimentConfig", "FilterState", "Flow",
-    "FlowDesignError", "FlowModel", "InfeasibleError", "LinearProgram",
-    "LpSolution", "MeasurementModel", "MetricsSeries", "RawMeasurements",
-    "RoutingError", "SocpCone", "TopologySpec", "Trace", "ValidationError",
+    "CanonicalSocp", "ConfigError", "DesignProblem", "DesignResult",
+    "ExperimentConfig", "FilterState", "Flow", "FlowDesignError",
+    "FlowModel", "InfeasibleError", "LinearProgram", "LpSolution",
+    "MeasurementModel", "MetricsSeries", "RawMeasurements", "RoutingError",
+    "SocpCone", "TopologySpec", "Trace", "ValidationError",
     "ValidationReport", "build_measurement_model", "check_design_output",
     "check_feasible", "cone_residuals", "design_problem", "diffuse_state",
-    "effective_information", "export_canonical_socp", "flow_model",
-    "fuse_gls", "gen_random_walk_trace", "iterate_to_steady_state",
-    "load_topology", "load_trace", "parse_config", "parse_socp_text",
-    "predict_update", "predicted_info", "remap_mu", "route_flows",
-    "run_idealized", "run_simulation", "sample_packets", "save_topology",
-    "save_trace", "serialize_socp", "solve_classical_E", "solve_lp",
-    "solve_myopic", "solve_naive", "solve_steady_state_E",
+    "export_canonical_socp", "flow_model", "fuse_gls",
+    "gen_random_walk_trace", "load_topology", "load_trace", "parse_config",
+    "parse_socp_text", "predict_update", "predicted_info", "remap_mu",
+    "route_flows", "run_idealized", "run_simulation", "sample_packets",
+    "save_topology", "save_trace", "serialize_socp", "solve_classical_E",
+    "solve_lp", "solve_myopic", "solve_naive", "solve_steady_state_E",
     "steady_state_info", "synth_topology", "validate_problem",
     "write_metrics",
 ]

@@ -18,15 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FlowDesignError, FlowModel, ValidationError
-
-
-class ConvergenceError(FlowDesignError):
-    """Fixed-point iteration ran out of iterations; carries the last iterate."""
-
-    def __init__(self, message: str, last_iterate: np.ndarray):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+from .model import FlowModel, ValidationError
 
 
 @dataclass(frozen=True)
@@ -123,32 +115,3 @@ def steady_state_info(m, sigma2):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def iterate_to_steady_state(fm: FlowModel, m, tol: float = 1e-10,
-                            max_iter: int = 10 ** 6) -> np.ndarray:
-    """Run the information recursion from the diffuse prior to its limit.
-
-    Iterates info <- info/(1 + sigma2*info) + m until the relative change
-    of every flow drops below ``tol``. Exists mainly as an independent
-    cross-check of :func:`steady_state_info`; raises
-    :class:`ConvergenceError` (carrying the last iterate) if ``max_iter``
-    is exhausted.
-    """
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
-    m = np.atleast_1d(np.asarray(m, dtype=float))
-    if m.shape != (fm.n_r,):
-        raise ValidationError("information vector must have one entry per flow")
-    if np.any(m < 0):
-        raise ValidationError("information must be >= 0")
-    info = np.zeros(fm.n_r)
-    for _ in range(max_iter):
-        new = info / (1.0 + fm.sigma2 * info) + m
-        denom = np.maximum(np.abs(new), np.finfo(float).tiny)
-        if np.all(np.abs(new - info) <= tol * denom):
-            return new
-        info = new
-    raise ConvergenceError(
-        f"no convergence within {max_iter} iterations", last_iterate=info
-    )

@@ -26,7 +26,7 @@ import numpy as np
 
 from .design import (DesignResult, solve_myopic, solve_naive,
                      solve_steady_state_E)
-from .filtering import FilterState, predict_update
+from .filtering import FilterState, predict_update, predicted_info
 from .model import FlowDesignError, FlowModel, validate_problem
 from .network import (CONSTRAINT_MODES, build_measurement_model,
                       design_problem, flow_model, load_topology, remap_mu,
@@ -271,7 +271,7 @@ def run_idealized(cfg: ExperimentConfig) -> MetricsSeries:
         m = mm.J @ res.xi
         info = np.zeros(fm.n_r)
         for t in range(T):
-            info = info / (1.0 + fm.sigma2 * info) + m
+            info = predicted_info(info, fm.sigma2) + m
             per_flow[t] = _mse_from_info(info)
     return _series(cfg, per_flow, block_starts, rates, meta)
 

@@ -107,31 +107,24 @@ def _pivot(T, basis, row, col):
 
 
 def _bland(T, basis, n_cols, cap):
-    """Minimize the objective in the last tableau row. Returns (status, pivots)."""
+    """Minimize the objective in the last tableau row. Returns (status, pivots).
+
+    Bland's rule: the entering column is the first with a negative
+    reduced cost; among the rows with the minimum ratio, the one whose
+    basic variable has the smallest index leaves.
+    """
     pivots = 0
     while pivots < cap:
-        enter = -1
-        obj = T[-1]
-        for j in range(n_cols):
-            if obj[j] < -_PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
+        enter = np.flatnonzero(T[-1, :n_cols] < -_PIVOT_TOL)
+        if enter.size == 0:
             return "optimal", pivots
-        col = T[:-1, enter]
-        rows = np.where(col > _PIVOT_TOL)[0]
+        col = T[:-1, enter[0]]
+        rows = np.flatnonzero(col > _PIVOT_TOL)
         if rows.size == 0:
             return "unbounded", pivots
-        leave = -1
-        best = np.inf
-        for i in rows:
-            r = T[i, -1] / col[i]
-            if leave < 0 or r < best:
-                best = r
-                leave = int(i)
-            elif r == best and basis[i] < basis[leave]:
-                leave = int(i)
-        _pivot(T, basis, leave, enter)
+        ratios = T[rows, -1] / col[rows]
+        ties = rows[ratios == ratios.min()]
+        _pivot(T, basis, ties[np.argmin(basis[ties])], enter[0])
         pivots += 1
     return "iteration_limit", pivots
 
@@ -141,40 +134,22 @@ def _assemble(lp: LinearProgram, perturb: bool):
 
     Variables pinned by upper == lower are eliminated up front (they sit
     at the bound exactly and only feed the tableau degenerate rows);
-    ``free`` maps the reduced columns back to original indices.
+    ``free`` maps the reduced columns back to original indices. Rows are
+    the inequalities, then the finite upper bounds, then the equalities.
     """
     span = lp.upper - lp.lower
-    free = np.where(span > 0)[0]
-    n = free.size
-    blocks = []
-    rhs = []
-    eq = []
-    if lp.A_ub.shape[0]:
-        blocks.append(lp.A_ub[:, free])
-        rhs.append(lp.b_ub - lp.A_ub @ lp.lower)
-        eq.extend([False] * lp.A_ub.shape[0])
-    capped = np.where(np.isfinite(span[free]))[0]
-    if capped.size:
-        E = np.zeros((capped.size, n))
-        E[np.arange(capped.size), capped] = 1.0
-        blocks.append(E)
-        rhs.append(span[free][capped])
-        eq.extend([False] * capped.size)
-    if lp.A_eq.shape[0]:
-        blocks.append(lp.A_eq[:, free])
-        rhs.append(lp.b_eq - lp.A_eq @ lp.lower)
-        eq.extend([True] * lp.A_eq.shape[0])
-    if blocks:
-        A = np.vstack(blocks)
-        b = np.concatenate(rhs)
-    else:
-        A = np.zeros((0, n))
-        b = np.zeros(0)
-    if perturb and b.size:
+    free = np.flatnonzero(span > 0)
+    capped = np.isfinite(span[free])
+    A = np.vstack([lp.A_ub[:, free], np.eye(free.size)[capped],
+                   lp.A_eq[:, free]])
+    b = np.concatenate([lp.b_ub - lp.A_ub @ lp.lower, span[free][capped],
+                        lp.b_eq - lp.A_eq @ lp.lower])
+    if perturb:
         # tiny deterministic shift that breaks rhs degeneracy while staying
         # far inside _CHECK_TOL
         b = b + 1e-11 * (np.arange(b.size) + 1.0)
-    return A, b, np.asarray(eq, dtype=bool), free
+    is_eq = np.arange(b.size) >= b.size - lp.A_eq.shape[0]
+    return A, b, is_eq, free
 
 
 def _two_phase(A, b, is_eq, c_max, cap):
@@ -188,40 +163,30 @@ def _two_phase(A, b, is_eq, c_max, cap):
     A = A / scale[:, None]
     b = b / scale
     flip = b < 0
-    Aw = np.where(flip[:, None], -A, A)
-    bw = np.where(flip, -b, b)
-    ineq_rows = np.where(~is_eq)[0]
-    n_slack = ineq_rows.size
-    S = np.zeros((m, n_slack))
-    for k, i in enumerate(ineq_rows):
-        S[i, k] = -1.0 if flip[i] else 1.0
-    art_rows = np.where(is_eq | flip)[0]
-    n_art = art_rows.size
-    art_lo = n + n_slack
-    N = art_lo + n_art
+    # columns: original, one slack per inequality (negated on flipped
+    # rows), one artificial per equality or flipped row
+    ineq_rows = np.flatnonzero(~is_eq)
+    art_rows = np.flatnonzero(is_eq | flip)
+    slack_cols = n + np.arange(ineq_rows.size)
+    art_lo = n + ineq_rows.size
+    N = art_lo + art_rows.size
+    art_cols = np.arange(art_lo, N)
 
     T = np.zeros((m + 1, N + 1))
-    T[:m, :n] = Aw
-    T[:m, n:art_lo] = S
-    for a, i in enumerate(art_rows):
-        T[i, art_lo + a] = 1.0
-    T[:m, -1] = bw
-
-    basis = np.full(m, -1, dtype=int)
-    for k, i in enumerate(ineq_rows):
-        if not flip[i]:
-            basis[i] = n + k
-    for a, i in enumerate(art_rows):
-        basis[i] = art_lo + a
+    T[:m, :n] = np.where(flip[:, None], -A, A)
+    T[ineq_rows, slack_cols] = np.where(flip[ineq_rows], -1.0, 1.0)
+    T[art_rows, art_cols] = 1.0
+    T[:m, -1] = np.where(flip, -b, b)
+    basis = np.empty(m, dtype=int)
+    basis[ineq_rows] = slack_cols
+    basis[art_rows] = art_cols
 
     total = 0
-    if n_art:
+    if art_rows.size:
         # phase 1: minimize the sum of artificials
-        T[-1, :] = 0.0
         T[-1, art_lo:N] = 1.0
-        for i in range(m):
-            if basis[i] >= art_lo:
-                T[-1] -= T[i]
+        for i in art_rows:
+            T[-1] -= T[i]
         status, piv = _bland(T, basis, N, cap)
         total += piv
         if status == "iteration_limit":
@@ -231,41 +196,30 @@ def _two_phase(A, b, is_eq, c_max, cap):
         # drive leftover artificials out of the basis; rows that offer no
         # pivot column are redundant originals and get dropped
         drop = []
-        for i in range(m):
-            if basis[i] >= art_lo:
-                j = -1
-                for cand in range(art_lo):
-                    if abs(T[i, cand]) > _PIVOT_TOL:
-                        j = cand
-                        break
-                if j < 0:
-                    drop.append(i)
-                else:
-                    _pivot(T, basis, i, j)
-                    total += 1
-        if drop:
-            T = np.delete(T, drop, axis=0)
-            basis = np.delete(basis, drop)
-            m = basis.size
+        for i in np.flatnonzero(basis >= art_lo):
+            cols = np.flatnonzero(np.abs(T[i, :art_lo]) > _PIVOT_TOL)
+            if cols.size:
+                _pivot(T, basis, i, cols[0])
+                total += 1
+            else:
+                drop.append(i)
+        T = np.delete(T, drop, axis=0)
+        basis = np.delete(basis, drop)
         T = np.delete(T, np.s_[art_lo:N], axis=1)
         N = art_lo
 
-    cost = np.zeros(N)
+    cost = np.zeros(N + 1)
     cost[:n] = -c_max  # maximize via minimizing the negation
-    T[-1, :-1] = cost
-    T[-1, -1] = 0.0
-    for i in range(m):
-        cb = cost[basis[i]]
-        if cb != 0.0:
-            T[-1] -= cb * T[i]
+    T[-1] = cost
+    for i in np.flatnonzero(cost[basis]):
+        T[-1] -= cost[basis[i]] * T[i]
     status, piv = _bland(T, basis, N, cap)
     total += piv
     if status != "optimal":
         return status, None, total
     z = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            z[basis[i]] = T[i, -1]
+    basic = basis < n
+    z[basis[basic]] = T[:-1, -1][basic]
     return "optimal", z, total
 
 
@@ -275,18 +229,14 @@ def _violation(lp: LinearProgram, x: np.ndarray) -> float:
     metric the tableau works in, so the feasibility the two phases
     certify and the violation reported here agree on what "tight" means;
     bounds have unit coefficients and are left raw."""
-    v = 0.0
-    if lp.A_ub.shape[0]:
-        s = np.maximum(np.max(np.abs(lp.A_ub), axis=1), 1.0)
-        v = max(v, float(np.max((lp.A_ub @ x - lp.b_ub) / s, initial=0.0)))
-    if lp.A_eq.shape[0]:
-        s = np.maximum(np.max(np.abs(lp.A_eq), axis=1), 1.0)
-        v = max(v, float(np.max(np.abs(lp.A_eq @ x - lp.b_eq) / s, initial=0.0)))
-    v = max(v, float(np.max(lp.lower - x, initial=0.0)))
+    s_ub = np.maximum(np.max(np.abs(lp.A_ub), axis=1), 1.0)
+    s_eq = np.maximum(np.max(np.abs(lp.A_eq), axis=1), 1.0)
     finite = np.isfinite(lp.upper)
-    if np.any(finite):
-        v = max(v, float(np.max(x[finite] - lp.upper[finite], initial=0.0)))
-    return v
+    return float(max(
+        np.max((lp.A_ub @ x - lp.b_ub) / s_ub, initial=0.0),
+        np.max(np.abs(lp.A_eq @ x - lp.b_eq) / s_eq, initial=0.0),
+        np.max(lp.lower - x, initial=0.0),
+        np.max(x[finite] - lp.upper[finite], initial=0.0)))
 
 
 def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:

@@ -284,14 +284,6 @@ def build_measurement_model(t: TopologySpec, paths=None) -> MeasurementModel:
         owner=owner, traversal=traversal, mu=mu, sigma2=sigma2)
 
 
-def effective_information(mm: MeasurementModel, xi) -> np.ndarray:
-    """Per-flow information m = J xi; equals diag(L' D(xi)^-1 L)."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.shape != (mm.n_o,):
-        raise ValidationError("xi must have one entry per observation point")
-    return mm.J @ xi
-
-
 def flow_model(mm: MeasurementModel) -> FlowModel:
     return FlowModel(sigma2=mm.sigma2, mu=mm.mu)
 

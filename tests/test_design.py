@@ -219,6 +219,24 @@ def test_steady_state_infinite_caps_use_lp_bracket(monkeypatch):
     assert all(lp.n == 1 + p.n_o and lp.c[0] == 1.0 for lp in lps)
 
 
+def test_steady_state_zero_budget_is_certified_by_classical_lp(monkeypatch):
+    # every flow observable but every budget 0: theta* = 0, which the
+    # tangent cuts alone approach only by halving their upper bound
+    lps = []
+
+    def counting_solve_lp(lp):
+        lps.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(design, "solve_lp", counting_solve_lp)
+    p = DesignProblem(J=[[40.0, 10.0], [10.0, 40.0]], R=[[1.0, 1.0]], b=[0.0])
+    res = solve_steady_state_E(p, pair_fm(1.0, 1.0))
+    assert len(lps) <= 3
+    assert res.theta == 0.0
+    assert res.diagnostics["warnings"] == []
+    assert res.diagnostics["theta_bracket"] == (0.0, 0.0)
+
+
 def test_steady_state_tol_validation():
     with pytest.raises(ValidationError):
         solve_steady_state_E(pair_problem(), pair_fm(), tol_theta=0.0)

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from flowdesign import (
-    ConvergenceError,
     FilterState,
     FlowModel,
     ValidationError,
     diffuse_state,
-    iterate_to_steady_state,
     predict_update,
     predicted_info,
     steady_state_info,
@@ -170,26 +168,6 @@ def test_broadcasting_shapes():
 
 
 # -------------------------------------------------------------- iteration
-
-
-def test_iterate_matches_closed_form():
-    fm = FlowModel(sigma2=[0.04], mu=[100.0])
-    it = iterate_to_steady_state(fm, [25.0])
-    assert it[0] == pytest.approx(steady_state_info(25.0, 0.04), rel=1e-10)
-
-
-def test_iterate_zero_information():
-    fm = FlowModel(sigma2=[0.04], mu=[100.0])
-    assert iterate_to_steady_state(fm, [0.0])[0] == 0.0
-
-
-def test_iterate_convergence_error_carries_iterate():
-    fm = FlowModel(sigma2=[0.04], mu=[100.0])
-    with pytest.raises(ConvergenceError) as exc:
-        iterate_to_steady_state(fm, [25.0], max_iter=3)
-    last = exc.value.last_iterate
-    assert last.shape == (1,)
-    assert 0 < last[0] < steady_state_info(25.0, 0.04)
 
 
 def test_recursion_contracts_from_any_start():

@@ -11,7 +11,6 @@ from flowdesign import (
     ValidationError,
     build_measurement_model,
     design_problem,
-    effective_information,
     flow_model,
     load_topology,
     remap_mu,
@@ -125,7 +124,7 @@ def test_single_flow_two_ops():
     assert np.array_equal(mm.traversal,
                           [[False, False], [True, False], [False, True]])
     # effective information at xi = (0.01, 0.01): 2e-4
-    assert effective_information(mm, [0.01, 0.01])[0] == pytest.approx(2e-4)
+    assert (mm.J @ [0.01, 0.01])[0] == pytest.approx(2e-4)
 
 
 def test_shared_op_structure():
@@ -170,8 +169,8 @@ def test_information_is_additive_in_rates():
     rng = np.random.default_rng(1)
     a = rng.uniform(0, 0.5, size=mm.n_o)
     b = rng.uniform(0, 0.5, size=mm.n_o)
-    lhs = effective_information(mm, a + b)
-    rhs = effective_information(mm, a) + effective_information(mm, b)
+    lhs = mm.J @ (a + b)
+    rhs = mm.J @ a + mm.J @ b
     assert np.allclose(lhs, rhs, rtol=1e-12)
 
 
