@@ -183,7 +183,9 @@ def _two_phase(A, b, is_eq, c_max, cap):
 
     total = 0
     if art_rows.size:
-        # phase 1: minimize the sum of artificials
+        # phase 1: minimize the sum of artificials. Rows are subtracted
+        # one by one, here and for the cost row below: a vectorised sum
+        # rounds differently and changes the pivots
         T[-1, art_lo:N] = 1.0
         for i in art_rows:
             T[-1] -= T[i]
