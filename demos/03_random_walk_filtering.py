@@ -11,7 +11,7 @@ whose fixed point has the closed form used throughout the package.
 
 import numpy as np
 
-from flowdesign import (FlowModel, diffuse_state, gen_random_walk_trace,
+from flowdesign import (FilterState, FlowModel, gen_random_walk_trace,
                         predict_update, steady_state_info)
 
 fm = FlowModel(sigma2=[250_000.0], mu=[1_000_000.0])
@@ -28,7 +28,7 @@ rng = np.random.default_rng(7)
 T = 600
 trace = gen_random_walk_trace(fm, T=T, seed=3)
 meas_var = fm.mu[0] / (m * fm.mu[0])
-state = diffuse_state(1, mean0=fm.mu)
+state = FilterState(info=np.zeros(1), mean=fm.mu.copy())  # diffuse prior
 err = np.empty(T)
 for t in range(T):
     y = trace.x[t] + rng.normal(0.0, np.sqrt(meas_var), 1)

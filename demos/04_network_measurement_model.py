@@ -10,7 +10,7 @@ diagonal: per-flow information simply adds up along the path, J xi.
 import numpy as np
 
 from flowdesign import (Flow, TopologySpec, build_measurement_model,
-                        design_problem, solve_naive)
+                        design_problem, route_flows, solve_naive)
 
 spec = TopologySpec(
     nodes=("a", "b", "c", "d"),
@@ -25,7 +25,7 @@ mm = build_measurement_model(spec)
 print("routers:", mm.n_v, " observation points:", mm.n_o,
       " flows:", mm.n_r, " measurements:", mm.n_g)
 print("\npaths:")
-for i, path in enumerate(mm.paths):
+for i, path in enumerate(route_flows(spec)):
     print(f"  flow {i + 1}: {' -> '.join(path)}")
 
 print("\nJ (per-flow information coefficients, one column per point):")
@@ -35,7 +35,7 @@ print(mm.R)
 
 # the naive scheme splits each router's budget across its traversed
 # interfaces; here every router has at most one, so it just spends b
-xi = solve_naive(design_problem(mm), mm.traversal).xi
+xi = solve_naive(design_problem(mm)).xi
 print("\nnaive rates:", xi)
 d_inv = mm.psi_diag.T @ xi
 M = mm.L.T @ (d_inv[:, None] * mm.L)

@@ -1,10 +1,9 @@
 """Sampling-rate design and Kalman tracking for network flow volumes."""
 
 from .model import (DesignProblem, FlowDesignError, FlowModel,
-                    ValidationError, ValidationReport, check_design_output,
-                    validate_problem)
-from .filtering import (FilterState, diffuse_state, predict_update,
-                        predicted_info, steady_state_info)
+                    ValidationError, check_design_output, validate_problem)
+from .filtering import (FilterState, predict_update, predicted_info,
+                        steady_state_info)
 from .lp import LinearProgram, LpSolution, check_feasible, solve_lp
 from .design import (CanonicalSocp, DesignResult, InfeasibleError, SocpCone,
                      cone_residuals, export_canonical_socp, parse_socp_text,
@@ -29,14 +28,13 @@ __all__ = [
     "FlowModel", "InfeasibleError", "LinearProgram", "LpSolution",
     "MeasurementModel", "MetricsSeries", "RawMeasurements", "RoutingError",
     "SocpCone", "TopologySpec", "Trace", "ValidationError",
-    "ValidationReport", "build_measurement_model", "check_design_output",
-    "check_feasible", "cone_residuals", "design_problem", "diffuse_state",
-    "export_canonical_socp", "flow_model", "fuse_gls",
-    "gen_random_walk_trace", "load_topology", "load_trace", "parse_config",
-    "parse_socp_text", "predict_update", "predicted_info", "remap_mu",
-    "route_flows", "run_idealized", "run_simulation", "sample_packets",
-    "save_topology", "save_trace", "serialize_socp", "solve_classical_E",
-    "solve_lp", "solve_myopic", "solve_naive", "solve_steady_state_E",
-    "steady_state_info", "synth_topology", "validate_problem",
-    "write_metrics",
+    "build_measurement_model", "check_design_output", "check_feasible",
+    "cone_residuals", "design_problem", "export_canonical_socp",
+    "flow_model", "fuse_gls", "gen_random_walk_trace", "load_topology",
+    "load_trace", "parse_config", "parse_socp_text", "predict_update",
+    "predicted_info", "remap_mu", "route_flows", "run_idealized",
+    "run_simulation", "sample_packets", "save_topology", "save_trace",
+    "serialize_socp", "solve_classical_E", "solve_lp", "solve_myopic",
+    "solve_naive", "solve_steady_state_E", "steady_state_info",
+    "synth_topology", "validate_problem", "write_metrics",
 ]

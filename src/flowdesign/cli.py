@@ -42,11 +42,11 @@ def _cmd_design(args) -> int:
     cfg = ExperimentConfig(topology_dir=args.topology, cap=args.cap,
                            tol_theta=args.tol_theta,
                            constraint_mode=args.constraint_mode)
-    mm, fm, p, report = load_instance(cfg)
-    for warning in report.warnings:
+    mm, fm, p, warnings = load_instance(cfg)
+    for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if args.scheme == "naive":
-        res = solve_naive(p, mm.traversal)
+        res = solve_naive(p)
     elif args.scheme == "classical":
         res = solve_classical_E(p)
     elif args.scheme == "myopic":
@@ -106,7 +106,7 @@ def _cmd_validate(args) -> int:
     mm = build_measurement_model(spec)
     fm = flow_model(mm)
     p = design_problem(mm)
-    report = validate_problem(p, fm)
+    warnings = validate_problem(p, fm)
     # structural spot-check: L'D^-1 L is diagonal by construction (each
     # measurement sees one flow); its diagonal must equal J xi
     rng = np.random.default_rng(0)
@@ -117,7 +117,7 @@ def _cmd_validate(args) -> int:
         if np.any(np.abs(diag - mm.J @ xi) > 1e-12):
             print("error: diag(L'D^-1 L) != J xi", file=sys.stderr)
             return 1
-    for warning in report.warnings:
+    for warning in warnings:
         print(f"warning: {warning}")
     print(f"ok: {mm.n_v} routers, {mm.n_o} observation points, "
           f"{mm.n_r} flows, {mm.n_g} measurements")

@@ -114,24 +114,20 @@ def solve_classical_E(p: DesignProblem) -> DesignResult:
     return _lp_design(p, np.zeros(p.n_r), "classical_E")
 
 
-def solve_myopic(p: DesignProblem, fm: FlowModel, prior_info,
-                 use_prediction: bool = True) -> DesignResult:
+def solve_myopic(p: DesignProblem, fm: FlowModel, prior_info) -> DesignResult:
     """Maximize the minimum posterior information for the coming period.
 
     ``prior_info`` is the filter bank's information after the previous
-    period. With ``use_prediction`` it is first propagated one step,
-    a_i = prior/(1 + sigma_i^2 * prior), and the LP maximizes
-    min_i a_i + (J xi)_i; otherwise ``prior_info`` is used as-is.
-    With zero prior this reduces exactly to the classical design.
+    period. It is first propagated one step, a_i = prior/(1 + sigma_i^2
+    * prior), and the LP maximizes min_i a_i + (J xi)_i. With zero prior
+    this reduces exactly to the classical design.
     """
     if fm.n_r != p.n_r:
         raise ValidationError("flow model and problem disagree on n_r")
     a = np.atleast_1d(np.asarray(prior_info, dtype=float))
     if a.shape != (p.n_r,) or np.any(a < 0) or not np.all(np.isfinite(a)):
         raise ValidationError("prior_info must be finite, >= 0, one entry per flow")
-    if use_prediction:
-        a = predicted_info(a, fm.sigma2)
-    return _lp_design(p, a, "myopic")
+    return _lp_design(p, predicted_info(a, fm.sigma2), "myopic")
 
 
 def _check_certificate(theta: float, m: np.ndarray, sigma2: np.ndarray,
@@ -167,7 +163,7 @@ def solve_steady_state_E(p: DesignProblem, fm: FlowModel,
     first, falls below the previous tangent point; the best witness's
     actual minimum steady-state information bounds it from below. The
     loop stops when the gap is within ``tol_theta`` (relative), usually
-    after 2-5 LPs, and the witness is returned with the certificate
+    after 4-5 LPs, and the witness is returned with the certificate
     ``diagnostics["theta_bracket"] = (lo, hi)``. If the witnesses of the
     first two LPs both have theta 0, one classical LP decides whether
     theta* = 0.
@@ -245,28 +241,24 @@ def solve_steady_state_E(p: DesignProblem, fm: FlowModel,
                         info=info, diagnostics=diagnostics)
 
 
-def solve_naive(p: DesignProblem, traversal) -> DesignResult:
+def solve_naive(p: DesignProblem) -> DesignResult:
     """Equal rates across each router's traversed interfaces, budget tight.
 
-    ``traversal`` is a boolean matrix (n_v, n_o): entry (j, k) marks
-    observation point k as an interface of router j carrying at least
-    one flow. A router with g > 0 traversed interfaces gives each the
-    rate that spends b_j exactly (b_j/g when the budget row has unit
-    coefficients); untraversed interfaces get 0, and a router with no
-    traversed interfaces simply spends nothing. Budget tightness is the
-    scheme's defining property, not a constraint, so equality flags on
-    p are ignored here.
+    Observation point k is a traversed interface of router j when
+    R[j, k] > 0 and some flow crosses it (J[:, k] has a positive entry).
+    A router with g > 0 traversed interfaces gives each the rate that
+    spends b_j exactly (b_j/g when the budget row has unit coefficients);
+    untraversed interfaces get 0, and a router with no traversed
+    interfaces simply spends nothing. Budget tightness is the scheme's
+    defining property, not a constraint, so equality flags on p are
+    ignored here.
     """
-    tr = np.asarray(traversal, dtype=bool)
-    if tr.shape != (p.n_v, p.n_o):
-        raise ValidationError("traversal must be boolean with shape (n_v, n_o)")
-    owners = np.count_nonzero(p.R > 0, axis=0)
-    marked = np.any(tr, axis=0)
-    if np.any(marked & (owners != 1)):
+    owned = p.R > 0
+    crossed = np.any(p.J > 0, axis=0)
+    if np.any(crossed & (np.count_nonzero(owned, axis=0) > 1)):
         raise ValidationError(
             "every traversed observation point must belong to exactly one budget row")
-    if np.any(tr & ~(p.R > 0)):
-        raise ValidationError("traversal marks an interface outside its budget row")
+    tr = owned & crossed
     xi = np.zeros(p.n_o)
     for j in range(p.n_v):
         sel = tr[j]

@@ -23,7 +23,7 @@ from .model import FlowModel, ValidationError
 
 @dataclass(frozen=True)
 class FilterState:
-    """Posterior of the filter bank at time ``t``.
+    """Posterior of the filter bank.
 
     ``info[i]`` is the posterior information 1/var of flow i (0 encodes
     the diffuse prior) and ``mean[i]`` the posterior mean. Value object;
@@ -32,7 +32,6 @@ class FilterState:
 
     info: np.ndarray
     mean: np.ndarray
-    t: int = 0
 
     def __post_init__(self):
         info = np.atleast_1d(np.asarray(self.info, dtype=float))
@@ -45,13 +44,6 @@ class FilterState:
             raise ValidationError("mean must be finite wherever info > 0")
         object.__setattr__(self, "info", info)
         object.__setattr__(self, "mean", mean)
-
-
-def diffuse_state(n_r: int, mean0=None) -> FilterState:
-    """Diffuse prior (zero information). ``mean0`` defaults to NaN, which is
-    fine because the first observed update overwrites the mean entirely."""
-    mean = np.full(n_r, np.nan) if mean0 is None else np.asarray(mean0, dtype=float).copy()
-    return FilterState(info=np.zeros(n_r), mean=mean, t=0)
 
 
 def predicted_info(info: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
@@ -94,7 +86,7 @@ def predict_update(state: FilterState, fm: FlowModel, m, y=None) -> FilterState:
         mean_new = np.where(observed, resid + gain * (y - resid), mean_new)
         first = observed & (state.info == 0)
         mean_new = np.where(first, y, mean_new)
-    return FilterState(info=info_new, mean=mean_new, t=state.t + 1)
+    return FilterState(info=info_new, mean=mean_new)
 
 
 def steady_state_info(m, sigma2):

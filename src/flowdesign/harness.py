@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -78,7 +78,6 @@ class ExperimentConfig:
     median_window_start: int | None = None  # default: floor(0.2 T) + 1
     cap: float = 1.0
     tol_theta: float = 1e-9
-    use_prediction: bool = True
     flows_dump: bool = False
 
     def __post_init__(self):
@@ -196,7 +195,7 @@ def _series(cfg: ExperimentConfig, per_flow: np.ndarray,
 
 def load_instance(cfg: ExperimentConfig):
     """Topology, measurement model, flow model and validated design
-    problem for ``cfg``: returns (mm, fm, p, report)."""
+    problem for ``cfg``: returns (mm, fm, p, warnings)."""
     if cfg.topology_dir is not None:
         spec = load_topology(cfg.topology_dir)
     else:
@@ -209,8 +208,7 @@ def load_instance(cfg: ExperimentConfig):
     mm = build_measurement_model(spec)
     fm = flow_model(mm)
     p = design_problem(mm, cap=cfg.cap, constraint_mode=cfg.constraint_mode)
-    report = validate_problem(p, fm)
-    return mm, fm, p, report
+    return mm, fm, p, validate_problem(p, fm)
 
 
 def _get_trace(cfg: ExperimentConfig, fm: FlowModel) -> Trace:
@@ -244,11 +242,10 @@ def run_idealized(cfg: ExperimentConfig) -> MetricsSeries:
     """
     if cfg.mu_mode != "true_mu":
         raise ConfigError("mu_mode", "run_idealized requires true_mu")
-    mm, fm, p, report = load_instance(cfg)
+    mm, fm, p, warnings = load_instance(cfg)
     T = cfg.horizon
     meta = {"mode": "idealized", "scheme": cfg.scheme,
-            "constraint_mode": cfg.constraint_mode,
-            "warnings": list(report.warnings)}
+            "constraint_mode": cfg.constraint_mode, "warnings": warnings}
 
     per_flow = np.empty((T, fm.n_r))
     if cfg.scheme == "myopic":
@@ -256,7 +253,7 @@ def run_idealized(cfg: ExperimentConfig) -> MetricsSeries:
         block_starts = np.arange(1, T + 1)
         info = np.zeros(fm.n_r)
         for t in range(T):
-            res = solve_myopic(p, fm, info, use_prediction=cfg.use_prediction)
+            res = solve_myopic(p, fm, info)
             rates[t] = res.xi
             info = res.info  # predicted prior + J xi, the new posterior info
             per_flow[t] = _mse_from_info(info)
@@ -282,10 +279,10 @@ def _design_for_block(cfg: ExperimentConfig, mm, fm, p, scheme: str,
         mm = remap_mu(mm, mu_hat)
         p = design_problem(mm, cap=cfg.cap, constraint_mode=cfg.constraint_mode)
     if scheme == "naive":
-        return solve_naive(p, mm.traversal)
+        return solve_naive(p)
     if scheme == "steady_state":
         return solve_steady_state_E(p, fm, tol_theta=cfg.tol_theta)
-    return solve_myopic(p, fm, prior_info, use_prediction=cfg.use_prediction)
+    return solve_myopic(p, fm, prior_info)
 
 
 def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
@@ -303,7 +300,7 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
     block. The logged rates come from replication 0 (plug-in designs
     differ across replications).
     """
-    mm, fm, p, report = load_instance(cfg)
+    mm, fm, p, warnings = load_instance(cfg)
     trace = _get_trace(cfg, fm)
     T = cfg.horizon
     B = cfg.block_size
@@ -315,7 +312,7 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
     fixed = {}  # scheme -> its true_mu design, shared by every block
     for r, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
-        state = FilterState(info=np.zeros(fm.n_r), mean=fm.mu.copy(), t=0)
+        state = FilterState(info=np.zeros(fm.n_r), mean=fm.mu.copy())
         xi = None
         for t in range(1, T + 1):
             if cfg.mu_mode == "plugin":
@@ -346,7 +343,7 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
             "mu_mode": cfg.mu_mode, "replications": cfg.replications,
             "block_size": B, "warmup_scheme": cfg.warmup_scheme,
             "trace_source": trace.source, "seed": cfg.seed,
-            "warnings": list(report.warnings),
+            "warnings": warnings,
             "rates_replication": 0}
     return _series(cfg, sq_sum / cfg.replications, block_starts, rates, meta)
 

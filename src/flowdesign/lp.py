@@ -19,7 +19,7 @@ import numpy as np
 
 from .model import ValidationError
 
-_PIVOT_TOL = 1e-10   # entries smaller than this never pivot
+_PIVOT_TOL = 1e-9    # entries smaller than this never pivot
 _FEAS_TOL = 1e-9     # phase-1 objective above this means infeasible
 _CHECK_TOL = 1e-8    # re-substitution violations above this are reported
 

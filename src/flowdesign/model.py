@@ -13,7 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,25 +131,14 @@ class DesignProblem:
         return self.R.shape[0]
 
 
-@dataclass
-class ValidationReport:
-    """Soft findings from :func:`validate_problem`; hard failures raise."""
-
-    warnings: list = field(default_factory=list)
-    unobservable: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.warnings
-
-
-def validate_problem(p: DesignProblem, fm: FlowModel) -> ValidationReport:
+def validate_problem(p: DesignProblem, fm: FlowModel) -> list:
     """Check a design problem against its flow model.
 
     Dimension mismatches and trivially infeasible budgets raise
     :class:`ValidationError`. Flows whose J row is all zero are only
     warned about: they are unobservable, so the min-information objective
-    is pinned at zero for every feasible design.
+    is pinned at zero for every feasible design. Returns the warning
+    strings (empty when there are none).
     """
     if p.n_r != fm.n_r:
         raise ValidationError(
@@ -162,12 +151,8 @@ def validate_problem(p: DesignProblem, fm: FlowModel) -> ValidationReport:
                 raise ValidationError(
                     f"budget row {j} has b = {p.b[j]} < 0, infeasible with xi >= 0"
                 )
-    report = ValidationReport()
-    zero_rows = np.where(~np.any(p.J > 0, axis=1))[0]
-    for i in zero_rows:
-        report.unobservable.append(int(i))
-        report.warnings.append(f"flow {i} is unobservable (all-zero J row)")
-    return report
+    return [f"flow {i} is unobservable (all-zero J row)"
+            for i in np.flatnonzero(~np.any(p.J > 0, axis=1))]
 
 
 def check_design_output(p: DesignProblem, xi: np.ndarray, tol: float = 1e-8) -> np.ndarray:

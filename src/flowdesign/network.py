@@ -45,7 +45,6 @@ class Flow:
     destination: str
     sigma2: float
     mu: float
-    path: tuple | None = None  # explicit node sequence, overrides routing
 
 
 @dataclass(frozen=True)
@@ -92,9 +91,8 @@ class TopologySpec:
                 raise ValidationError(f"flow {idx}: sigma2 must be finite and > 0")
             if not (np.isfinite(f.mu) and f.mu > 0):
                 raise ValidationError(f"flow {idx}: mu must be finite and > 0")
-            path = None if f.path is None else tuple(str(n) for n in f.path)
             flows.append(replace(f, origin=str(f.origin),
-                                 destination=str(f.destination), path=path))
+                                 destination=str(f.destination)))
         budgets = {str(k): float(v) for k, v in self.budgets.items()}
         missing = known - set(budgets)
         if missing:
@@ -162,25 +160,10 @@ def _shortest_path(fwd, rev, origin: str, dest: str):
 
 
 def route_flows(t: TopologySpec):
-    """Paths (node tuples) per flow, honoring explicit Flow.path overrides."""
+    """Shortest path (node tuple) per flow."""
     fwd, rev = _adjacency(t.edges)
-    edge_set = set(t.edges)
     paths = []
     for idx, f in enumerate(t.flows):
-        if f.path is not None:
-            p = f.path
-            if len(p) < 1 or p[0] != f.origin or p[-1] != f.destination:
-                raise RoutingError(
-                    f"flow {idx} ({f.origin}->{f.destination}): explicit path "
-                    "endpoints do not match")
-            if len(set(p)) != len(p):
-                raise RoutingError(f"flow {idx}: explicit path revisits a node")
-            for a, b in zip(p, p[1:]):
-                if (a, b) not in edge_set:
-                    raise RoutingError(
-                        f"flow {idx}: explicit path uses missing edge ({a}, {b})")
-            paths.append(p)
-            continue
         p = _shortest_path(fwd, rev, f.origin, f.destination)
         if p is None:
             raise RoutingError(
@@ -201,16 +184,11 @@ class MeasurementModel:
     calls them.
     """
 
-    spec: TopologySpec
-    paths: tuple           # node tuples per flow
-    flow_ops: tuple        # OP index tuples per flow
     l_of: np.ndarray       # (n_g,) measurement -> flow index
     k_of: np.ndarray       # (n_g,) measurement -> OP index
     J: np.ndarray          # (n_r, n_o)
     R: np.ndarray          # (n_v, n_o) budget rows, R[j,k]=1 iff router j owns OP k
     b: np.ndarray          # (n_v,)
-    owner: np.ndarray      # (n_o,) OP -> router index
-    traversal: np.ndarray  # (n_v, n_o) bool, owned and carrying >= 1 flow
     mu: np.ndarray
     sigma2: np.ndarray
 
@@ -253,13 +231,9 @@ def _information_matrix(l_of, k_of, mu, n_o: int) -> np.ndarray:
     return J
 
 
-def build_measurement_model(t: TopologySpec, paths=None) -> MeasurementModel:
-    """Route flows (unless ``paths`` is given) and assemble J, R, b."""
-    if paths is None:
-        paths = route_flows(t)
-    paths = tuple(tuple(p) for p in paths)
-    if len(paths) != t.n_r:
-        raise ValidationError("one path per flow required")
+def build_measurement_model(t: TopologySpec) -> MeasurementModel:
+    """Route flows and assemble J, R, b."""
+    paths = route_flows(t)
     edge_index = {e: k for k, e in enumerate(t.edges)}
     node_index = {n: j for j, n in enumerate(t.nodes)}
     mu = np.array([f.mu for f in t.flows])
@@ -274,14 +248,9 @@ def build_measurement_model(t: TopologySpec, paths=None) -> MeasurementModel:
     R = np.zeros((t.n_v, t.n_o))
     R[owner, np.arange(t.n_o)] = 1.0
     b = np.array([t.budgets[n] for n in t.nodes])
-    crossed = np.zeros(t.n_o, dtype=bool)
-    crossed[k_of] = True
-    traversal = (R > 0) & crossed[None, :]
-
     return MeasurementModel(
-        spec=t, paths=paths, flow_ops=flow_ops, l_of=l_of,
-        k_of=k_of, J=_information_matrix(l_of, k_of, mu, t.n_o), R=R, b=b,
-        owner=owner, traversal=traversal, mu=mu, sigma2=sigma2)
+        l_of=l_of, k_of=k_of, J=_information_matrix(l_of, k_of, mu, t.n_o),
+        R=R, b=b, mu=mu, sigma2=sigma2)
 
 
 def flow_model(mm: MeasurementModel) -> FlowModel:
@@ -296,9 +265,9 @@ def design_problem(mm: MeasurementModel, cap=1.0,
     ``constraint_mode`` is one of CONSTRAINT_MODES: "inequality" keeps
     the budget rows R xi <= b; "equality_with_zeroing" turns them into
     R xi = b and pins rates of uncrossed observation points to 0. Only
-    routers with at least one traversed interface get an equality row;
-    a router nothing crosses would make 0 = b_j infeasible, so its row
-    stays an inequality.
+    routers with at least one traversed interface (an owned one that some
+    flow crosses, J[:, k] > 0) get an equality row; a router nothing
+    crosses would make 0 = b_j infeasible, so its row stays an inequality.
     """
     if constraint_mode not in CONSTRAINT_MODES:
         raise ValidationError(
@@ -306,8 +275,9 @@ def design_problem(mm: MeasurementModel, cap=1.0,
     upper = np.broadcast_to(np.asarray(cap, dtype=float), (mm.n_o,)).copy()
     row_is_equality = None
     if constraint_mode == "equality_with_zeroing":
-        upper[~np.any(mm.traversal, axis=0)] = 0.0
-        row_is_equality = np.any(mm.traversal, axis=1)
+        traversal = (mm.R > 0) & np.any(mm.J > 0, axis=0)
+        upper[~np.any(traversal, axis=0)] = 0.0
+        row_is_equality = np.any(traversal, axis=1)
     return DesignProblem(J=mm.J, R=mm.R, b=mm.b,
                          row_is_equality=row_is_equality, upper=upper)
 

@@ -14,7 +14,11 @@ different route, so agreement is meaningful:
   steady-state design optimum.
 * bisect_steady_state: the steady-state design optimum by bisection on
   theta, with scipy HiGHS feasibility probes.
+* highs_classical_theta: the classical design optimum as one scipy
+  HiGHS LP.
 * dense_gls: the full matrix GLS solve (L' W L) y = L' W z.
+* path_incidence: per-flow observation points and the router
+  traversal matrix, walked edge by edge along the routed paths.
 """
 
 from __future__ import annotations
@@ -274,6 +278,37 @@ def bisect_steady_state(J, sigma2, R, b, upper, row_is_equality=None,
     return lo
 
 
+def highs_classical_theta(J, R, b, upper, row_is_equality=None):
+    """max theta s.t. J xi >= theta, R xi <= b (= b on equality rows),
+    0 <= xi <= upper, solved by HiGHS.
+
+    theta is solved in units of s = max(J) * max(b), and each budget row
+    is divided by its b_j > 0, so every coefficient and right-hand side
+    is of order one next to HiGHS's absolute tolerances.
+    """
+    from scipy.optimize import linprog
+    J = np.asarray(J, dtype=float)
+    R = np.asarray(R, dtype=float)
+    b = np.asarray(b, dtype=float)
+    eq = (np.zeros(b.size, dtype=bool) if row_is_equality is None
+          else np.asarray(row_is_equality, dtype=bool))
+    s = float(J.max() * b.max())
+    scale = np.where(b > 0, b, 1.0)
+    Rs, bs = R / scale[:, None], b / scale
+    n_r, n_o = J.shape
+    flows = np.hstack([np.ones((n_r, 1)), -J / s])
+    budgets = np.hstack([np.zeros((b.size, 1)), Rs])
+    res = linprog(np.concatenate([[-1.0], np.zeros(n_o)]),
+                  A_ub=np.vstack([flows, budgets[~eq]]),
+                  b_ub=np.concatenate([np.zeros(n_r), bs[~eq]]),
+                  A_eq=budgets[eq] if eq.any() else None,
+                  b_eq=bs[eq] if eq.any() else None,
+                  bounds=[(0.0, None)] + [(0.0, u) for u in upper],
+                  method="highs", options=_HIGHS)
+    assert res.status == 0, res.message
+    return -float(res.fun) * s
+
+
 # ---------------------------------------------------------------------------
 # dense GLS
 
@@ -299,3 +334,26 @@ def dense_gls(L, weights, z):
     if np.any(obs):
         y[obs] = np.linalg.solve(M[np.ix_(obs, obs)], rhs[obs])
     return y, diag, M
+
+
+# ---------------------------------------------------------------------------
+# routing incidence
+
+
+def path_incidence(nodes, edges, paths):
+    """Observation points per flow and the (n_v, n_o) traversal matrix.
+
+    Walks every path one step at a time: the step u -> v crosses the OP
+    of edge (u, v), which belongs to its head router v. Entry (j, k) of
+    the traversal matrix is set when some path crosses OP k owned by
+    router j.
+    """
+    nodes, edges = list(nodes), list(edges)
+    ops = []
+    traversal = np.zeros((len(nodes), len(edges)), dtype=bool)
+    for path in paths:
+        steps = [edges.index((u, v)) for u, v in zip(path, path[1:])]
+        for k in steps:
+            traversal[nodes.index(edges[k][1]), k] = True
+        ops.append(steps)
+    return ops, traversal

@@ -205,7 +205,7 @@ def test_acceptance_6_sampling_noise_model():
         flows=(Flow("a", "b", sigma2=1.0, mu=1e4),),
         budgets={"a": 1.0, "b": 1.0})
     mm = build_measurement_model(spec)
-    k = int(np.flatnonzero(np.any(mm.traversal, axis=0))[0])
+    k = int(np.flatnonzero(np.any(mm.J > 0, axis=0))[0])
     xi = np.zeros(mm.n_o)
     xi[k] = 0.01
     x = np.array([1e4])

@@ -63,9 +63,9 @@ def test_synth_validate_design_round_trip(bundle, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("scheme,solver", [
-    ("naive", lambda p, fm, mm: solve_naive(p, mm.traversal)),
-    ("classical", lambda p, fm, mm: solve_classical_E(p)),
-    ("myopic", lambda p, fm, mm: solve_myopic(p, fm, np.zeros(fm.n_r))),
+    ("naive", lambda p, fm: solve_naive(p)),
+    ("classical", lambda p, fm: solve_classical_E(p)),
+    ("myopic", lambda p, fm: solve_myopic(p, fm, np.zeros(fm.n_r))),
 ])
 def test_design_scheme_variants(bundle, tmp_path, scheme, solver):
     out = tmp_path / scheme
@@ -73,7 +73,7 @@ def test_design_scheme_variants(bundle, tmp_path, scheme, solver):
                  "--out", str(out)]) == 0
     mm = build_measurement_model(load_topology(bundle))
     fm = flow_model(mm)
-    res = solver(design_problem(mm), fm, mm)
+    res = solver(design_problem(mm), fm)
     np.testing.assert_array_equal(read_xi(out), res.xi)
     assert not (out / "socp.txt").exists()
 

@@ -69,7 +69,6 @@ def test_parse_config_full_file(tmp_path):
         "replications = 3\n"
         "mu_mode = true_mu\n"
         "budget = 0.05\n"
-        "use_prediction = no\n"
         "flows_dump = true\n"
         "median_window_start = 50\n",
     )
@@ -78,7 +77,7 @@ def test_parse_config_full_file(tmp_path):
     assert cfg.scheme == "myopic" and cfg.horizon == 120
     assert cfg.block_size == 10 and cfg.replications == 3
     assert cfg.budget == 0.05
-    assert cfg.use_prediction is False and cfg.flows_dump is True
+    assert cfg.flows_dump is True
     assert cfg.median_window_start == 50
     # untouched keys keep their defaults
     assert cfg.cap == 1.0 and cfg.trace_seed == 1
@@ -88,7 +87,8 @@ def test_parse_config_full_file(tmp_path):
     ("topology_kind = line\nfrobnicate = 3\n", "frobnicate"),
     ("topology_kind = line\nhorizon = 5\nhorizon = 6\n", "horizon"),
     ("topology_kind = line\nhorizon = soon\n", "horizon"),
-    ("topology_kind = line\nuse_prediction = maybe\n", "use_prediction"),
+    ("topology_kind = line\nflows_dump = maybe\n", "flows_dump"),
+    ("topology_kind = line\nuse_prediction = no\n", "use_prediction"),  # removed key
     ("topology_kind = line\nhorizon 5\n", "config"),
 ])
 def test_parse_config_rejects(tmp_path, text, field):
@@ -226,7 +226,7 @@ def test_simulation_warmup_block():
     ms = run_simulation(cfg)
     mm, p = rebuild_problem(cfg)
     fm = flow_model(mm)
-    naive = solve_naive(p, mm.traversal)
+    naive = solve_naive(p)
     ss = solve_steady_state_E(p, fm)
     assert np.array_equal(ms.rates[0], naive.xi)
     assert np.array_equal(ms.rates[1], ss.xi)
@@ -247,7 +247,7 @@ def _per_block_reference(cfg):
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
     for r, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
-        state = FilterState(info=np.zeros(fm.n_r), mean=fm.mu.copy(), t=0)
+        state = FilterState(info=np.zeros(fm.n_r), mean=fm.mu.copy())
         for t in range(1, T + 1):
             if (t - 1) % B == 0:
                 scheme = cfg.scheme
@@ -366,7 +366,7 @@ def test_simulation_noiseless_full_rate_tracks_analytic_variance(tmp_path):
                            trace_seed=3)
     ms = run_simulation(cfg)
     mm = build_measurement_model(spec)
-    k = int(np.flatnonzero(np.any(mm.traversal, axis=0))[0])
+    k = int(np.flatnonzero(np.any(mm.J > 0, axis=0))[0])
     assert ms.rates[0, k] == pytest.approx(1.0, abs=1e-9)
 
     m = float((mm.J @ ms.rates[0])[0])

@@ -67,16 +67,13 @@ def test_design_problem_rejects(kwargs):
 def test_validate_problem_flags_unobservable_flow():
     p = DesignProblem(J=[[1.0, 0.0], [0.0, 0.0]], R=np.ones((1, 2)), b=[1.0])
     fm = FlowModel(sigma2=[1.0, 1.0], mu=[10.0, 10.0])
-    report = validate_problem(p, fm)
-    assert report.unobservable == [1]
-    assert not report.ok
+    assert validate_problem(p, fm) == ["flow 1 is unobservable (all-zero J row)"]
 
 
 def test_validate_problem_clean():
     p = DesignProblem(J=np.eye(2), R=np.ones((1, 2)), b=[1.0])
     fm = FlowModel(sigma2=[1.0, 1.0], mu=[10.0, 10.0])
-    report = validate_problem(p, fm)
-    assert report.ok and report.unobservable == []
+    assert validate_problem(p, fm) == []
 
 
 def test_validate_problem_negative_budget():

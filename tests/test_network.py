@@ -16,10 +16,11 @@ from flowdesign import (
     remap_mu,
     route_flows,
     save_topology,
+    solve_naive,
     synth_topology,
 )
 
-from oracles import dense_gls
+from oracles import dense_gls, path_incidence
 
 
 def bidir(links):
@@ -67,39 +68,16 @@ def test_unreachable_flow_raises():
         route_flows(t)
 
 
-def test_explicit_path_override():
-    t = TopologySpec(
-        nodes=("a", "b", "c", "d"),
-        edges=bidir([("a", "b"), ("b", "d"), ("a", "c"), ("c", "d")]),
-        flows=(Flow("a", "d", sigma2=1.0, mu=10.0, path=("a", "c", "d")),),
-        budgets={n: 0.1 for n in "abcd"},
-    )
-    assert route_flows(t) == (("a", "c", "d"),)
-
-
-@pytest.mark.parametrize(
-    "path",
-    [
-        ("a", "b"),                 # wrong endpoints
-        ("a", "d"),                 # missing edge
-        ("a", "b", "a", "b", "d"),  # revisits a node
-    ],
-)
-def test_explicit_path_rejected(path):
-    t = TopologySpec(
-        nodes=("a", "b", "c", "d"),
-        edges=bidir([("a", "b"), ("b", "d"), ("a", "c"), ("c", "d")]),
-        flows=(Flow("a", "d", sigma2=1.0, mu=10.0, path=path),),
-        budgets={n: 0.1 for n in "abcd"},
-    )
-    with pytest.raises(RoutingError):
-        route_flows(t)
+def incidence(t):
+    """Path-derived reference: (OPs per flow, traversal matrix)."""
+    return path_incidence(t.nodes, t.edges, route_flows(t))
 
 
 def test_degenerate_flow_has_empty_path():
     t = line_abc([Flow("a", "a", sigma2=1.0, mu=10.0)])
     mm = build_measurement_model(t)
-    assert mm.flow_ops == ((),)
+    assert route_flows(t) == (("a",),)
+    assert mm.n_g == 0
     assert np.all(mm.J == 0)
 
 
@@ -118,11 +96,12 @@ def test_single_flow_two_ops():
     assert mm.n_g == 2 and mm.n_o == 2 and mm.n_r == 1 and mm.n_v == 3
     assert np.array_equal(mm.L, [[1.0], [1.0]])
     assert np.allclose(mm.J, [[0.01, 0.01]])
-    assert np.array_equal(mm.owner, [1, 2])
+    assert np.array_equal(np.argmax(mm.R, axis=0), [1, 2])  # OP owners
     assert np.array_equal(mm.R, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert np.array_equal(mm.b, [0.2, 0.3, 0.4])
-    assert np.array_equal(mm.traversal,
+    assert np.array_equal(incidence(t)[1],
                           [[False, False], [True, False], [False, True]])
+    assert np.array_equal(np.any(mm.J > 0, axis=0), [True, True])
     # effective information at xi = (0.01, 0.01): 2e-4
     assert (mm.J @ [0.01, 0.01])[0] == pytest.approx(2e-4)
 
@@ -141,7 +120,7 @@ def test_shared_op_structure():
     assert mm.psi_diag[k_bc, 1] == 1 / 100
     assert mm.psi_diag[k_ab, 2] == 1 / 50
     assert np.count_nonzero(mm.psi_diag) == 3
-    assert mm.n_g == sum(len(ops) for ops in mm.flow_ops)
+    assert mm.n_g == sum(len(ops) for ops in incidence(t)[0])
 
 
 def test_information_matrix_is_diagonal_and_matches_J():
@@ -177,12 +156,13 @@ def test_information_is_additive_in_rates():
 def test_J_columns_match_paths():
     t = synth_topology("grid", rows=2, cols=3, n_flows=8, seed=4)
     mm = build_measurement_model(t)
-    for i, ops in enumerate(mm.flow_ops):
+    flow_ops = incidence(t)[0]
+    for i, ops in enumerate(flow_ops):
         nz = set(np.flatnonzero(mm.J[i]))
         assert nz == set(ops)
         assert np.allclose(mm.J[i, list(ops)], 1.0 / mm.mu[i])
     for k in range(mm.n_o):
-        crossing = {i for i, ops in enumerate(mm.flow_ops) if k in ops}
+        crossing = {i for i, ops in enumerate(flow_ops) if k in ops}
         assert set(np.flatnonzero(mm.J[:, k])) == crossing
 
 
@@ -204,15 +184,47 @@ def test_design_problem_modes():
 
     p_eq = design_problem(mm, cap=0.5, constraint_mode="equality_with_zeroing")
     # only routers with a traversed interface become equalities
-    traversed_routers = np.any(mm.traversal, axis=1)
+    traversal = incidence(t)[1]
+    traversed_routers = np.any(traversal, axis=1)
     assert np.array_equal(p_eq.row_is_equality, traversed_routers)
     assert p_eq.row_is_equality.sum() == 2
-    crossed = np.any(mm.traversal, axis=0)
+    crossed = np.any(traversal, axis=0)
     assert np.all(p_eq.upper[crossed] == 0.5)
     assert np.all(p_eq.upper[~crossed] == 0.0)
 
     with pytest.raises(ValidationError):
         design_problem(mm, constraint_mode="soft")
+
+
+@pytest.mark.parametrize("mode", ["inequality", "equality_with_zeroing"])
+@pytest.mark.parametrize("kind, kw", [
+    ("grid", dict(rows=3, cols=3)), ("grid", dict(rows=4, cols=5)),
+    ("random", dict(n_nodes=8)), ("random", dict(n_nodes=12, n_links=20)),
+])
+def test_derived_traversal_matches_paths(kind, kw, mode):
+    for seed in (1, 2, 3):
+        t = synth_topology(kind, seed=seed, **kw)
+        # distinct budgets per router, so a misassigned row shows
+        t = dataclasses.replace(t, budgets={
+            n: 0.01 * (1 + j % 3) for j, n in enumerate(t.nodes)})
+        _, traversal = incidence(t)
+        p = design_problem(build_measurement_model(t), cap=0.5,
+                           constraint_mode=mode)
+        traversed_routers = np.any(traversal, axis=1)
+        crossed = np.any(traversal, axis=0)
+        if mode == "inequality":
+            assert not p.row_is_equality.any()
+            assert np.all(p.upper == 0.5)
+        else:
+            assert np.array_equal(p.row_is_equality, traversed_routers)
+            assert np.array_equal(p.upper == 0.0, ~crossed)
+            assert np.all(p.upper[crossed] == 0.5)
+        # naive: each router's budget split equally over its traversed OPs
+        xi_ref = np.zeros(len(t.edges))
+        for j, n in enumerate(t.nodes):
+            if traversed_routers[j]:
+                xi_ref[traversal[j]] = t.budgets[n] / traversal[j].sum()
+        assert np.array_equal(solve_naive(p).xi, xi_ref)
 
 
 def test_remap_mu():
@@ -234,13 +246,15 @@ def test_remap_mu():
 def test_lean_model_stores_no_dense_views():
     t = synth_topology("grid", rows=8, cols=8, budget=0.02, seed=1)
     mm = build_measurement_model(t)
+    assert [f.name for f in dataclasses.fields(mm)] == [
+        "l_of", "k_of", "J", "R", "b", "mu", "sigma2"]
     stored = [getattr(mm, f.name) for f in dataclasses.fields(mm)]
     nbytes = sum(a.nbytes for a in stored if isinstance(a, np.ndarray))
     assert nbytes < 4e6
     assert mm.n_g == mm.l_of.size
     # the scatter-built J equals the per-flow loop bit for bit
     J_ref = np.zeros((mm.n_r, mm.n_o))
-    for i, ops in enumerate(mm.flow_ops):
+    for i, ops in enumerate(incidence(t)[0]):
         J_ref[i, list(ops)] = 1.0 / mm.mu[i]
     assert np.array_equal(mm.J, J_ref)
     mu2 = mm.mu * np.random.default_rng(0).uniform(0.5, 2.0, mm.n_r)

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from flowdesign import (
+    FilterState,
     Flow,
     FlowModel,
     Trace,
     TopologySpec,
     ValidationError,
     build_measurement_model,
-    diffuse_state,
     fuse_gls,
     gen_random_walk_trace,
     load_trace,
@@ -159,7 +159,7 @@ def test_fusion_weighted_mean_and_dense_oracle():
     # unequal rates across flow 0's two observation points; the first is
     # shared with flow 1, which therefore gets observed at rate 0.02 too
     xi = np.zeros(mm.n_o)
-    k0, k1 = mm.flow_ops[0]
+    k0, k1 = mm.k_of[mm.l_of == 0]  # flow 0's OPs in path order
     xi[k0] = 0.02
     xi[k1] = 0.01
     raw = sample_packets([10_000.0, 5_000.0], mm, xi, seed_or_rng=5)
@@ -176,7 +176,7 @@ def test_fusion_weighted_mean_and_dense_oracle():
 def test_fusion_partial_presence():
     mm = two_flow_mm()
     xi = np.zeros(mm.n_o)
-    _k0, k1 = mm.flow_ops[0]
+    _k0, k1 = mm.k_of[mm.l_of == 0]
     xi[k1] = 0.05  # flow 0's second point only; flow 1's single point stays dark
     raw = sample_packets([10_000.0, 5_000.0], mm, xi, seed_or_rng=2)
     y, m = fuse_gls(raw, mm, xi, mm.mu)
@@ -225,7 +225,7 @@ def test_end_to_end_mse_approaches_steady_state():
     root = np.random.default_rng(77)
     for _ in range(reps):
         rng = np.random.default_rng(root.integers(2**63))
-        state = diffuse_state(mm.n_r, mean0=mm.mu)
+        state = FilterState(info=np.zeros(mm.n_r), mean=mm.mu.copy())
         for t_idx in range(T):
             raw = sample_packets(trace.x[t_idx], mm, xi, seed_or_rng=rng)
             y, m = fuse_gls(raw, mm, xi, mm.mu)
