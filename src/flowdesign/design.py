@@ -31,7 +31,7 @@ import numpy as np
 from . import model
 from .filtering import predicted_info, steady_state_info
 # check_feasible is unused here but stays bound: perfbench/tracing.py patches it
-from .lp import LinearProgram, check_feasible, solve_lp  # noqa: F401
+from .lp import LinearProgram, LpSolution, check_feasible, solve_lp  # noqa: F401
 from .model import DesignProblem, FlowDesignError, FlowModel, ValidationError
 
 _SLACK_TOL = 1e-8       # hyperbolic slack on returned designs, relative to theta^2
@@ -50,6 +50,8 @@ class DesignResult:
     scheme: str                 # classical_E | steady_state_E | myopic | naive
     info: np.ndarray            # per-flow information whose minimum is theta
     diagnostics: dict = field(default_factory=dict)
+    # the LP behind classical and myopic designs; warm-starts the next one
+    lp_solution: LpSolution | None = None
 
 
 def _split_rows(p: DesignProblem):
@@ -58,12 +60,14 @@ def _split_rows(p: DesignProblem):
     return p.R[~mask], p.b[~mask], p.R[mask], p.b[mask]
 
 
-def _theta_lp(p: DesignProblem, slopes, offsets: np.ndarray):
+def _theta_lp(p: DesignProblem, slopes, offsets: np.ndarray,
+              start: LpSolution | None = None):
     """Solve max theta s.t. slopes*theta - J xi <= offsets, budgets, bounds.
 
     Variable order is (theta, xi_1 .. xi_no) to match the canonical cone
     form's x' = (theta, xi'). Slope 1 gives the classical and myopic
-    rows; the steady-state cuts pass per-flow tangent slopes.
+    rows; the steady-state cuts pass per-flow tangent slopes. ``start``
+    is an earlier solution of this family, offered as a warm start.
     """
     n = 1 + p.n_o
     c = np.zeros(n)
@@ -80,7 +84,7 @@ def _theta_lp(p: DesignProblem, slopes, offsets: np.ndarray):
     lower = np.concatenate([[0.0], p.lower])
     upper = np.concatenate([[np.inf], p.upper])
     return solve_lp(LinearProgram(c=c, A_ub=A_ub, b_ub=rhs, A_eq=A_eq, b_eq=b_eq,
-                                  lower=lower, upper=upper))
+                                  lower=lower, upper=upper), start=start)
 
 
 def _require_optimal(sol, scheme: str, unbounded: str,
@@ -95,9 +99,10 @@ def _require_optimal(sol, scheme: str, unbounded: str,
             f"(max violation {sol.max_violation:.3e})")
 
 
-def _lp_design(p: DesignProblem, offsets: np.ndarray, scheme: str) -> DesignResult:
+def _lp_design(p: DesignProblem, offsets: np.ndarray, scheme: str,
+               start: LpSolution | None = None) -> DesignResult:
     """Shared LP core: max theta s.t. offsets + J xi >= theta, budgets, bounds."""
-    sol = _theta_lp(p, 1.0, offsets)
+    sol = _theta_lp(p, 1.0, offsets, start)
     _require_optimal(sol, scheme, "objective unbounded; add caps or budget rows")
     xi = model.check_design_output(p, sol.x[1:])
     info = offsets + p.J @ xi
@@ -106,7 +111,8 @@ def _lp_design(p: DesignProblem, offsets: np.ndarray, scheme: str) -> DesignResu
         xi=xi, theta=theta, scheme=scheme, info=info,
         diagnostics={"lp_iterations": sol.iterations,
                      "lp_perturbed": sol.perturbed,
-                     "max_violation": sol.max_violation})
+                     "max_violation": sol.max_violation},
+        lp_solution=sol)
 
 
 def solve_classical_E(p: DesignProblem) -> DesignResult:
@@ -114,20 +120,25 @@ def solve_classical_E(p: DesignProblem) -> DesignResult:
     return _lp_design(p, np.zeros(p.n_r), "classical_E")
 
 
-def solve_myopic(p: DesignProblem, fm: FlowModel, prior_info) -> DesignResult:
+def solve_myopic(p: DesignProblem, fm: FlowModel, prior_info,
+                 start: DesignResult | None = None) -> DesignResult:
     """Maximize the minimum posterior information for the coming period.
 
     ``prior_info`` is the filter bank's information after the previous
     period. It is first propagated one step, a_i = prior/(1 + sigma_i^2
     * prior), and the LP maximizes min_i a_i + (J xi)_i. With zero prior
-    this reduces exactly to the classical design.
+    this reduces exactly to the classical design. ``start``, the previous
+    period's design on the same problem, warm-starts the LP from its
+    optimal basis: successive periods move only the offsets a, so that
+    basis usually stays optimal and is certified with no pivot.
     """
     if fm.n_r != p.n_r:
         raise ValidationError("flow model and problem disagree on n_r")
     a = np.atleast_1d(np.asarray(prior_info, dtype=float))
     if a.shape != (p.n_r,) or np.any(a < 0) or not np.all(np.isfinite(a)):
         raise ValidationError("prior_info must be finite, >= 0, one entry per flow")
-    return _lp_design(p, predicted_info(a, fm.sigma2), "myopic")
+    return _lp_design(p, predicted_info(a, fm.sigma2), "myopic",
+                      None if start is None else start.lp_solution)
 
 
 def _check_certificate(theta: float, m: np.ndarray, sigma2: np.ndarray,
@@ -166,7 +177,9 @@ def solve_steady_state_E(p: DesignProblem, fm: FlowModel,
     after 4-5 LPs, and the witness is returned with the certificate
     ``diagnostics["theta_bracket"] = (lo, hi)``. If the witnesses of the
     first two LPs both have theta 0, one classical LP decides whether
-    theta* = 0.
+    theta* = 0. Each LP after the first is warm-started from the
+    previous one's optimal basis; only the theta column and the offsets
+    change between rounds.
     ``diagnostics["bisection_iterations"]`` counts the LP rounds; it
     keeps the name of the bisection this replaced because the benchmark
     tracer (perfbench/tracing.py) reads it.
@@ -184,8 +197,9 @@ def solve_steady_state_E(p: DesignProblem, fm: FlowModel,
     xi_best = None
     rounds = pivots = 0
     perturbed = False
+    sol = None
     while True:
-        sol = _theta_lp(p, slopes, offsets)
+        sol = _theta_lp(p, slopes, offsets, sol)
         rounds += 1
         pivots += sol.iterations
         perturbed = perturbed or sol.perturbed
@@ -214,7 +228,7 @@ def solve_steady_state_E(p: DesignProblem, fm: FlowModel,
         if rounds == 2 and lo == 0.0:
             # theta* = 0 exactly when the classical optimum min_i (J xi)_i
             # is 0 (say, all budgets 0); the cuts would only halve hi
-            sol = _theta_lp(p, 1.0, np.zeros(p.n_r))
+            sol = _theta_lp(p, 1.0, np.zeros(p.n_r), sol)
             rounds += 1
             pivots += sol.iterations
             perturbed = perturbed or sol.perturbed

@@ -237,8 +237,9 @@ def run_idealized(cfg: ExperimentConfig) -> MetricsSeries:
     No sampling noise is simulated; per-flow MSE at t is the filter
     variance s_i(t) given the scheme's rates. Requires mu_mode=true_mu
     (there are no estimates to plug in). Myopic re-solves its LP every
-    period from the accumulated information; naive and steady_state keep
-    one fixed design.
+    period from the accumulated information, warm-started from the
+    previous period's optimal basis (only the offsets move, so most
+    periods need no pivot); naive and steady_state keep one fixed design.
     """
     if cfg.mu_mode != "true_mu":
         raise ConfigError("mu_mode", "run_idealized requires true_mu")
@@ -252,8 +253,9 @@ def run_idealized(cfg: ExperimentConfig) -> MetricsSeries:
         rates = np.empty((T, mm.n_o))
         block_starts = np.arange(1, T + 1)
         info = np.zeros(fm.n_r)
+        res = None
         for t in range(T):
-            res = solve_myopic(p, fm, info)
+            res = solve_myopic(p, fm, info, start=res)
             rates[t] = res.xi
             info = res.info  # predicted prior + J xi, the new posterior info
             per_flow[t] = _mse_from_info(info)

@@ -1,10 +1,23 @@
 """Dense two-phase simplex solver.
 
 Deliberately plain: a dense tableau, Bland's anti-cycling rule for both
-the entering and leaving choices, no presolve or scaling. The design
-problems solved here have at most a few hundred variables, and what
-matters is that repeated runs pivot identically (bit-identical output
-files) and that failures are explicit, not that the solve is fast.
+the entering and leaving choices, no presolve; rows are equilibrated.
+The design problems solved here have at most a few hundred variables,
+and what matters is that repeated runs pivot identically (bit-identical
+output files) and that failures are explicit.
+
+Warm start: the design loops solve runs of LPs that differ only in a
+right-hand side or the theta column, so solve_lp can take the previous
+LpSolution and try its optimal basis first. The basis is accepted with
+zero pivots only when it certifies itself on the new data: with S its
+basic structural columns and T its tight rows (nonbasic slack, or
+equality), the square systems A[T,S] x_S = b[T] and A[T,S]' u = c_S
+are solved in the equilibrated rows, x_S and every other row's slack
+are >= 0 exactly (no tolerance: a basis infeasible by roundoff can sit
+at a measurably worse vertex), and the reduced costs and inequality
+duals pass the cold solver's own stopping test. Anything else runs the
+cold two-phase solve, so a hint never changes which answers are
+possible, only how many pivots they take.
 
 Convention: maximize c'x subject to A_ub x <= b_ub, A_eq x = b_eq and
 lower <= x <= upper. Lower bounds must be finite (variables are shifted
@@ -90,6 +103,9 @@ class LpSolution:
     iterations: int
     perturbed: bool          # True if the degeneracy fallback kicked in
     max_violation: float     # row-scaled; see _violation
+    # final basis over the assembled columns (structural, then slack);
+    # None unless optimal with no redundant rows dropped. A warm-start hint.
+    basis: np.ndarray | None = None
 
     @property
     def ok(self) -> bool:
@@ -152,16 +168,22 @@ def _assemble(lp: LinearProgram, perturb: bool):
     return A, b, is_eq, free
 
 
-def _two_phase(A, b, is_eq, c_max, cap):
-    """Solve max c_max'z s.t. rows, z >= 0. Returns (status, z, pivots)."""
-    m, n = A.shape
-    # row equilibration: rows of very different magnitude (rate caps ~1
-    # next to information rows ~1/mu) otherwise force pivots on entries
-    # barely above the pivot tolerance
+def _equilibrate(A, b):
+    """Rows scaled by their largest coefficient: rows of very different
+    magnitude (rate caps ~1 next to information rows ~1/mu) otherwise
+    force pivots on entries barely above the pivot tolerance."""
     scale = np.max(np.abs(A), axis=1, initial=0.0)
     scale = np.where(scale > 0, scale, 1.0)
-    A = A / scale[:, None]
-    b = b / scale
+    return A / scale[:, None], b / scale
+
+
+def _two_phase(A, b, is_eq, c_max, cap):
+    """Solve max c_max'z s.t. rows, z >= 0.
+
+    Returns (status, z, pivots, basis); basis is None unless optimal.
+    """
+    m, n = A.shape
+    A, b = _equilibrate(A, b)
     flip = b < 0
     # columns: original, one slack per inequality (negated on flipped
     # rows), one artificial per equality or flipped row
@@ -192,9 +214,9 @@ def _two_phase(A, b, is_eq, c_max, cap):
         status, piv = _bland(T, basis, N, cap)
         total += piv
         if status == "iteration_limit":
-            return status, None, total
+            return status, None, total, None
         if -T[-1, -1] > _FEAS_TOL:
-            return "infeasible", None, total
+            return "infeasible", None, total, None
         # drive leftover artificials out of the basis; rows that offer no
         # pivot column are redundant originals and get dropped
         drop = []
@@ -218,11 +240,44 @@ def _two_phase(A, b, is_eq, c_max, cap):
     status, piv = _bland(T, basis, N, cap)
     total += piv
     if status != "optimal":
-        return status, None, total
+        return status, None, total, None
     z = np.zeros(n)
     basic = basis < n
     z[basis[basic]] = T[:-1, -1][basic]
-    return "optimal", z, total
+    return "optimal", z, total, basis
+
+
+def _warm_start(A, b, is_eq, c_max, basis):
+    """z for the hinted basis if it is optimal on these rows, else None.
+
+    See the module docstring for the certificate. Only the tight rows T
+    and basic structural columns S enter the solves, so their size is
+    the LP's column count, not its row count.
+    """
+    m, n = A.shape
+    n_ineq = m - int(np.count_nonzero(is_eq))
+    if basis is None or basis.shape != (m,) or np.any(basis >= n + n_ineq):
+        return None
+    A, b = _equilibrate(A, b)
+    S = basis[basis < n]
+    tight = np.ones(m, dtype=bool)
+    tight[basis[basis >= n] - n] = False
+    if S.size != np.count_nonzero(tight):
+        return None
+    B = A[np.ix_(tight, S)]
+    try:
+        x_S = np.linalg.solve(B, b[tight])
+        u = np.linalg.solve(B.T, c_max[S])
+    except np.linalg.LinAlgError:
+        return None
+    z = np.zeros(n)
+    z[S] = x_S
+    if np.any(x_S < 0.0) or np.any(A[~tight] @ z > b[~tight]):
+        return None
+    if np.any(u @ A[tight] - c_max < -_PIVOT_TOL) or np.any(
+            u[~is_eq[tight]] < -_PIVOT_TOL):
+        return None
+    return z
 
 
 def _violation(lp: LinearProgram, x: np.ndarray) -> float:
@@ -241,28 +296,45 @@ def _violation(lp: LinearProgram, x: np.ndarray) -> float:
         np.max(x[finite] - lp.upper[finite], initial=0.0)))
 
 
-def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
+def solve_lp(lp: LinearProgram, max_iter: int | None = None,
+             start: LpSolution | None = None) -> LpSolution:
     """Solve the program. Never raises for well-posed inputs; inspect status.
 
-    If the pivot cap is hit (degenerate cycling despite Bland's rule can
-    only happen through roundoff), the solve is retried once with a tiny
-    deterministic perturbation of the right-hand sides and the result is
-    flagged ``perturbed``.
+    ``start``, a solution of an earlier LP of the same shape, offers its
+    basis as a warm start (see the module docstring); a rejected hint
+    costs one small solve and changes nothing else. If the pivot cap is
+    hit (degenerate cycling despite Bland's rule can only happen through
+    roundoff), the solve is retried once with a tiny deterministic
+    perturbation of the right-hand sides and the result is flagged
+    ``perturbed``.
     """
+    A, b, is_eq, free = _assemble(lp, perturb=False)
+    if start is not None:
+        z_free = _warm_start(A, b, is_eq, lp.c[free], start.basis)
+        if z_free is not None:
+            sol = _finish(lp, free, z_free, 0, False, start.basis)
+            if sol.ok:
+                return sol
     m_guess = lp.A_ub.shape[0] + lp.A_eq.shape[0] + lp.n
     cap = max_iter if max_iter is not None else 2000 + 200 * (m_guess + lp.n)
-    A, b, is_eq, free = _assemble(lp, perturb=False)
-    status, z_free, iters = _two_phase(A, b, is_eq, lp.c[free], cap)
+    status, z_free, iters, basis = _two_phase(A, b, is_eq, lp.c[free], cap)
     perturbed = False
     if status == "iteration_limit":
         perturbed = True
         A, b, is_eq, free = _assemble(lp, perturb=True)
-        status, z_free, it2 = _two_phase(A, b, is_eq, lp.c[free], cap)
+        status, z_free, it2, basis = _two_phase(A, b, is_eq, lp.c[free], cap)
         iters += it2
         if status == "iteration_limit":
             return LpSolution("numerical", None, None, iters, True, np.inf)
     if status in ("infeasible", "unbounded"):
         return LpSolution(status, None, None, iters, perturbed, 0.0)
+    # a basis short of the row count lost redundant rows in phase 1
+    return _finish(lp, free, z_free, iters, perturbed,
+                   basis if basis.size == b.size else None)
+
+
+def _finish(lp, free, z_free, iters, perturbed, basis) -> LpSolution:
+    """LpSolution for an optimal z over the free columns."""
     z = np.zeros(lp.n)
     z[free] = z_free
     # basic variables drift by roundoff; snap sub-tolerance excursions
@@ -271,8 +343,9 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
     z = np.where(np.abs(clipped - z) <= _FEAS_TOL, clipped, z)
     x = z + lp.lower
     viol = _violation(lp, x)
-    out_status = "optimal" if viol <= _CHECK_TOL else "numerical"
-    return LpSolution(out_status, x, float(lp.c @ x), iters, perturbed, viol)
+    ok = viol <= _CHECK_TOL
+    return LpSolution("optimal" if ok else "numerical", x, float(lp.c @ x),
+                      iters, perturbed, viol, basis if ok else None)
 
 
 def check_feasible(n: int, A_ub=None, b_ub=None, A_eq=None, b_eq=None,

@@ -94,6 +94,40 @@ def test_iteration_cap_falls_back_then_reports():
     assert sol.x is None
 
 
+def test_warm_start_reuses_optimal_basis():
+    lp = design_lp()
+    cold = solve_lp(lp)
+    assert cold.basis is not None
+    warm = solve_lp(lp, start=cold)
+    assert (warm.status, warm.iterations, warm.perturbed) == ("optimal", 0, False)
+    assert np.allclose(warm.x, cold.x, rtol=1e-12, atol=1e-15)
+    assert np.array_equal(warm.basis, cold.basis)
+
+
+_REDUNDANT_LP = dict(c=[1.0, 0.0, 0.5], A_ub=[[1.0, 0.0, 1.0]], b_ub=[1.5],
+                     A_eq=[[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [1.0, 1.0, 0.0]],
+                     b_eq=[1.0, 2.0, 1.0], upper=[1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("hint", [
+    # another LP's basis: one column and one row fewer
+    lambda: solve_lp(LinearProgram(c=[1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[0.7],
+                                   upper=[1.0, 1.0])),
+    # a solve that ended numerical carries no basis
+    lambda: solve_lp(design_lp(), max_iter=1),
+    # phase 1 dropped redundant equality rows, so no basis either
+    lambda: solve_lp(LinearProgram(**_REDUNDANT_LP)),
+], ids=["wrong_shape", "not_optimal", "rows_dropped"])
+@pytest.mark.parametrize("target", ["design", "redundant"])
+def test_unusable_warm_start_falls_back_to_cold(hint, target):
+    lp = design_lp() if target == "design" else LinearProgram(**_REDUNDANT_LP)
+    cold = solve_lp(lp)
+    warm = solve_lp(lp, start=hint())
+    assert (warm.status, warm.iterations, warm.perturbed) == (
+        cold.status, cold.iterations, cold.perturbed)
+    assert warm.x.tobytes() == cold.x.tobytes()
+
+
 def test_determinism_bit_identical():
     lp = design_lp()
     a = solve_lp(lp)
@@ -334,8 +368,8 @@ def _design_family_lp(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_design_family_lp())
-def test_design_family_lps_against_highs(kw):
+@given(_design_family_lp(), st.data())
+def test_design_family_lps_against_highs(kw, data):
     sol = solve_lp(LinearProgram(**kw))
     # HiGHS's feasibility tolerance is absolute, so hand it rows scaled
     # to unit coefficients, as the simplex does internally
@@ -352,3 +386,20 @@ def test_design_family_lps_against_highs(kw):
     assert sol.status == ("optimal" if res.status == 0 else "infeasible")
     if res.status == 0:
         assert sol.objective == pytest.approx(-res.fun, rel=1e-7)
+    # warm starts from sol: a myopic period moves the theta rows' right-
+    # hand side, a steady-state cut round their slopes (theta column)
+    n_r = int(np.count_nonzero(kw["A_ub"][:, 0]))
+    unit = st.floats(0.0, 1.0)
+    r = 2e-5 * (np.array(data.draw(st.lists(unit, min_size=n_r,
+                                            max_size=n_r))) - 0.2)
+    slopes = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=n_r,
+                                         max_size=n_r)))
+    moved_rhs = dict(kw, b_ub=np.concatenate([r, kw["b_ub"][n_r:]]))
+    A_ub = kw["A_ub"].copy()
+    A_ub[:n_r, 0] = slopes
+    for moved in (moved_rhs, dict(kw, A_ub=A_ub)):
+        cold = solve_lp(LinearProgram(**moved))
+        warm = solve_lp(LinearProgram(**moved), start=sol)
+        assert warm.status == cold.status
+        if cold.ok:
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=0.0)
