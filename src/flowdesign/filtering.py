@@ -66,8 +66,6 @@ def predict_update(state: FilterState, fm: FlowModel, m, y=None) -> FilterState:
         raise ValidationError("state, flow model and information vector disagree on n_r")
     if np.any(m < 0) or not np.all(np.isfinite(m)):
         raise ValidationError("per-period information must be finite and >= 0")
-    prior = predicted_info(state.info, fm.sigma2)
-    info_new = prior + m
     observed = m > 0
     if np.any(observed):
         if y is None:
@@ -77,16 +75,22 @@ def predict_update(state: FilterState, fm: FlowModel, m, y=None) -> FilterState:
             raise ValidationError("observation vector must have one entry per flow")
         if np.any(~np.isfinite(y[observed])):
             raise ValidationError("observations must be finite where m > 0")
-    mean_new = state.mean.copy()
-    if np.any(observed):
-        gain = np.zeros(fm.n_r)
-        gain[observed] = m[observed] / info_new[observed]
-        resid = np.where(observed & np.isnan(mean_new), 0.0, mean_new)
-        # diffuse prior with an observation: gain is 1, mean becomes y
-        mean_new = np.where(observed, resid + gain * (y - resid), mean_new)
-        first = observed & (state.info == 0)
-        mean_new = np.where(first, y, mean_new)
-    return FilterState(info=info_new, mean=mean_new)
+    info, mean = _update(state.info, state.mean, fm.sigma2, m, y)
+    return FilterState(info=info, mean=mean)
+
+
+def _update(info, mean, sigma2, m, y):
+    """predict_update's arithmetic on bare arrays: the new (info, mean)."""
+    info_new = predicted_info(info, sigma2) + m
+    observed = m > 0
+    if not observed.any():
+        return info_new, mean.copy()
+    gain = np.zeros(m.shape)
+    gain[observed] = m[observed] / info_new[observed]
+    resid = np.where(observed & np.isnan(mean), 0.0, mean)
+    # diffuse prior with an observation: gain is 1, mean becomes y
+    mean_new = np.where(observed, resid + gain * (y - resid), mean)
+    return info_new, np.where(observed & (info == 0), y, mean_new)
 
 
 def steady_state_info(m, sigma2):

@@ -26,12 +26,16 @@ import numpy as np
 
 from .design import (DesignResult, solve_myopic, solve_naive,
                      solve_steady_state_E)
-from .filtering import FilterState, predict_update, predicted_info
+# fuse_gls and predict_update are the one-period public forms of the
+# _fuse/_update steps run_simulation calls; they stay bound here because
+# perfbench/tracing.py patches them as harness attributes.
+from .filtering import FilterState, _update, predict_update, predicted_info
 from .model import FlowDesignError, FlowModel, validate_problem
 from .network import (CONSTRAINT_MODES, build_measurement_model,
                       design_problem, flow_model, load_topology, remap_mu,
                       synth_topology)
-from .simulate import Trace, fuse_gls, gen_random_walk_trace, load_trace, sample_packets
+from .simulate import (Trace, _fuse, fuse_gls, gen_random_walk_trace,
+                       load_trace, sample_packets)
 
 _SCHEMES = ("naive", "myopic", "steady_state")
 _MU_MODES = ("true_mu", "plugin")
@@ -277,14 +281,38 @@ def run_idealized(cfg: ExperimentConfig) -> MetricsSeries:
 
 def _design_for_block(cfg: ExperimentConfig, mm, fm, p, scheme: str,
                       mu_hat: np.ndarray, prior_info: np.ndarray) -> DesignResult:
+    if scheme == "naive":
+        # R, b and the traversal pattern do not depend on mu
+        return solve_naive(p)
     if cfg.mu_mode == "plugin":
         mm = remap_mu(mm, mu_hat)
         p = design_problem(mm, cap=cfg.cap, constraint_mode=cfg.constraint_mode)
-    if scheme == "naive":
-        return solve_naive(p)
     if scheme == "steady_state":
         return solve_steady_state_E(p, fm, tol_theta=cfg.tol_theta)
     return solve_myopic(p, fm, prior_info)
+
+
+def _filter_block(raw, mm, fm, xi, state: FilterState, mu_fixed):
+    """Fuse and filter one block's sampled periods, in order.
+
+    Each period is fuse_gls then predict_update, on arrays prepared once
+    per block; only the block-end state is validated. ``mu_fixed`` is the
+    fusion mean of every period, or None for the plug-in mean of the
+    filter at the start of each period. Returns the block-end state and
+    the (B, n_r) posterior means.
+    """
+    flow = mm.l_of[raw.present]
+    rate = xi[mm.k_of][raw.present]
+    w = None if mu_fixed is None else rate / mu_fixed[flow]
+    info, mean = state.info, state.mean
+    means = np.empty((raw.z.shape[0], fm.n_r))
+    for b, z in enumerate(raw.z[:, raw.present]):
+        if mu_fixed is None:
+            w = rate / np.maximum(mean, _MU_FLOOR)[flow]
+        y, m = _fuse(flow, w, z, fm.n_r)
+        info, mean = _update(info, mean, fm.sigma2, m, y)
+        means[b] = mean
+    return FilterState(info=info, mean=mean), means
 
 
 def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
@@ -293,53 +321,53 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
     Every replication shares one ground-truth trace but draws its own
     sampling noise. Rates are redesigned at block boundaries
     (t = 1, B+1, ...); block 1 follows warmup_scheme because no
-    estimates exist yet. In plugin mode the design and the GLS weights
-    use the latest filter means clamped at 1; filter means start at the
-    model mu, so the diffuse first update is unaffected. Under true_mu
-    the naive and steady_state designs depend on neither the block nor
-    the replication, so each is solved once per run, at its first block,
-    and reused; myopic designs and every plugin design are solved per
-    block. The logged rates come from replication 0 (plug-in designs
-    differ across replications).
+    estimates exist yet. Each block's packets are drawn in one
+    sample_packets call on its (B, n_r) slice of the trace, which takes
+    the same values from the replication's generator as B one-period
+    calls; fusion and the filter then step through the block period by
+    period. In plugin mode the design and the GLS weights use the latest
+    filter means clamped at 1; filter means start at the model mu, so the
+    diffuse first update is unaffected. The naive design depends on
+    neither mu nor the filter, and under true_mu neither does the
+    steady_state design, so each of these is solved once per run, at its
+    first block, and reused; myopic designs and plug-in steady_state
+    designs are solved per block. The logged rates come from replication
+    0 (plug-in designs differ across replications).
     """
     mm, fm, p, warnings = load_instance(cfg)
     trace = _get_trace(cfg, fm)
     T = cfg.horizon
     B = cfg.block_size
+    plugin = cfg.mu_mode == "plugin"
     block_starts = np.arange(1, T + 1, B)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
 
     sq_sum = np.zeros((T, fm.n_r))
     rates = np.zeros((block_starts.size, mm.n_o))
-    fixed = {}  # scheme -> its true_mu design, shared by every block
+    fixed = {}  # scheme -> its design, shared by every block
     for r, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
         state = FilterState(info=np.zeros(fm.n_r), mean=fm.mu.copy())
-        xi = None
-        for t in range(1, T + 1):
-            if cfg.mu_mode == "plugin":
-                mu_hat = np.maximum(state.mean, _MU_FLOOR)
+        for bi, t0 in enumerate(block_starts - 1):
+            mu_hat = np.maximum(state.mean, _MU_FLOOR) if plugin else fm.mu
+            scheme = cfg.scheme
+            if t0 == 0 and cfg.warmup_scheme == "naive":
+                scheme = "naive"
+            if scheme in fixed:
+                res = fixed[scheme]
             else:
-                mu_hat = fm.mu
-            if (t - 1) % B == 0:
-                scheme = cfg.scheme
-                if t == 1 and cfg.warmup_scheme == "naive":
-                    scheme = "naive"
-                if scheme in fixed:
-                    res = fixed[scheme]
-                else:
-                    res = _design_for_block(cfg, mm, fm, p, scheme, mu_hat,
-                                            state.info)
-                    if cfg.mu_mode == "true_mu" and scheme != "myopic":
-                        fixed[scheme] = res
-                xi = res.xi
-                if r == 0:
-                    rates[(t - 1) // B] = xi
-            x_t = trace.x[t - 1]
-            raw = sample_packets(x_t, mm, xi, rng)
-            y, m = fuse_gls(raw, mm, xi, mu_hat)
-            state = predict_update(state, fm, m, y)
-            sq_sum[t - 1] += (state.mean - x_t) ** 2
+                res = _design_for_block(cfg, mm, fm, p, scheme, mu_hat,
+                                        state.info)
+                if scheme == "naive" or (scheme == "steady_state" and not plugin):
+                    fixed[scheme] = res
+            xi = res.xi
+            if r == 0:
+                rates[bi] = xi
+            x = trace.x[t0:t0 + B]
+            raw = sample_packets(x, mm, xi, rng)
+            state, means = _filter_block(raw, mm, fm, xi, state,
+                                         None if plugin else mu_hat)
+            sq_sum[t0:t0 + B] += (means - x) ** 2
     meta = {"mode": "simulation", "scheme": cfg.scheme,
             "constraint_mode": cfg.constraint_mode,
             "mu_mode": cfg.mu_mode, "replications": cfg.replications,

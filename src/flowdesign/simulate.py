@@ -72,9 +72,11 @@ def gen_random_walk_trace(fm: FlowModel, T: int, x0=None, seed: int = 0,
 
 @dataclass(frozen=True)
 class RawMeasurements:
-    """One period of sampled data, one entry per (OP, flow) measurement.
+    """Sampled data, one entry per (OP, flow) measurement.
 
-    ``z`` is NaN where ``present`` is False (rate zero, nothing sampled).
+    ``n`` and ``z`` have shape (n_g,) for one period or (B, n_g) for a
+    block; ``present`` has shape (n_g,) in both. ``z`` is NaN where
+    ``present`` is False (rate zero, nothing sampled).
     """
 
     n: np.ndarray
@@ -89,11 +91,19 @@ def _as_rng(seed_or_rng):
 
 
 def sample_packets(x_t, mm: MeasurementModel, xi, seed_or_rng=0) -> RawMeasurements:
-    """Binomially thin each flow at each observation point it crosses."""
+    """Binomially thin each flow at each observation point it crosses.
+
+    ``x_t`` holds one period's volumes, shape (n_r,), or a block of B
+    periods under the same rates, shape (B, n_r). A block gives ``n``
+    and ``z`` of shape (B, n_g), row b equal to what a one-period call on
+    row b would draw next from the same generator; ``present`` depends
+    only on the rates and is shared by every row. Rate-0 measurements
+    take no draw.
+    """
     x_t = np.atleast_1d(np.asarray(x_t, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if x_t.shape != (mm.n_r,):
-        raise ValidationError("x_t must have one entry per flow")
+    if x_t.ndim > 2 or x_t.shape[-1] != mm.n_r or x_t.size == 0:
+        raise ValidationError("x_t must have one entry per flow in each period")
     if xi.shape != (mm.n_o,):
         raise ValidationError("xi must have one entry per observation point")
     if np.any(xi < 0) or np.any(xi > 1) or not np.all(np.isfinite(xi)):
@@ -106,9 +116,9 @@ def sample_packets(x_t, mm: MeasurementModel, xi, seed_or_rng=0) -> RawMeasureme
     rng = _as_rng(seed_or_rng)
     rates = xi[mm.k_of]
     present = rates > 0.0
-    n = rng.binomial(counts[mm.l_of].astype(np.int64), rates)
+    n = rng.binomial(counts[..., mm.l_of].astype(np.int64), rates)
     n = np.where(present, n, 0)
-    z = np.full(mm.n_g, np.nan)
+    z = np.full(n.shape, np.nan)
     np.divide(n, rates, out=z, where=present)
     return RawMeasurements(n=n, z=z, present=present)
 
@@ -120,7 +130,7 @@ def fuse_gls(raw: RawMeasurements, mm: MeasurementModel, xi, mu_plugin):
     measurement variance mu/xi); m_i is the weight sum, which equals
     (J xi)_i when every measurement of the flow is present and
     mu_plugin is the mu that built J. Flows with nothing observed get
-    m_i = 0 and y_i = NaN.
+    m_i = 0 and y_i = NaN. ``raw`` is one period's draw.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     mu_plugin = np.atleast_1d(np.asarray(mu_plugin, dtype=float))
@@ -134,10 +144,15 @@ def fuse_gls(raw: RawMeasurements, mm: MeasurementModel, xi, mu_plugin):
         raise ValidationError("raw measurements do not match the model")
     present = raw.present
     w = xi[mm.k_of] / mu_plugin[mm.l_of]
-    m = np.bincount(mm.l_of[present], weights=w[present], minlength=mm.n_r)
-    wz = np.bincount(mm.l_of[present], weights=(w * raw.z)[present],
-                     minlength=mm.n_r)
-    y = np.full(mm.n_r, np.nan)
+    return _fuse(mm.l_of[present], w[present], raw.z[present], mm.n_r)
+
+
+def _fuse(flow, w, z, n_r):
+    """fuse_gls's arithmetic on the present measurements alone: ``flow``,
+    ``w`` and ``z`` give each one's flow index, weight and estimate."""
+    m = np.bincount(flow, weights=w, minlength=n_r)
+    wz = np.bincount(flow, weights=w * z, minlength=n_r)
+    y = np.full(n_r, np.nan)
     np.divide(wz, m, out=y, where=m > 0)
     return y, m
 

@@ -19,6 +19,9 @@ different route, so agreement is meaningful:
 * dense_gls: the full matrix GLS solve (L' W L) y = L' W z.
 * path_incidence: per-flow observation points and the router
   traversal matrix, walked edge by edge along the routed paths.
+* per_period_simulation: run_simulation's closed loop one period at a
+  time, through the validating public functions, with every block's
+  design solved afresh.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from flowdesign import (FilterState, design_problem, fuse_gls, harness,
+                        predict_update, remap_mu, sample_packets, solve_myopic,
+                        solve_naive, solve_steady_state_E)
 
 
 # ---------------------------------------------------------------------------
@@ -357,3 +364,54 @@ def path_incidence(nodes, edges, paths):
             traversal[nodes.index(edges[k][1]), k] = True
         ops.append(steps)
     return ops, traversal
+
+
+# ---------------------------------------------------------------------------
+# closed loop
+
+
+def per_period_simulation(cfg):
+    """run_simulation's MetricsSeries (without meta), one period at a time.
+
+    Every block's design is solved afresh, on the problem remapped to
+    the plug-in means under mu_mode=plugin, and every period is sampled,
+    fused and filtered by one call each of sample_packets, fuse_gls and
+    predict_update. Under plugin the fusion mean is taken from the filter
+    each period, clamped at the harness floor.
+    """
+    mm, fm, p, _ = harness.load_instance(cfg)
+    trace = harness._get_trace(cfg, fm)
+    T, B = cfg.horizon, cfg.block_size
+    block_starts = np.arange(1, T + 1, B)
+    sq_sum = np.zeros((T, fm.n_r))
+    rates = np.zeros((block_starts.size, mm.n_o))
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
+    for r, stream in enumerate(streams):
+        rng = np.random.default_rng(stream)
+        state = FilterState(info=np.zeros(fm.n_r), mean=fm.mu.copy())
+        for t in range(1, T + 1):
+            mu_hat = fm.mu
+            if cfg.mu_mode == "plugin":
+                mu_hat = np.maximum(state.mean, harness._MU_FLOOR)
+            if (t - 1) % B == 0:
+                scheme = cfg.scheme
+                if t == 1 and cfg.warmup_scheme == "naive":
+                    scheme = "naive"
+                q = p
+                if cfg.mu_mode == "plugin":
+                    q = design_problem(remap_mu(mm, mu_hat), cap=cfg.cap,
+                                       constraint_mode=cfg.constraint_mode)
+                if scheme == "naive":
+                    xi = solve_naive(q).xi
+                elif scheme == "steady_state":
+                    xi = solve_steady_state_E(q, fm, tol_theta=cfg.tol_theta).xi
+                else:
+                    xi = solve_myopic(q, fm, state.info).xi
+                if r == 0:
+                    rates[(t - 1) // B] = xi
+            raw = sample_packets(trace.x[t - 1], mm, xi, rng)
+            y, m = fuse_gls(raw, mm, xi, mu_hat)
+            state = predict_update(state, fm, m, y)
+            sq_sum[t - 1] += (state.mean - trace.x[t - 1]) ** 2
+    return harness._series(cfg, sq_sum / cfg.replications, block_starts,
+                           rates, {})

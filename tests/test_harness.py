@@ -8,20 +8,16 @@ import pytest
 from flowdesign import (
     ConfigError,
     ExperimentConfig,
-    FilterState,
     Flow,
     TopologySpec,
     build_measurement_model,
     design_problem,
     flow_model,
-    fuse_gls,
     gen_random_walk_trace,
     harness,
     parse_config,
-    predict_update,
     run_idealized,
     run_simulation,
-    sample_packets,
     save_topology,
     save_trace,
     solve_naive,
@@ -31,7 +27,7 @@ from flowdesign import (
     write_metrics,
 )
 
-from oracles import riccati_bisect
+from oracles import per_period_simulation, riccati_bisect
 
 
 def synth_cfg(**kw):
@@ -235,36 +231,6 @@ def test_simulation_warmup_block():
     assert np.array_equal(ms2.rates[0], ss.xi)
 
 
-def _per_block_reference(cfg):
-    """run_simulation's true_mu loop with every block's design solved
-    afresh, the reference for the once-per-run fixed designs."""
-    mm, fm, p, _ = harness.load_instance(cfg)
-    trace = harness._get_trace(cfg, fm)
-    T, B = cfg.horizon, cfg.block_size
-    block_starts = np.arange(1, T + 1, B)
-    sq_sum = np.zeros((T, fm.n_r))
-    rates = np.zeros((block_starts.size, mm.n_o))
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
-    for r, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        state = FilterState(info=np.zeros(fm.n_r), mean=fm.mu.copy())
-        for t in range(1, T + 1):
-            if (t - 1) % B == 0:
-                scheme = cfg.scheme
-                if t == 1 and cfg.warmup_scheme == "naive":
-                    scheme = "naive"
-                xi = harness._design_for_block(cfg, mm, fm, p, scheme, fm.mu,
-                                               state.info).xi
-                if r == 0:
-                    rates[(t - 1) // B] = xi
-            raw = sample_packets(trace.x[t - 1], mm, xi, rng)
-            y, m = fuse_gls(raw, mm, xi, fm.mu)
-            state = predict_update(state, fm, m, y)
-            sq_sum[t - 1] += (state.mean - trace.x[t - 1]) ** 2
-    return harness._series(cfg, sq_sum / cfg.replications, block_starts,
-                           rates, {})
-
-
 @pytest.mark.parametrize("scheme,warmup", [("steady_state", "naive"),
                                            ("steady_state", "scheme"),
                                            ("naive", "naive")])
@@ -292,14 +258,37 @@ def test_simulation_solves_fixed_true_mu_designs_once(tmp_path, monkeypatch,
     assert calls == expect
     # the same files as solving every block of every replication
     write_metrics(ms, str(tmp_path / "once"))
-    write_metrics(_per_block_reference(cfg), str(tmp_path / "per_block"))
+    write_metrics(per_period_simulation(cfg), str(tmp_path / "per_block"))
     for name in ("metrics.csv", "rates.csv"):
         assert ((tmp_path / "once" / name).read_bytes()
                 == (tmp_path / "per_block" / name).read_bytes())
-    # plug-in designs still follow the filter means, block by block
+    # plug-in steady-state designs still follow the filter means, block by
+    # block (3 replications x 4 blocks, less a naive warm-up block); the
+    # naive design does not depend on mu, so it is still solved once
     calls.clear()
     run_simulation(replace(cfg, mu_mode="plugin"))
-    assert sum(calls.values()) == 4 * 3
+    plugin_solves = {("steady_state", "naive"): 10,
+                     ("steady_state", "scheme"): 12,
+                     ("naive", "naive"): 1}[scheme, warmup]
+    assert sum(calls.values()) == plugin_solves
+
+
+@pytest.mark.parametrize("horizon,block_size", [(11, 4), (6, 1), (5, 8)],
+                         ids=["partial-last-block", "B=1", "B>=T"])
+@pytest.mark.parametrize("warmup", ["naive", "scheme"])
+@pytest.mark.parametrize("mu_mode", ["true_mu", "plugin"])
+@pytest.mark.parametrize("scheme", ["naive", "myopic", "steady_state"])
+def test_simulation_matches_per_period_oracle(scheme, mu_mode, warmup,
+                                              horizon, block_size):
+    # small means and a fast walk, so some plug-in means fall below the floor
+    cfg = synth_cfg(horizon=horizon, block_size=block_size, replications=2,
+                    seed=6, scheme=scheme, mu_mode=mu_mode,
+                    warmup_scheme=warmup, mu_scale=10.0, sigma_rel=0.5)
+    ms = run_simulation(cfg)
+    ref = per_period_simulation(cfg)
+    assert np.array_equal(ms.per_flow_mse, ref.per_flow_mse)
+    assert np.array_equal(ms.rates, ref.rates)
+    assert ms.median == ref.median
 
 
 def test_simulation_deterministic(tmp_path):

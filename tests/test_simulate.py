@@ -128,6 +128,28 @@ def test_sampling_determinism_by_seed():
     assert np.array_equal(a.n, b.n)
 
 
+def test_block_sampling_equals_one_period_calls():
+    mm = two_flow_mm()
+    xi = np.zeros(mm.n_o)
+    xi[mm.k_of[0]] = 0.3  # flow 0's second observation point stays at rate 0
+    absent = xi[mm.k_of] == 0
+    assert absent.any() and not absent.all()
+    x = np.array([[120.0, 60.0], [0.0, 7.0], [95.0, 0.0], [3.0, 41.0]])
+    block_rng = np.random.default_rng(17)
+    step_rng = np.random.default_rng(17)
+    block = sample_packets(x, mm, xi, block_rng)
+    steps = [sample_packets(row, mm, xi, step_rng) for row in x]
+    for name in ("n", "z"):
+        rows = np.stack([getattr(raw, name) for raw in steps])
+        assert getattr(block, name).shape == rows.shape == (4, mm.n_g)
+        assert getattr(block, name).dtype == rows.dtype
+        assert getattr(block, name).tobytes() == rows.tobytes()
+    assert block_rng.bit_generator.state == step_rng.bit_generator.state
+    assert np.array_equal(block.present, ~absent)
+    assert np.all(block.n[:, absent] == 0)
+    assert np.all(np.isnan(block.z[:, absent]))
+
+
 def test_sampling_validation():
     mm = two_flow_mm()
     with pytest.raises(ValidationError):
@@ -138,6 +160,11 @@ def test_sampling_validation():
         sample_packets([100.0, 50.0], mm, np.full(mm.n_o, -0.1))
     with pytest.raises(ValidationError):
         sample_packets([100.5, 50.0], mm, np.zeros(mm.n_o))
+    # a block is checked in every row, not just the first
+    with pytest.raises(ValidationError):
+        sample_packets([[100.0, 50.0], [100.0, 50.5]], mm, np.zeros(mm.n_o))
+    with pytest.raises(ValidationError):
+        sample_packets(np.ones((2, 3)), mm, np.zeros(mm.n_o))
 
 
 # ------------------------------------------------------------------ fusion
