@@ -131,6 +131,12 @@ def solve_myopic(p: DesignProblem, fm: FlowModel, prior_info,
     period's design on the same problem, warm-starts the LP from its
     optimal basis: successive periods move only the offsets a, so that
     basis usually stays optimal and is certified with no pivot.
+
+    The LP is often degenerate: only the smallest entry of a + J xi is
+    maximized, so many xi can share the optimum. The returned (and
+    logged) rates are one optimal vertex, picked by the pivot path, and
+    a warm and a cold solve can return different ones; compare myopic
+    designs by theta and MSE, not by their rates.
     """
     if fm.n_r != p.n_r:
         raise ValidationError("flow model and problem disagree on n_r")

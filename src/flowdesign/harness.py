@@ -5,10 +5,12 @@ Two runners share the ExperimentConfig:
 * run_idealized propagates filter variances analytically (no sampling
   noise), with the myopic scheme re-solving its LP every period and the
   fixed schemes keeping one design throughout.
-* run_simulation runs the full closed loop per replication: design at
-  block boundaries (plug-in means from the filter when mu_mode=plugin),
-  sample, fuse, filter, and report squared errors averaged over
-  replications.
+* run_simulation runs the full closed loop of every replication: design
+  at block boundaries (plug-in means from the filter when
+  mu_mode=plugin), sample, fuse, filter, and report squared errors
+  averaged over replications. Replications advance block by block in
+  lockstep, and the packet draws of up to one replication per core run
+  on threads at once.
 
 Config files are flat `key = value` text; see _CONFIG_KEYS for the
 vocabulary (keys mirror ExperimentConfig fields). CSV outputs carry a
@@ -20,6 +22,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -306,13 +309,75 @@ def _filter_block(raw, mm, fm, xi, state: FilterState, mu_fixed):
     w = None if mu_fixed is None else rate / mu_fixed[flow]
     info, mean = state.info, state.mean
     means = np.empty((raw.z.shape[0], fm.n_r))
-    for b, z in enumerate(raw.z[:, raw.present]):
+    z_present = raw.z if raw.present.all() else raw.z[:, raw.present]
+    for b, z in enumerate(z_present):
         if mu_fixed is None:
             w = rate / np.maximum(mean, _MU_FLOOR)[flow]
         y, m = _fuse(flow, w, z, fm.n_r)
         info, mean = _update(info, mean, fm.sigma2, m, y)
         means[b] = mean
     return FilterState(info=info, mean=mean), means
+
+
+def _draw_threads(replications: int) -> int:
+    """W, the number of replications whose packets are drawn at once: one
+    per usable core, at most one per replication."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cores = os.cpu_count() or 1
+    return min(replications, cores)
+
+
+class _DrawHelpers:
+    """Persistent threads that run sample_packets calls for the caller.
+
+    put(h, args) hands helper h one call; take(h) waits for its result
+    and re-raises, with its own type, whatever the call raised. close()
+    stops and joins every helper, after the call it may be running.
+    Numpy's array binomial draw releases the GIL, so the helpers' draws
+    overlap the caller's.
+    """
+
+    def __init__(self, n: int):
+        self._args = [None] * n
+        self._out = [None] * n
+        self._go = [threading.Semaphore(0) for _ in range(n)]
+        self._done = [threading.Semaphore(0) for _ in range(n)]
+        self._threads = [threading.Thread(target=self._serve, args=(h,),
+                                          daemon=True) for h in range(n)]
+        for th in self._threads:
+            th.start()
+
+    def _serve(self, h: int) -> None:
+        while True:
+            self._go[h].acquire()
+            args = self._args[h]
+            if args is None:
+                return
+            try:
+                self._out[h] = (sample_packets(*args), None)
+            except BaseException as exc:  # re-raised on the caller by take
+                self._out[h] = (None, exc)
+            self._done[h].release()
+
+    def put(self, h: int, args) -> None:
+        self._args[h] = args
+        self._go[h].release()
+
+    def take(self, h: int):
+        self._done[h].acquire()
+        raw, exc = self._out[h]
+        self._out[h] = None
+        if exc is not None:
+            raise exc
+        return raw
+
+    def close(self) -> None:
+        for h in range(len(self._threads)):
+            self.put(h, None)
+        for th in self._threads:
+            th.join()
 
 
 def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
@@ -333,41 +398,65 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
     first block, and reused; myopic designs and plug-in steady_state
     designs are solved per block. The logged rates come from replication
     0 (plug-in designs differ across replications).
+
+    Replications advance in lockstep, block by block. At each block the
+    calling thread designs every replication's rates. The packets are
+    then drawn for W replications at a time (W is the number of usable
+    cores, at most the number of replications), on the caller and W - 1
+    helper threads, each draw with its replication's own generator; the
+    caller filters each group and adds its squared errors in replication
+    order. Every number, and so every output file, is the same whatever
+    the core count.
     """
     mm, fm, p, warnings = load_instance(cfg)
     trace = _get_trace(cfg, fm)
     T = cfg.horizon
     B = cfg.block_size
+    R = cfg.replications
     plugin = cfg.mu_mode == "plugin"
     block_starts = np.arange(1, T + 1, B)
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
+    rngs = [np.random.default_rng(stream)
+            for stream in np.random.SeedSequence(cfg.seed).spawn(R)]
+    states = [FilterState(info=np.zeros(fm.n_r), mean=fm.mu.copy())
+              for _ in range(R)]
+    W = _draw_threads(R)
 
     sq_sum = np.zeros((T, fm.n_r))
     rates = np.zeros((block_starts.size, mm.n_o))
     fixed = {}  # scheme -> its design, shared by every block
-    for r, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        state = FilterState(info=np.zeros(fm.n_r), mean=fm.mu.copy())
+    helpers = _DrawHelpers(W - 1)
+    try:
         for bi, t0 in enumerate(block_starts - 1):
-            mu_hat = np.maximum(state.mean, _MU_FLOOR) if plugin else fm.mu
             scheme = cfg.scheme
             if t0 == 0 and cfg.warmup_scheme == "naive":
                 scheme = "naive"
-            if scheme in fixed:
-                res = fixed[scheme]
-            else:
-                res = _design_for_block(cfg, mm, fm, p, scheme, mu_hat,
-                                        state.info)
-                if scheme == "naive" or (scheme == "steady_state" and not plugin):
-                    fixed[scheme] = res
-            xi = res.xi
-            if r == 0:
-                rates[bi] = xi
+            xis = []
+            for state in states:
+                res = fixed.get(scheme)
+                if res is None:
+                    mu_hat = np.maximum(state.mean, _MU_FLOOR) if plugin else fm.mu
+                    res = _design_for_block(cfg, mm, fm, p, scheme, mu_hat,
+                                            state.info)
+                    if scheme == "naive" or (scheme == "steady_state"
+                                             and not plugin):
+                        fixed[scheme] = res
+                xis.append(res.xi)
+            rates[bi] = xis[0]
             x = trace.x[t0:t0 + B]
-            raw = sample_packets(x, mm, xi, rng)
-            state, means = _filter_block(raw, mm, fm, xi, state,
-                                         None if plugin else mu_hat)
-            sq_sum[t0:t0 + B] += (means - x) ** 2
+            for g0 in range(0, R, W):
+                group = range(g0, min(g0 + W, R))
+                for h, r in enumerate(group[1:]):
+                    helpers.put(h, (x, mm, xis[r], rngs[r]))
+                raws = [sample_packets(x, mm, xis[g0], rngs[g0])]
+                raws += [helpers.take(h) for h in range(len(group) - 1)]
+                for r in group:
+                    # pop, so each block's draw is freed once it is filtered
+                    states[r], means = _filter_block(
+                        raws.pop(0), mm, fm, xis[r], states[r],
+                        None if plugin else fm.mu)
+                    sq_sum[t0:t0 + B] += (means - x) ** 2
+    finally:
+        helpers.close()
     meta = {"mode": "simulation", "scheme": cfg.scheme,
             "constraint_mode": cfg.constraint_mode,
             "mu_mode": cfg.mu_mode, "replications": cfg.replications,

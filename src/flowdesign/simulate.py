@@ -98,7 +98,8 @@ def sample_packets(x_t, mm: MeasurementModel, xi, seed_or_rng=0) -> RawMeasureme
     and ``z`` of shape (B, n_g), row b equal to what a one-period call on
     row b would draw next from the same generator; ``present`` depends
     only on the rates and is shared by every row. Rate-0 measurements
-    take no draw.
+    take no draw (the generator returns 0 for p = 0 without consuming
+    its stream).
     """
     x_t = np.atleast_1d(np.asarray(x_t, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -116,8 +117,7 @@ def sample_packets(x_t, mm: MeasurementModel, xi, seed_or_rng=0) -> RawMeasureme
     rng = _as_rng(seed_or_rng)
     rates = xi[mm.k_of]
     present = rates > 0.0
-    n = rng.binomial(counts[..., mm.l_of].astype(np.int64), rates)
-    n = np.where(present, n, 0)
+    n = rng.binomial(counts.astype(np.int64)[..., mm.l_of], rates)
     z = np.full(n.shape, np.nan)
     np.divide(n, rates, out=z, where=present)
     return RawMeasurements(n=n, z=z, present=present)

@@ -1,5 +1,7 @@
 import collections
 import os
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +12,7 @@ from flowdesign import (
     ExperimentConfig,
     Flow,
     TopologySpec,
+    ValidationError,
     build_measurement_model,
     design_problem,
     flow_model,
@@ -26,6 +29,7 @@ from flowdesign import (
     synth_topology,
     write_metrics,
 )
+from flowdesign import cli
 
 from oracles import per_period_simulation, riccati_bisect
 
@@ -289,6 +293,81 @@ def test_simulation_matches_per_period_oracle(scheme, mu_mode, warmup,
     assert np.array_equal(ms.per_flow_mse, ref.per_flow_mse)
     assert np.array_equal(ms.rates, ref.rates)
     assert ms.median == ref.median
+
+
+@pytest.mark.parametrize("mu_mode", ["true_mu", "plugin"])
+@pytest.mark.parametrize("scheme", ["myopic", "steady_state"])
+def test_simulation_independent_of_draw_threads(monkeypatch, scheme, mu_mode):
+    # 5 replications: the last group of every W > 1 is a partial one
+    cfg = synth_cfg(horizon=11, block_size=4, replications=5, seed=8,
+                    scheme=scheme, mu_mode=mu_mode, mu_scale=10.0,
+                    sigma_rel=0.5)
+    ref = per_period_simulation(cfg)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the helpers with the caller often
+    try:
+        for w in (1, 2, 3):  # W = 3 is more threads than this test may have cores
+            monkeypatch.setattr(harness, "_draw_threads", lambda replications: w)
+            runs.append(run_simulation(cfg))
+    finally:
+        sys.setswitchinterval(interval)
+    for ms in runs:
+        assert np.array_equal(ms.per_flow_mse, ref.per_flow_mse)
+        assert np.array_equal(ms.rates, ref.rates)
+        assert ms.median == ref.median
+        assert ms.per_flow_mse.tobytes() == runs[0].per_flow_mse.tobytes()
+
+
+def _failing_sample_packets(monkeypatch, fails):
+    """Patch harness.sample_packets to raise ValidationError on the call
+    ``fails(call_number)`` picks; calls are numbered from 1."""
+    real = harness.sample_packets
+    lock = threading.Lock()
+    count = [0]
+
+    def sample(*args):
+        with lock:
+            count[0] += 1
+            n = count[0]
+        if fails(n):
+            raise ValidationError(f"injected failure on draw {n}")
+        return real(*args)
+
+    monkeypatch.setattr(harness, "sample_packets", sample)
+
+
+@pytest.mark.parametrize("where,w", [("third-call", 1), ("third-call", 2),
+                                     ("third-call", 3), ("helper-thread", 2),
+                                     ("helper-thread", 3)])
+def test_simulation_draw_failure_reraises_and_joins(monkeypatch, where, w):
+    monkeypatch.setattr(harness, "_draw_threads", lambda replications: w)
+    if where == "third-call":
+        _failing_sample_packets(monkeypatch, lambda n: n == 3)
+    else:
+        _failing_sample_packets(
+            monkeypatch,
+            lambda n: threading.current_thread() is not threading.main_thread())
+    before = threading.active_count()
+    with pytest.raises(ValidationError, match="injected failure"):
+        run_simulation(synth_cfg(horizon=12, block_size=4, replications=5,
+                                 seed=3, mu_mode="plugin"))
+    assert threading.active_count() == before
+
+
+def test_simulate_cli_exits_1_on_draw_failure(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(harness, "_draw_threads", lambda replications: 2)
+    _failing_sample_packets(monkeypatch, lambda n: n == 3)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("topology_kind = line\nn_nodes = 5\nn_flows = 3\n"
+                   "budget = 0.02\nhorizon = 12\nblock_size = 4\n"
+                   "replications = 5\n")
+    before = threading.active_count()
+    rc = cli.main(["simulate", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "injected failure" in capsys.readouterr().err
+    assert threading.active_count() == before
 
 
 def test_simulation_deterministic(tmp_path):
