@@ -38,6 +38,13 @@ def _g(v) -> str:
     return format(float(v), ".17g")
 
 
+def _seed(tok: str) -> int:
+    value = int(tok)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return value
+
+
 def _cmd_design(args) -> int:
     cfg = ExperimentConfig(topology_dir=args.topology, cap=args.cap,
                            tol_theta=args.tol_theta,
@@ -168,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--mu-scale", type=float, default=1000.0, dest="mu_scale")
     g.add_argument("--sigma-rel", type=float, default=0.05, dest="sigma_rel")
     g.add_argument("--budget", type=float, default=0.01)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0)
     g.set_defaults(func=_cmd_synth)
 
     v = sub.add_parser("validate", help="check a topology bundle")

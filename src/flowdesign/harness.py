@@ -9,8 +9,9 @@ Two runners share the ExperimentConfig:
   at block boundaries (plug-in means from the filter when
   mu_mode=plugin), sample, fuse, filter, and report squared errors
   averaged over replications. Replications advance block by block in
-  lockstep, and the packet draws of up to one replication per core run
-  on threads at once.
+  lockstep, and the packet draws of W replications (one per usable core)
+  run at once, on the caller and a thread pool of W - 1 workers; the
+  outputs are byte-identical for every W.
 
 Config files are flat `key = value` text; see _CONFIG_KEYS for the
 vocabulary (keys mirror ExperimentConfig fields). CSV outputs carry a
@@ -22,7 +23,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -108,6 +108,9 @@ class ExperimentConfig:
             raise ConfigError("cap", "must lie in (0, 1]")
         if not (math.isfinite(self.tol_theta) and self.tol_theta > 0):
             raise ConfigError("tol_theta", "must be finite and > 0")
+        for name in ("seed", "trace_seed", "topology_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(name, "must be >= 0")
         if self.trace_floor < 0:
             raise ConfigError("trace_floor", "must be >= 0")
         if (self.topology_dir is None) == (self.topology_kind is None):
@@ -329,57 +332,6 @@ def _draw_threads(replications: int) -> int:
     return min(replications, cores)
 
 
-class _DrawHelpers:
-    """Persistent threads that run sample_packets calls for the caller.
-
-    put(h, args) hands helper h one call; take(h) waits for its result
-    and re-raises, with its own type, whatever the call raised. close()
-    stops and joins every helper, after the call it may be running.
-    Numpy's array binomial draw releases the GIL, so the helpers' draws
-    overlap the caller's.
-    """
-
-    def __init__(self, n: int):
-        self._args = [None] * n
-        self._out = [None] * n
-        self._go = [threading.Semaphore(0) for _ in range(n)]
-        self._done = [threading.Semaphore(0) for _ in range(n)]
-        self._threads = [threading.Thread(target=self._serve, args=(h,),
-                                          daemon=True) for h in range(n)]
-        for th in self._threads:
-            th.start()
-
-    def _serve(self, h: int) -> None:
-        while True:
-            self._go[h].acquire()
-            args = self._args[h]
-            if args is None:
-                return
-            try:
-                self._out[h] = (sample_packets(*args), None)
-            except BaseException as exc:  # re-raised on the caller by take
-                self._out[h] = (None, exc)
-            self._done[h].release()
-
-    def put(self, h: int, args) -> None:
-        self._args[h] = args
-        self._go[h].release()
-
-    def take(self, h: int):
-        self._done[h].acquire()
-        raw, exc = self._out[h]
-        self._out[h] = None
-        if exc is not None:
-            raise exc
-        return raw
-
-    def close(self) -> None:
-        for h in range(len(self._threads)):
-            self.put(h, None)
-        for th in self._threads:
-            th.join()
-
-
 def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
     """Closed-loop sampling simulation, averaged over replications.
 
@@ -402,11 +354,11 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
     Replications advance in lockstep, block by block. At each block the
     calling thread designs every replication's rates. The packets are
     then drawn for W replications at a time (W is the number of usable
-    cores, at most the number of replications), on the caller and W - 1
-    helper threads, each draw with its replication's own generator; the
-    caller filters each group and adds its squared errors in replication
-    order. Every number, and so every output file, is the same whatever
-    the core count.
+    cores, at most the number of replications), one on the caller and
+    W - 1 on a thread pool of W - 1 workers, each draw with its
+    replication's own generator; the caller filters each group and adds
+    its squared errors in replication order. Every number, and so every
+    output file, is byte-identical for every W.
     """
     mm, fm, p, warnings = load_instance(cfg)
     trace = _get_trace(cfg, fm)
@@ -424,8 +376,9 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
     sq_sum = np.zeros((T, fm.n_r))
     rates = np.zeros((block_starts.size, mm.n_o))
     fixed = {}  # scheme -> its design, shared by every block
-    helpers = _DrawHelpers(W - 1)
-    try:
+    # imported here so design and idealized runs do not load its logging
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max(W - 1, 1)) as pool:
         for bi, t0 in enumerate(block_starts - 1):
             scheme = cfg.scheme
             if t0 == 0 and cfg.warmup_scheme == "naive":
@@ -445,18 +398,16 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
             x = trace.x[t0:t0 + B]
             for g0 in range(0, R, W):
                 group = range(g0, min(g0 + W, R))
-                for h, r in enumerate(group[1:]):
-                    helpers.put(h, (x, mm, xis[r], rngs[r]))
+                futures = [pool.submit(sample_packets, x, mm, xis[r], rngs[r])
+                           for r in group[1:]]
                 raws = [sample_packets(x, mm, xis[g0], rngs[g0])]
-                raws += [helpers.take(h) for h in range(len(group) - 1)]
+                raws += [f.result() for f in futures]
                 for r in group:
                     # pop, so each block's draw is freed once it is filtered
                     states[r], means = _filter_block(
                         raws.pop(0), mm, fm, xis[r], states[r],
                         None if plugin else fm.mu)
                     sq_sum[t0:t0 + B] += (means - x) ** 2
-    finally:
-        helpers.close()
     meta = {"mode": "simulation", "scheme": cfg.scheme,
             "constraint_mode": cfg.constraint_mode,
             "mu_mode": cfg.mu_mode, "replications": cfg.replications,

@@ -134,6 +134,26 @@ def test_usage_errors_exit_2(bundle, tmp_path, capsys):
         assert f"'{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg,flags,field", [
+    ({"seed": -1}, [], "'seed'"),
+    ({"trace_seed": -1}, [], "'trace_seed'"),
+    ({"topology_seed": -2}, [], "'topology_seed'"),
+    ({}, ["--seed", "-1"], "'seed'"),
+    ({}, ["--trace-seed", "-1"], "'trace_seed'"),
+    (None, ["--seed", "-1"], "--seed"),  # synth
+])
+def test_negative_seeds_exit_2(bundle, tmp_path, capsys, cfg, flags, field):
+    if cfg is None:
+        argv = ["synth", "--kind", "line", "--nodes", "5",
+                "--out", str(tmp_path / "s")]
+    else:
+        argv = ["simulate", "--config", write_cfg(tmp_path, bundle, **cfg),
+                "--out", str(tmp_path / "x")]
+    capsys.readouterr()
+    assert main(argv + flags) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_runtime_errors_exit_1(bundle, tmp_path, capsys):
     assert main(["design", "--topology", str(tmp_path / "nowhere"),
                  "--out", str(tmp_path / "x")]) == 1

@@ -303,13 +303,29 @@ def test_simulation_independent_of_draw_threads(monkeypatch, scheme, mu_mode):
                     scheme=scheme, mu_mode=mu_mode, mu_scale=10.0,
                     sigma_rel=0.5)
     ref = per_period_simulation(cfg)
+    real = harness.sample_packets
+    draws = []  # (on the main thread, live threads) per sample_packets call
+
+    def sample(*args):
+        draws.append((threading.current_thread() is threading.main_thread(),
+                      threading.active_count()))
+        return real(*args)
+
+    monkeypatch.setattr(harness, "sample_packets", sample)
+    before = threading.active_count()
     runs = []
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the helpers with the caller often
+    sys.setswitchinterval(1e-6)  # interleave the workers with the caller often
     try:
         for w in (1, 2, 3):  # W = 3 is more threads than this test may have cores
             monkeypatch.setattr(harness, "_draw_threads", lambda replications: w)
+            draws.clear()
             runs.append(run_simulation(cfg))
+            # the caller draws one replication of each group itself, so
+            # W = 1 starts no thread and W > 1 at most W - 1 workers
+            assert max(live for _, live in draws) <= before + w - 1
+            assert all(on_main for on_main, _ in draws) == (w == 1)
+            assert threading.active_count() == before
     finally:
         sys.setswitchinterval(interval)
     for ms in runs:
@@ -317,6 +333,24 @@ def test_simulation_independent_of_draw_threads(monkeypatch, scheme, mu_mode):
         assert np.array_equal(ms.rates, ref.rates)
         assert ms.median == ref.median
         assert ms.per_flow_mse.tobytes() == runs[0].per_flow_mse.tobytes()
+
+
+@pytest.mark.parametrize("affinity,cpu_count,replications,w", [
+    ({0, 1, 2, 3}, 8, 10, 4),
+    ({0, 1, 2, 3}, 8, 3, 3),
+    (None, 3, 10, 3),  # no affinity masks: os.cpu_count()
+    (None, 3, 2, 2),
+    (None, None, 10, 1),  # core count unknown
+])
+def test_draw_threads_counts_usable_cores(monkeypatch, affinity, cpu_count,
+                                          replications, w):
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity,
+                            raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert harness._draw_threads(replications) == w
 
 
 def _failing_sample_packets(monkeypatch, fails):
