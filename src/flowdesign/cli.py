@@ -26,10 +26,10 @@ from .design import (export_canonical_socp, serialize_socp, solve_classical_E,
 from .harness import (ConfigError, ExperimentConfig, load_instance,
                       parse_config, run_idealized, run_simulation,
                       write_metrics)
-from .model import FlowDesignError, validate_problem
-from .network import (CONSTRAINT_MODES, build_measurement_model,
-                      design_problem, flow_model, load_topology,
-                      save_topology, synth_topology)
+from .model import FlowDesignError, ValidationError, validate_problem
+from .network import (CONSTRAINT_MODES, TOPOLOGY_KINDS,
+                      build_measurement_model, design_problem, flow_model,
+                      load_topology, save_topology, synth_topology)
 
 _DESIGN_SCHEMES = ("naive", "myopic", "classical", "steady-state")
 
@@ -97,11 +97,14 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = synth_topology(
-        args.kind, n_nodes=args.nodes, rows=args.rows, cols=args.cols,
-        n_links=args.links, n_flows=args.flows,
-        flow_fraction=args.flow_fraction, mu_scale=args.mu_scale,
-        sigma_rel=args.sigma_rel, budget=args.budget, seed=args.seed)
+    try:
+        spec = synth_topology(
+            args.kind, n_nodes=args.nodes, rows=args.rows, cols=args.cols,
+            n_links=args.links, n_flows=args.flows,
+            flow_fraction=args.flow_fraction, mu_scale=args.mu_scale,
+            sigma_rel=args.sigma_rel, budget=args.budget, seed=args.seed)
+    except ValidationError as exc:  # a bad generator parameter
+        raise ConfigError("kind", str(exc)) from None
     save_topology(spec, args.out)
     print(f"synth[{args.kind}]: {spec.n_v} nodes, {spec.n_o} observation "
           f"points, {spec.n_r} flows -> {args.out}")
@@ -163,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("synth", help="generate a synthetic topology bundle")
     g.add_argument("--kind", required=True,
-                   choices=("line", "star", "grid", "random"))
+                   choices=TOPOLOGY_KINDS)
     g.add_argument("--out", required=True)
     g.add_argument("--nodes", type=int, default=None)
     g.add_argument("--rows", type=int, default=None)

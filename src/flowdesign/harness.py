@@ -11,7 +11,8 @@ Two runners share the ExperimentConfig:
   averaged over replications. Replications advance block by block in
   lockstep, and the packet draws of W replications (one per usable core)
   run at once, on the caller and a thread pool of W - 1 workers; the
-  outputs are byte-identical for every W.
+  outputs are byte-identical for every W. Under true_mu the draw tasks
+  also fuse, and one filter step per period advances all replications.
 
 Config files are flat `key = value` text; see _CONFIG_KEYS for the
 vocabulary (keys mirror ExperimentConfig fields). CSV outputs carry a
@@ -33,10 +34,11 @@ from .design import (DesignResult, solve_myopic, solve_naive,
 # _fuse/_update steps run_simulation calls; they stay bound here because
 # perfbench/tracing.py patches them as harness attributes.
 from .filtering import FilterState, _update, predict_update, predicted_info
-from .model import FlowDesignError, FlowModel, validate_problem
-from .network import (CONSTRAINT_MODES, build_measurement_model,
-                      design_problem, flow_model, load_topology, remap_mu,
-                      synth_topology)
+from .model import (FlowDesignError, FlowModel, ValidationError,
+                    validate_problem)
+from .network import (CONSTRAINT_MODES, TOPOLOGY_KINDS,
+                      build_measurement_model, design_problem, flow_model,
+                      load_topology, remap_mu, synth_topology)
 from .simulate import (Trace, _fuse, fuse_gls, gen_random_walk_trace,
                        load_trace, sample_packets)
 
@@ -116,6 +118,9 @@ class ExperimentConfig:
         if (self.topology_dir is None) == (self.topology_kind is None):
             raise ConfigError(
                 "topology_dir", "give exactly one of topology_dir or topology_kind")
+        if self.topology_kind not in (None,) + TOPOLOGY_KINDS:
+            raise ConfigError("topology_kind",
+                              f"must be one of {', '.join(TOPOLOGY_KINDS)}")
         if self.median_window_start is not None and not (
                 1 <= self.median_window_start <= self.horizon):
             raise ConfigError("median_window_start",
@@ -209,12 +214,15 @@ def load_instance(cfg: ExperimentConfig):
     if cfg.topology_dir is not None:
         spec = load_topology(cfg.topology_dir)
     else:
-        spec = synth_topology(
-            cfg.topology_kind, n_nodes=cfg.n_nodes, rows=cfg.rows,
-            cols=cfg.cols, n_links=cfg.n_links, n_flows=cfg.n_flows,
-            flow_fraction=cfg.flow_fraction, mu_scale=cfg.mu_scale,
-            sigma_rel=cfg.sigma_rel, budget=cfg.budget,
-            seed=cfg.topology_seed)
+        try:
+            spec = synth_topology(
+                cfg.topology_kind, n_nodes=cfg.n_nodes, rows=cfg.rows,
+                cols=cfg.cols, n_links=cfg.n_links, n_flows=cfg.n_flows,
+                flow_fraction=cfg.flow_fraction, mu_scale=cfg.mu_scale,
+                sigma_rel=cfg.sigma_rel, budget=cfg.budget,
+                seed=cfg.topology_seed)
+        except ValidationError as exc:  # a bad synthetic-topology parameter
+            raise ConfigError("topology_kind", str(exc)) from None
     mm = build_measurement_model(spec)
     fm = flow_model(mm)
     p = design_problem(mm, cap=cfg.cap, constraint_mode=cfg.constraint_mode)
@@ -298,28 +306,45 @@ def _design_for_block(cfg: ExperimentConfig, mm, fm, p, scheme: str,
     return solve_myopic(p, fm, prior_info)
 
 
-def _filter_block(raw, mm, fm, xi, state: FilterState, mu_fixed):
-    """Fuse and filter one block's sampled periods, in order.
+def _filter_block(raw, mm, fm, xi, state: FilterState):
+    """Fuse and filter one plug-in block's sampled periods, in order.
 
-    Each period is fuse_gls then predict_update, on arrays prepared once
-    per block; only the block-end state is validated. ``mu_fixed`` is the
-    fusion mean of every period, or None for the plug-in mean of the
-    filter at the start of each period. Returns the block-end state and
-    the (B, n_r) posterior means.
+    Each period is fuse_gls, with the filter's mean at the start of the
+    period as the fusion mean, then predict_update; only the block-end
+    state is validated. Returns it and the (B, n_r) posterior means.
     """
     flow = mm.l_of[raw.present]
     rate = xi[mm.k_of][raw.present]
-    w = None if mu_fixed is None else rate / mu_fixed[flow]
     info, mean = state.info, state.mean
     means = np.empty((raw.z.shape[0], fm.n_r))
     z_present = raw.z if raw.present.all() else raw.z[:, raw.present]
     for b, z in enumerate(z_present):
-        if mu_fixed is None:
-            w = rate / np.maximum(mean, _MU_FLOOR)[flow]
+        w = rate / np.maximum(mean, _MU_FLOOR)[flow]
         y, m = _fuse(flow, w, z, fm.n_r)
         info, mean = _update(info, mean, fm.sigma2, m, y)
         means[b] = mean
     return FilterState(info=info, mean=mean), means
+
+
+def _fused_draw(x, mm, xi, rng, present, flow, w, m):
+    """One block's draw, fused under the fixed weights ``w`` (with sums
+    ``m``): the (B, n_r) fuse_gls observations, bit for bit, since one
+    bincount over b * n_r + flow sums each bin in the same order."""
+    raw = sample_packets(x, mm, xi, rng)
+    z = raw.z if present.all() else raw.z[:, present]
+    B, n_r = z.shape[0], m.size
+    idx = (np.arange(B)[:, None] * n_r + flow).ravel()
+    wz = np.bincount(idx, weights=(w * z).ravel(), minlength=B * n_r)
+    y = np.full((B, n_r), np.nan)
+    np.divide(wz.reshape(B, n_r), m, out=y, where=m > 0)
+    return y
+
+
+def _draw_group(pool, fn, arg_lists):
+    """fn(*args) for each of ``arg_lists``, in order: the first on the
+    caller, the others on ``pool`` at the same time."""
+    futures = [pool.submit(fn, *args) for args in arg_lists[1:]]
+    return [fn(*arg_lists[0])] + [f.result() for f in futures]
 
 
 def _draw_threads(replications: int) -> int:
@@ -341,24 +366,23 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
     estimates exist yet. Each block's packets are drawn in one
     sample_packets call on its (B, n_r) slice of the trace, which takes
     the same values from the replication's generator as B one-period
-    calls; fusion and the filter then step through the block period by
-    period. In plugin mode the design and the GLS weights use the latest
-    filter means clamped at 1; filter means start at the model mu, so the
-    diffuse first update is unaffected. The naive design depends on
-    neither mu nor the filter, and under true_mu neither does the
-    steady_state design, so each of these is solved once per run, at its
-    first block, and reused; myopic designs and plug-in steady_state
-    designs are solved per block. The logged rates come from replication
-    0 (plug-in designs differ across replications).
+    calls. The naive design is solved once per run.
 
-    Replications advance in lockstep, block by block. At each block the
-    calling thread designs every replication's rates. The packets are
-    then drawn for W replications at a time (W is the number of usable
-    cores, at most the number of replications), one on the caller and
-    W - 1 on a thread pool of W - 1 workers, each draw with its
-    replication's own generator; the caller filters each group and adds
-    its squared errors in replication order. Every number, and so every
-    output file, is byte-identical for every W.
+    In plugin mode the design and the GLS weights use the latest filter
+    means clamped at 1 (they start at the model mu), so each replication
+    designs its own rates per block (the logged rates are replication
+    0's), and fusion and filtering step period by period through each
+    replication in turn. Under true_mu, m = J xi does not depend on the
+    draw, so all replications share each block's design (steady_state's
+    is solved once per run); each draw is fused over its whole block,
+    and one update per period then filters the (R, n_r) means of all
+    replications at once.
+
+    Replications advance in lockstep, block by block, with their packets
+    drawn W at a time (W = usable cores, at most R): one on the caller
+    and W - 1 on a thread pool, each with its replication's own
+    generator. Squared errors are added in replication order, so every
+    output is byte-identical for every W.
     """
     mm, fm, p, warnings = load_instance(cfg)
     trace = _get_trace(cfg, fm)
@@ -372,10 +396,21 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
     states = [FilterState(info=np.zeros(fm.n_r), mean=fm.mu.copy())
               for _ in range(R)]
     W = _draw_threads(R)
+    groups = [range(g0, min(g0 + W, R)) for g0 in range(0, R, W)]
 
     sq_sum = np.zeros((T, fm.n_r))
     rates = np.zeros((block_starts.size, mm.n_o))
-    fixed = {}  # scheme -> its design, shared by every block
+    # true_mu: one design per block; naive and steady_state once per run
+    fixed = {}
+
+    def design(scheme, mu_hat, prior_info):
+        res = fixed.get(scheme)
+        if res is None:
+            res = _design_for_block(cfg, mm, fm, p, scheme, mu_hat, prior_info)
+            if scheme == "naive" or (scheme == "steady_state" and not plugin):
+                fixed[scheme] = res
+        return res.xi
+
     # imported here so design and idealized runs do not load its logging
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max(W - 1, 1)) as pool:
@@ -383,31 +418,36 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
             scheme = cfg.scheme
             if t0 == 0 and cfg.warmup_scheme == "naive":
                 scheme = "naive"
-            xis = []
-            for state in states:
-                res = fixed.get(scheme)
-                if res is None:
-                    mu_hat = np.maximum(state.mean, _MU_FLOOR) if plugin else fm.mu
-                    res = _design_for_block(cfg, mm, fm, p, scheme, mu_hat,
-                                            state.info)
-                    if scheme == "naive" or (scheme == "steady_state"
-                                             and not plugin):
-                        fixed[scheme] = res
-                xis.append(res.xi)
-            rates[bi] = xis[0]
             x = trace.x[t0:t0 + B]
-            for g0 in range(0, R, W):
-                group = range(g0, min(g0 + W, R))
-                futures = [pool.submit(sample_packets, x, mm, xis[r], rngs[r])
-                           for r in group[1:]]
-                raws = [sample_packets(x, mm, xis[g0], rngs[g0])]
-                raws += [f.result() for f in futures]
-                for r in group:
-                    # pop, so each block's draw is freed once it is filtered
-                    states[r], means = _filter_block(
-                        raws.pop(0), mm, fm, xis[r], states[r],
-                        None if plugin else fm.mu)
-                    sq_sum[t0:t0 + B] += (means - x) ** 2
+            if plugin:
+                xis = [design(scheme, np.maximum(s.mean, _MU_FLOOR), s.info)
+                       for s in states]
+                rates[bi] = xis[0]
+                for group in groups:
+                    raws = _draw_group(pool, sample_packets,
+                                       [(x, mm, xis[r], rngs[r]) for r in group])
+                    for r in group:
+                        # pop, so each block's draw is freed once it is filtered
+                        states[r], means = _filter_block(
+                            raws.pop(0), mm, fm, xis[r], states[r])
+                        sq_sum[t0:t0 + B] += (means - x) ** 2
+                continue
+            xi = rates[bi] = design(scheme, fm.mu, states[0].info)
+            present = xi[mm.k_of] > 0.0
+            flow = mm.l_of[present]
+            w = xi[mm.k_of][present] / fm.mu[flow]
+            m = np.bincount(flow, weights=w, minlength=fm.n_r)
+            ys = np.stack([y for group in groups for y in _draw_group(
+                pool, _fused_draw,
+                [(x, mm, xi, rngs[r], present, flow, w, m) for r in group])])
+            # one info vector serves every replication: m is shared
+            info, mean = states[0].info, np.array([s.mean for s in states])
+            for b in range(ys.shape[1]):
+                info, mean = _update(info, mean, fm.sigma2, m, ys[:, b])
+                ys[:, b] = mean  # the posterior means replace the inputs
+            states = [FilterState(info=info, mean=row) for row in mean]
+            for r in range(R):
+                sq_sum[t0:t0 + B] += (ys[r] - x) ** 2
     meta = {"mode": "simulation", "scheme": cfg.scheme,
             "constraint_mode": cfg.constraint_mode,
             "mu_mode": cfg.mu_mode, "replications": cfg.replications,

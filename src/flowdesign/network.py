@@ -33,6 +33,7 @@ from .model import DesignProblem, FlowDesignError, FlowModel, ValidationError
 
 
 CONSTRAINT_MODES = ("inequality", "equality_with_zeroing")
+TOPOLOGY_KINDS = ("line", "star", "grid", "random")  # synth_topology's kinds
 
 
 class RoutingError(FlowDesignError):
@@ -130,16 +131,9 @@ def _adjacency(edges):
     return fwd, rev
 
 
-def _shortest_path(fwd, rev, origin: str, dest: str):
-    """Hop-count shortest path, lexicographically smallest node sequence.
-
-    BFS from the destination over reversed edges gives remaining
-    distances; walking forward and always taking the smallest next node
-    that still lies on some shortest path yields the lexicographic
-    minimum among all shortest paths.
-    """
-    if origin == dest:
-        return (origin,)
+def _distances(rev, dest: str) -> dict:
+    """Hop count from every node that can reach ``dest``: one BFS from
+    the destination over reversed edges."""
     dist = {dest: 0}
     queue = deque([dest])
     while queue:
@@ -148,27 +142,30 @@ def _shortest_path(fwd, rev, origin: str, dest: str):
             if prev not in dist:
                 dist[prev] = dist[cur] + 1
                 queue.append(prev)
-    if origin not in dist:
-        return None
-    path = [origin]
-    cur = origin
-    while cur != dest:
-        step = dist[cur] - 1
-        cur = min(nb for nb in fwd.get(cur, ()) if dist.get(nb, -1) == step)
-        path.append(cur)
-    return tuple(path)
+    return dist
 
 
 def route_flows(t: TopologySpec):
-    """Shortest path (node tuple) per flow."""
+    """Shortest path (node tuple) per flow: fewest hops, then the
+    lexicographically smallest node sequence, walked forward by always
+    taking the smallest next node still on a shortest path. The hop
+    counts left come from one reverse BFS per destination."""
     fwd, rev = _adjacency(t.edges)
+    dists = {}
     paths = []
     for idx, f in enumerate(t.flows):
-        p = _shortest_path(fwd, rev, f.origin, f.destination)
-        if p is None:
+        if f.destination not in dists:
+            dists[f.destination] = _distances(rev, f.destination)
+        dist = dists[f.destination]
+        if f.origin not in dist:
             raise RoutingError(
                 f"flow {idx} ({f.origin}->{f.destination}) is unreachable")
-        paths.append(p)
+        path = [f.origin]
+        while path[-1] != f.destination:
+            step = dist[path[-1]] - 1
+            path.append(min(nb for nb in fwd.get(path[-1], ())
+                            if dist.get(nb, -1) == step))
+        paths.append(tuple(path))
     return tuple(paths)
 
 

@@ -19,6 +19,7 @@ different route, so agreement is meaningful:
 * dense_gls: the full matrix GLS solve (L' W L) y = L' W z.
 * path_incidence: per-flow observation points and the router
   traversal matrix, walked edge by edge along the routed paths.
+* per_flow_routes: route_flows with its own reverse BFS for every flow.
 * per_period_simulation: run_simulation's closed loop one period at a
   time, through the validating public functions, with every block's
   design solved afresh.
@@ -27,12 +28,13 @@ different route, so agreement is meaningful:
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 import numpy as np
 
-from flowdesign import (FilterState, design_problem, fuse_gls, harness,
-                        predict_update, remap_mu, sample_packets, solve_myopic,
-                        solve_naive, solve_steady_state_E)
+from flowdesign import (FilterState, RoutingError, design_problem, fuse_gls,
+                        harness, predict_update, remap_mu, sample_packets,
+                        solve_myopic, solve_naive, solve_steady_state_E)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +366,48 @@ def path_incidence(nodes, edges, paths):
             traversal[nodes.index(edges[k][1]), k] = True
         ops.append(steps)
     return ops, traversal
+
+
+def _shortest_path(fwd, rev, origin, dest):
+    """Hop-count shortest path, lexicographically smallest node sequence,
+    from a full BFS from ``dest`` over reversed edges; None if
+    ``origin`` cannot reach ``dest``."""
+    if origin == dest:
+        return (origin,)
+    dist = {dest: 0}
+    queue = deque([dest])
+    while queue:
+        cur = queue.popleft()
+        for prev in rev.get(cur, ()):
+            if prev not in dist:
+                dist[prev] = dist[cur] + 1
+                queue.append(prev)
+    if origin not in dist:
+        return None
+    path = [origin]
+    cur = origin
+    while cur != dest:
+        step = dist[cur] - 1
+        cur = min(nb for nb in fwd.get(cur, ()) if dist.get(nb, -1) == step)
+        path.append(cur)
+    return tuple(path)
+
+
+def per_flow_routes(t):
+    """route_flows(t), one reverse BFS per flow rather than per
+    destination."""
+    fwd, rev = {}, {}
+    for u, v in t.edges:
+        fwd.setdefault(u, set()).add(v)
+        rev.setdefault(v, set()).add(u)
+    paths = []
+    for idx, f in enumerate(t.flows):
+        p = _shortest_path(fwd, rev, f.origin, f.destination)
+        if p is None:
+            raise RoutingError(
+                f"flow {idx} ({f.origin}->{f.destination}) is unreachable")
+        paths.append(p)
+    return tuple(paths)
 
 
 # ---------------------------------------------------------------------------

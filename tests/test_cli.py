@@ -154,6 +154,24 @@ def test_negative_seeds_exit_2(bundle, tmp_path, capsys, cfg, flags, field):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,flags,field", [
+    ("topology_kind = grid\nrows = 0\ncols = 3\n", [], "rows"),
+    ("topology_kind = line\nn_nodes = 5\nbudget = -1\n", [], "budget"),
+    ("topology_kind = hypercube\nn_nodes = 4\n", [], "'topology_kind'"),
+    (None, ["--kind", "grid", "--rows", "0", "--cols", "3"], "rows"),
+    (None, ["--kind", "line", "--nodes", "5", "--budget", "-1"], "budget"),
+])
+def test_bad_synthetic_topology_exits_2(tmp_path, capsys, text, flags, field):
+    if text is None:
+        argv = ["synth", "--out", str(tmp_path / "s")] + flags
+    else:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text + "horizon = 4\nreplications = 1\n")
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_runtime_errors_exit_1(bundle, tmp_path, capsys):
     assert main(["design", "--topology", str(tmp_path / "nowhere"),
                  "--out", str(tmp_path / "x")]) == 1

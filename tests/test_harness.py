@@ -128,6 +128,7 @@ def test_config_requires_one_topology_source(tmp_path):
     {"median_window_start": 500},
     {"tol_theta": float("nan")},
     {"tol_theta": float("inf")},
+    {"topology_kind": "hypercube"},
 ])
 def test_config_validation(kw):
     with pytest.raises(ConfigError):
@@ -237,7 +238,9 @@ def test_simulation_warmup_block():
 
 @pytest.mark.parametrize("scheme,warmup", [("steady_state", "naive"),
                                            ("steady_state", "scheme"),
-                                           ("naive", "naive")])
+                                           ("naive", "naive"),
+                                           ("myopic", "naive"),
+                                           ("myopic", "scheme")])
 def test_simulation_solves_fixed_true_mu_designs_once(tmp_path, monkeypatch,
                                                       scheme, warmup):
     calls = collections.Counter()
@@ -250,13 +253,17 @@ def test_simulation_solves_fixed_true_mu_designs_once(tmp_path, monkeypatch,
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("solve_naive", "solve_steady_state_E"):
+    for name in ("solve_naive", "solve_steady_state_E", "solve_myopic"):
         monkeypatch.setattr(harness, name, counting(name))
     cfg = synth_cfg(horizon=20, block_size=5, replications=3, seed=4,
                     scheme=scheme, warmup_scheme=warmup)
     ms = run_simulation(cfg)
-    solver = {"naive": "solve_naive", "steady_state": "solve_steady_state_E"}
-    expect = collections.Counter({solver[scheme]: 1})
+    solver = {"naive": "solve_naive", "steady_state": "solve_steady_state_E",
+              "myopic": "solve_myopic"}
+    # myopic follows the filter's information, which every replication
+    # shares under true_mu: one solve per block (4 blocks), not per replication
+    expect = collections.Counter(
+        {solver[scheme]: 4 - (warmup == "naive") if scheme == "myopic" else 1})
     if warmup == "naive":
         expect["solve_naive"] = 1
     assert calls == expect
@@ -273,7 +280,9 @@ def test_simulation_solves_fixed_true_mu_designs_once(tmp_path, monkeypatch,
     run_simulation(replace(cfg, mu_mode="plugin"))
     plugin_solves = {("steady_state", "naive"): 10,
                      ("steady_state", "scheme"): 12,
-                     ("naive", "naive"): 1}[scheme, warmup]
+                     ("naive", "naive"): 1,
+                     ("myopic", "naive"): 10,
+                     ("myopic", "scheme"): 12}[scheme, warmup]
     assert sum(calls.values()) == plugin_solves
 
 
@@ -293,6 +302,26 @@ def test_simulation_matches_per_period_oracle(scheme, mu_mode, warmup,
     assert np.array_equal(ms.per_flow_mse, ref.per_flow_mse)
     assert np.array_equal(ms.rates, ref.rates)
     assert ms.median == ref.median
+
+
+@pytest.mark.parametrize("replications", [1, 4])
+@pytest.mark.parametrize("scheme", ["naive", "myopic", "steady_state"])
+def test_stacked_true_mu_filter_matches_per_period_oracle(scheme,
+                                                          replications):
+    cfg = ExperimentConfig(topology_kind="grid", rows=3, cols=3,
+                           topology_seed=1, budget=0.02, scheme=scheme,
+                           mu_mode="true_mu", horizon=30, block_size=10,
+                           replications=replications, seed=5)
+    ms = run_simulation(cfg)
+    ref = per_period_simulation(cfg)
+    assert np.array_equal(ms.per_flow_mse, ref.per_flow_mse)
+    assert np.array_equal(ms.rates, ref.rates)
+    assert ms.median == ref.median
+    if scheme == "myopic":
+        # some flows get no information in a block: their fused
+        # observations are NaN and the stacked update only predicts them
+        mm, _ = rebuild_problem(cfg)
+        assert np.any(ms.rates @ mm.J.T == 0)
 
 
 @pytest.mark.parametrize("mu_mode", ["true_mu", "plugin"])
@@ -386,6 +415,23 @@ def test_simulation_draw_failure_reraises_and_joins(monkeypatch, where, w):
     with pytest.raises(ValidationError, match="injected failure"):
         run_simulation(synth_cfg(horizon=12, block_size=4, replications=5,
                                  seed=3, mu_mode="plugin"))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("where,w", [("third-call", 1), ("third-call", 2),
+                                     ("helper-thread", 2)])
+def test_true_mu_fused_draw_failure_reraises_and_joins(monkeypatch, where, w):
+    monkeypatch.setattr(harness, "_draw_threads", lambda replications: w)
+    if where == "third-call":
+        _failing_sample_packets(monkeypatch, lambda n: n == 3)
+    else:
+        _failing_sample_packets(
+            monkeypatch,
+            lambda n: threading.current_thread() is not threading.main_thread())
+    before = threading.active_count()
+    with pytest.raises(ValidationError, match="injected failure"):
+        run_simulation(synth_cfg(horizon=12, block_size=4, replications=5,
+                                 seed=3, mu_mode="true_mu"))
     assert threading.active_count() == before
 
 

@@ -20,7 +20,7 @@ from flowdesign import (
     synth_topology,
 )
 
-from oracles import dense_gls, path_incidence
+from oracles import dense_gls, path_incidence, per_flow_routes
 
 
 def bidir(links):
@@ -66,6 +66,31 @@ def test_unreachable_flow_raises():
     )
     with pytest.raises(RoutingError, match="flow 0"):
         route_flows(t)
+
+
+@pytest.mark.parametrize("kind,kw", [
+    ("line", dict(n_nodes=6)),
+    ("star", dict(n_nodes=7)),
+    ("grid", dict(rows=4, cols=5)),
+    ("random", dict(n_nodes=12, n_links=20)),
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_routes_match_per_flow_bfs(kind, kw, seed):
+    # every ordered pair, so most destinations serve several flows
+    t = synth_topology(kind, flow_fraction=1.0, seed=seed, **kw)
+    assert route_flows(t) == per_flow_routes(t)
+
+
+def test_unreachable_flow_message_matches_per_flow_bfs():
+    t = TopologySpec(
+        nodes=("a", "b", "c"), edges=bidir([("a", "b")]),
+        flows=(Flow("a", "b", sigma2=1.0, mu=10.0),
+               Flow("c", "b", sigma2=1.0, mu=10.0)),
+        budgets={n: 0.1 for n in "abc"},
+    )
+    for route in (route_flows, per_flow_routes):
+        with pytest.raises(RoutingError, match=r"^flow 1 \(c->b\) is unreachable$"):
+            route(t)
 
 
 def incidence(t):
