@@ -27,11 +27,12 @@ from .harness import (ConfigError, ExperimentConfig, load_instance,
                       parse_config, run_idealized, run_simulation,
                       write_metrics)
 from .model import FlowDesignError, ValidationError, validate_problem
-from .network import (CONSTRAINT_MODES, TOPOLOGY_KINDS,
+from .network import (CONSTRAINT_MODES, TOPOLOGY_KINDS, ParameterError,
                       build_measurement_model, design_problem, flow_model,
                       load_topology, save_topology, synth_topology)
 
 _DESIGN_SCHEMES = ("naive", "myopic", "classical", "steady-state")
+_SYNTH_DESTS = {"n_flows": "flows"}  # synth_topology keyword -> synth flag dest
 
 
 def _g(v) -> str:
@@ -103,7 +104,9 @@ def _cmd_synth(args) -> int:
             n_links=args.links, n_flows=args.flows,
             flow_fraction=args.flow_fraction, mu_scale=args.mu_scale,
             sigma_rel=args.sigma_rel, budget=args.budget, seed=args.seed)
-    except ValidationError as exc:  # a bad generator parameter
+    except ParameterError as exc:  # named by its keyword; report the flag's dest
+        raise ConfigError(_SYNTH_DESTS.get(exc.param, exc.param), exc.detail) from None
+    except ValidationError as exc:  # a topology the generator cannot build
         raise ConfigError("kind", str(exc)) from None
     save_topology(spec, args.out)
     print(f"synth[{args.kind}]: {spec.n_v} nodes, {spec.n_o} observation "

@@ -376,8 +376,13 @@ def cone_residuals(socp: CanonicalSocp, x) -> np.ndarray:
     return out
 
 
-def _fmt(values) -> str:
-    return " ".join(format(float(v), ".17g") for v in np.atleast_1d(values))
+def _fmt(values, texts: dict) -> str:
+    # texts maps float64 bits to text, so each distinct value is formatted
+    # once; keyed on bits since -0.0 == 0.0 but they print -0 and 0
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    return " ".join([texts.get(bits) or texts.setdefault(bits, format(v, ".17g"))
+                     for bits, v in zip(values.view(np.int64).tolist(),
+                                        values.tolist())])
 
 
 def serialize_socp(socp: CanonicalSocp) -> str:
@@ -402,20 +407,21 @@ def serialize_socp(socp: CanonicalSocp) -> str:
     Floats are printed with 17 significant digits so parsing recovers
     the exact IEEE values.
     """
+    texts: dict = {}
     lines = ["socp-canonical v1",
              f"nvars {socp.n} flow_cones {socp.n_flow_cones} "
              f"budget_cones {socp.n_budget_cones}",
-             "f", _fmt(socp.f)]
+             "f", _fmt(socp.f, texts)]
     for idx, cone in enumerate(socp.cones, start=1):
         lines.append(f"cone {idx} rows {cone.P.shape[0]}")
         lines.append("P")
-        lines.extend(_fmt(row) for row in cone.P)
+        lines.extend(_fmt(row, texts) for row in cone.P)
         lines.append("q")
-        lines.append(_fmt(cone.q))
+        lines.append(_fmt(cone.q, texts))
         lines.append("r")
-        lines.append(_fmt(cone.r))
+        lines.append(_fmt(cone.r, texts))
         lines.append("s")
-        lines.append(_fmt(cone.s))
+        lines.append(_fmt(cone.s, texts))
     return "\n".join(lines) + "\n"
 
 

@@ -36,7 +36,7 @@ from .design import (DesignResult, solve_myopic, solve_naive,
 from .filtering import FilterState, _update, predict_update, predicted_info
 from .model import (FlowDesignError, FlowModel, ValidationError,
                     validate_problem)
-from .network import (CONSTRAINT_MODES, TOPOLOGY_KINDS,
+from .network import (CONSTRAINT_MODES, TOPOLOGY_KINDS, ParameterError,
                       build_measurement_model, design_problem, flow_model,
                       load_topology, remap_mu, synth_topology)
 from .simulate import (Trace, _fuse, fuse_gls, gen_random_walk_trace,
@@ -221,7 +221,9 @@ def load_instance(cfg: ExperimentConfig):
                 flow_fraction=cfg.flow_fraction, mu_scale=cfg.mu_scale,
                 sigma_rel=cfg.sigma_rel, budget=cfg.budget,
                 seed=cfg.topology_seed)
-        except ValidationError as exc:  # a bad synthetic-topology parameter
+        except ParameterError as exc:  # its keyword is the config key
+            raise ConfigError(exc.param, exc.detail) from None
+        except ValidationError as exc:  # a topology the generator cannot build
             raise ConfigError("topology_kind", str(exc)) from None
     mm = build_measurement_model(spec)
     fm = flow_model(mm)

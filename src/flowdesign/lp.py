@@ -1,10 +1,19 @@
 """Dense two-phase simplex solver.
 
 Deliberately plain: a dense tableau, Bland's anti-cycling rule for both
-the entering and leaving choices, no presolve; rows are equilibrated.
-The design problems solved here have at most a few hundred variables,
-and what matters is that repeated runs pivot identically (bit-identical
-output files) and that failures are explicit.
+the entering and leaving choices; rows are equilibrated. The design
+problems solved here have at most a few hundred variables, and what
+matters is that repeated runs pivot identically (bit-identical output
+files) and that failures are explicit.
+
+Implied caps are presolved away (Brearley, Mitra & Williams 1975;
+Andersen & Andersen 1995): the row z_j <= span_j is dropped when an
+inequality row with coefficients >= 0 over the free columns and b_i >= 0
+bounds z_j by b_i / A_ij < span_j / 2. That row has no artificial, so in
+every tableau the cap's slack stays basic well above zero: it never
+leaves, its unit column never enters, and no other row is updated from
+the cap row. Bland's rule therefore pivots exactly as with the cap; only
+LpSolution.basis is numbered over fewer columns.
 
 Warm start: the design loops solve runs of LPs that differ only in a
 right-hand side or the theta column, so solve_lp can take the previous
@@ -151,19 +160,30 @@ def _assemble(lp: LinearProgram, perturb: bool):
     Variables pinned by upper == lower are eliminated up front (they sit
     at the bound exactly and only feed the tableau degenerate rows);
     ``free`` maps the reduced columns back to original indices. Rows are
-    the inequalities, then the finite upper bounds, then the equalities.
+    the inequalities, then the finite upper bounds that no inequality
+    implies (module docstring), then the equalities; the perturbation
+    shifts each row by its position among all rows, caps included.
     """
     span = lp.upper - lp.lower
     free = np.flatnonzero(span > 0)
-    capped = np.isfinite(span[free])
-    A = np.vstack([lp.A_ub[:, free], np.eye(free.size)[capped],
-                   lp.A_eq[:, free]])
-    b = np.concatenate([lp.b_ub - lp.A_ub @ lp.lower, span[free][capped],
-                        lp.b_eq - lp.A_eq @ lp.lower])
+    span = span[free]
+    A_ub = lp.A_ub[:, free]
+    b_ub = lp.b_ub - lp.A_ub @ lp.lower
+    caps = np.flatnonzero(np.isfinite(span))
+    rows = np.all(A_ub >= 0, axis=1) & (b_ub >= 0)
+    A_imp = A_ub[rows][:, caps]
+    # b_i / A_ij < cap / 2 multiplied out, as A_ij may be 0 (inf is right)
+    with np.errstate(over="ignore"):
+        implied = (A_imp > 0) & (b_ub[rows, None] < 0.5 * span[caps] * A_imp)
+    kept = caps[~implied.any(axis=0)]
+    A = np.vstack([A_ub, np.eye(free.size)[kept], lp.A_eq[:, free]])
+    b = np.concatenate([b_ub, span[kept], lp.b_eq - lp.A_eq @ lp.lower])
     if perturb:
         # tiny deterministic shift that breaks rhs degeneracy while staying
         # far inside _CHECK_TOL
-        b = b + 1e-11 * (np.arange(b.size) + 1.0)
+        pos = np.concatenate([np.arange(b_ub.size), b_ub.size + kept,
+                              b_ub.size + caps.size + np.arange(lp.A_eq.shape[0])])
+        b = b + 1e-11 * (pos + 1.0)
     is_eq = np.arange(b.size) >= b.size - lp.A_eq.shape[0]
     return A, b, is_eq, free
 

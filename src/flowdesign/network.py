@@ -40,6 +40,14 @@ class RoutingError(FlowDesignError):
     """A flow cannot be routed on the given topology."""
 
 
+class ParameterError(ValidationError):
+    """A bad synth_topology argument; ``param`` is its keyword."""
+
+    def __init__(self, param: str, detail: str):
+        self.param, self.detail = param, detail
+        super().__init__(f"{param} {detail}")
+
+
 @dataclass(frozen=True)
 class Flow:
     origin: str
@@ -299,14 +307,6 @@ def _node_names(n: int):
     return tuple(f"n{i:0{width}d}" for i in range(n))
 
 
-def _line_links(n: int):
-    return [(i, i + 1) for i in range(n - 1)]
-
-
-def _star_links(n: int):
-    return [(0, i) for i in range(1, n)]
-
-
 def _grid_links(rows: int, cols: int):
     links = []
     for r in range(rows):
@@ -353,40 +353,43 @@ def synth_topology(kind: str, *, n_nodes=None, rows=None, cols=None,
     largest flows are worth tracking. Innovation std is
     sigma_rel * mu * Uniform(0.5, 1.5) per flow.
     """
+    for name, value, ok, need in (
+            ("mu_scale", mu_scale, mu_scale > 0, "finite and > 0"),
+            ("sigma_rel", sigma_rel, sigma_rel > 0, "finite and > 0"),
+            ("budget", budget, budget >= 0, "finite and >= 0"),
+            ("flow_fraction", flow_fraction, 0 < flow_fraction <= 1, "in (0, 1]"),
+            ("n_flows", n_flows, n_flows is None or n_flows >= 1, ">= 1")):
+        if not (ok and (value is None or np.isfinite(value))):
+            raise ParameterError(name, f"must be {need}, got {value!r}")
     rng = np.random.default_rng(seed)
-    if kind == "line":
-        if n_nodes is None or n_nodes < 2:
-            raise ValidationError("line topology needs n_nodes >= 2")
-        n, links = n_nodes, _line_links(n_nodes)
-    elif kind == "star":
-        if n_nodes is None or n_nodes < 2:
-            raise ValidationError("star topology needs n_nodes >= 2")
-        n, links = n_nodes, _star_links(n_nodes)
-    elif kind == "grid":
+    if kind == "grid":
         if rows is None or cols is None or rows < 1 or cols < 1 or rows * cols < 2:
             raise ValidationError("grid topology needs rows x cols >= 2 nodes")
         n, links = rows * cols, _grid_links(rows, cols)
-    elif kind == "random":
+    elif kind in ("line", "star", "random"):
         if n_nodes is None or n_nodes < 2:
-            raise ValidationError("random topology needs n_nodes >= 2")
-        if n_links is None:
-            n_links = min(2 * n_nodes, n_nodes * (n_nodes - 1) // 2)
-        n, links = n_nodes, _random_links(n_nodes, n_links, rng)
+            raise ValidationError(f"{kind} topology needs n_nodes >= 2")
+        n = n_nodes
+        if kind == "line":
+            links = [(i, i + 1) for i in range(n - 1)]
+        elif kind == "star":
+            links = [(0, i) for i in range(1, n)]
+        else:
+            if n_links is None:
+                n_links = min(2 * n, n * (n - 1) // 2)
+            links = _random_links(n, n_links, rng)
     else:
         raise ValidationError(f"unknown topology kind {kind!r}")
 
     names = _node_names(n)
-    edges = []
-    for a, b in links:
-        edges.append((names[a], names[b]))
-        edges.append((names[b], names[a]))
+    edges = [e for a, b in links for e in ((names[a], names[b]), (names[b], names[a]))]
 
     pairs = [(u, v) for u in names for v in names if u != v]
     mu = mu_scale * rng.lognormal(mean=0.0, sigma=1.0, size=len(pairs))
     spread = rng.uniform(0.5, 1.5, size=len(pairs))
     keep = n_flows if n_flows is not None else max(1, round(flow_fraction * len(pairs)))
-    if not 1 <= keep <= len(pairs):
-        raise ValidationError(f"flow count {keep} out of range (1..{len(pairs)})")
+    if keep > len(pairs):
+        raise ParameterError("n_flows", f"must be <= {len(pairs)}, got {keep}")
     chosen = np.sort(np.argsort(-mu, kind="stable")[:keep])
     flows = tuple(
         Flow(origin=pairs[i][0], destination=pairs[i][1],

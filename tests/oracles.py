@@ -23,6 +23,8 @@ different route, so agreement is meaningful:
 * per_period_simulation: run_simulation's closed loop one period at a
   time, through the validating public functions, with every block's
   design solved afresh.
+* socp_floats: serialize_socp's number text with every value formatted
+  on its own, where the library formats each distinct bit pattern once.
 """
 
 from __future__ import annotations
@@ -459,3 +461,12 @@ def per_period_simulation(cfg):
             sq_sum[t - 1] += (state.mean - trace.x[t - 1]) ** 2
     return harness._series(cfg, sq_sum / cfg.replications, block_starts,
                            rates, {})
+
+
+# ---------------------------------------------------------------------------
+# SOCP text
+
+
+def socp_floats(values) -> str:
+    """Space-separated 17-significant-digit text of ``values``."""
+    return " ".join(format(float(v), ".17g") for v in np.atleast_1d(values))

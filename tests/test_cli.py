@@ -172,6 +172,31 @@ def test_bad_synthetic_topology_exits_2(tmp_path, capsys, text, flags, field):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value,dest", [
+    ("mu_scale", "-1", "mu_scale"),
+    ("mu_scale", "nan", "mu_scale"),
+    ("sigma_rel", "0", "sigma_rel"),
+    ("budget", "nan", "budget"),
+    ("budget", "inf", "budget"),
+    ("flow_fraction", "2", "flow_fraction"),
+    ("n_flows", "0", "flows"),
+    ("n_flows", "99", "flows"),  # a 3-node line has 6 ordered pairs
+])
+@pytest.mark.parametrize("via", ["config", "synth"])
+def test_bad_synth_parameter_is_named(tmp_path, capsys, key, value, dest, via):
+    if via == "config":
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"topology_kind = line\nn_nodes = 3\n{key} = {value}\n"
+                       "horizon = 4\nreplications = 1\n")
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]
+    else:
+        argv = ["synth", "--kind", "line", "--nodes", "3", "--out",
+                str(tmp_path / "s"), "--" + dest.replace("_", "-"), value]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{key if via == 'config' else dest}': must be" in err
+
+
 def test_runtime_errors_exit_1(bundle, tmp_path, capsys):
     assert main(["design", "--topology", str(tmp_path / "nowhere"),
                  "--out", str(tmp_path / "x")]) == 1

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from flowdesign import (
+    CanonicalSocp,
     DesignProblem,
     FlowDesignError,
     FlowModel,
     InfeasibleError,
+    SocpCone,
     ValidationError,
     check_design_output,
     build_measurement_model,
@@ -26,7 +28,7 @@ from flowdesign import (
 )
 
 from oracles import (bisect_steady_state, grid_design_bounds,
-                     highs_classical_theta)
+                     highs_classical_theta, socp_floats)
 
 
 def pair_problem():
@@ -487,6 +489,48 @@ def test_socp_round_trip_exact():
     for a, b in zip(back.cones, socp.cones):
         assert np.array_equal(a.P, b.P) and np.array_equal(a.q, b.q)
         assert np.array_equal(a.r, b.r) and a.s == b.s
+
+
+def _oracle_text(socp, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(design, "_fmt", lambda values, texts: socp_floats(values))
+        return serialize_socp(socp)
+
+
+def _assert_round_trip(socp, text):
+    back = parse_socp_text(text)
+    pairs = [(back.f, socp.f)] + [
+        (getattr(a, k), getattr(b, k)) for a, b in zip(back.cones, socp.cones)
+        for k in ("P", "q", "r", "s")]
+    assert len(back.cones) == len(socp.cones)
+    for x, y in pairs:  # same bits, so -0.0 stays -0.0
+        assert np.asarray(x, float).tobytes() == np.asarray(y, float).tobytes()
+
+
+@pytest.mark.parametrize("size", [3, 4, 5])
+def test_socp_text_matches_per_value_oracle(size, monkeypatch):
+    mm = build_measurement_model(synth_topology(
+        "grid", rows=size, cols=size, budget=0.02, seed=1))
+    socp = export_canonical_socp(design_problem(mm), flow_model(mm))
+    text = serialize_socp(socp)
+    assert text == _oracle_text(socp, monkeypatch)
+    assert " -0 " in text  # budget cones negate zero entries of R
+    _assert_round_trip(socp, text)
+
+
+def test_socp_text_keeps_signed_zeros_apart(monkeypatch):
+    socp = CanonicalSocp(
+        f=np.array([-1.0, 0.0, -0.0]),
+        cones=(SocpCone(P=np.array([[0.0, -0.0, 0.5], [-0.0, -0.0, 0.0]]),
+                        q=np.array([-0.0, 0.0]), r=np.array([0.0, -0.0, 0.1]),
+                        s=-0.0),),
+        n_flow_cones=0, n_budget_cones=1)
+    text = serialize_socp(socp)
+    assert text == _oracle_text(socp, monkeypatch)
+    assert text.splitlines()[3] == "-1 0 -0"
+    assert text.splitlines()[6:] == ["0 -0 0.5", "-0 -0 0", "q", "-0 0", "r",
+                                     "0 -0 0.10000000000000001", "s", "-0"]
+    _assert_round_trip(socp, text)
 
 
 def test_socp_round_trip_awkward_floats():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from flowdesign import (LinearProgram, ValidationError, build_measurement_model,
                         check_feasible, design, design_problem, flow_model,
                         solve_lp, synth_topology)
 
+from flowdesign.lp import _assemble
 from oracles import vertex_lp_max
 
 scipy_opt = pytest.importorskip("scipy.optimize")
@@ -172,9 +175,9 @@ def _degenerate_lp(seed):
                          b_eq=np.ones(seed % 2), upper=np.full(n, 2.0))
 
 
-def _grid_lp(mode, cut):
+def _grid_lp(mode, cut, size=4):
     mm = build_measurement_model(synth_topology(
-        "grid", rows=4, cols=4, budget=0.02, seed=1))
+        "grid", rows=size, cols=size, budget=0.02, seed=1))
     p, fm = design_problem(mm, constraint_mode=mode), flow_model(mm)
     c = 1.0 / fm.sigma2
     if cut == "classical":
@@ -292,6 +295,102 @@ def test_pivot_sequence_golden(name):
         assert sol.objective == pytest.approx(objective, rel=1e-12, abs=0.0)
 
 
+# ------------------------------------------------------------ implied caps
+
+
+def _implied_caps_to_inf(prog):
+    """``prog`` with inf in place of every cap that an inequality row with
+    coefficients >= 0 over the free columns and shifted rhs >= 0 bounds
+    below half the span, found row by row; and the number replaced."""
+    span = prog.upper - prog.lower
+    free = span > 0
+    b = prog.b_ub - prog.A_ub @ prog.lower
+    rows = [i for i in range(b.size)
+            if np.all(prog.A_ub[i, free] >= 0) and b[i] >= 0]
+    upper = prog.upper.copy()
+    for j in np.flatnonzero(free & np.isfinite(span)):
+        if any(prog.A_ub[i, j] > 0 and b[i] / prog.A_ub[i, j] < span[j] / 2
+               for i in rows):
+            upper[j] = np.inf
+    n_implied = int(np.sum(np.isinf(upper) & ~np.isinf(prog.upper)))
+    return replace(prog, upper=upper), n_implied
+
+
+def _assert_presolve_invisible(prog):
+    """Solving ``prog`` equals solving it with its implied caps removed,
+    bit for bit; returns the number of implied caps."""
+    relaxed, n_implied = _implied_caps_to_inf(prog)
+    a, b = solve_lp(prog), solve_lp(relaxed)
+    assert (a.status, a.iterations, a.perturbed) == (b.status, b.iterations, b.perturbed)
+    assert (a.x is None) == (b.x is None)
+    if a.x is not None:
+        assert a.x.tobytes() == b.x.tobytes()
+    assert (a.basis is None) == (b.basis is None)
+    if a.basis is not None:
+        assert np.array_equal(a.basis, b.basis)
+        # the basis spans the rows actually solved: implied caps are gone
+        n_caps = np.count_nonzero(np.isfinite(prog.upper) & (prog.upper > prog.lower))
+        assert a.basis.size == (prog.A_ub.shape[0] + prog.A_eq.shape[0]
+                                + n_caps - n_implied)
+    return n_implied
+
+
+@pytest.mark.parametrize("size", [4, 5])
+@pytest.mark.parametrize("mode", ["inequality", "equality_with_zeroing"])
+@pytest.mark.parametrize("cut", ["classical", "asymptote", "tangent"])
+def test_presolve_matches_grid_lp_without_implied_caps(size, mode, cut, monkeypatch):
+    progs = []
+
+    def recording(prog, start=None):
+        progs.append(prog)
+        return solve_lp(prog, start=start)
+
+    monkeypatch.setattr(design, "solve_lp", recording)
+    _grid_lp(mode, cut, size)
+    n_implied = _assert_presolve_invisible(progs[-1])
+    # budget 0.02 implies every unit cap under inequality budgets; equality
+    # budgets imply none
+    n_o = progs[-1].n - 1
+    assert n_implied == (n_o if mode == "inequality" else 0)
+
+
+@pytest.mark.parametrize("kw,kept", [
+    # z_1 <= 0.3 from a row with a negative coefficient
+    (dict(A_ub=[[1.0, -0.1]], b_ub=[0.3]), 2),
+    # the implied bound 0.6 or 0.5 is not below half the cap 1
+    (dict(A_ub=[[1.0, 1.0]], b_ub=[0.6]), 2),
+    (dict(A_ub=[[2.0, 0.0]], b_ub=[1.0]), 2),
+    # an equality row does not imply
+    (dict(A_eq=[[1.0, 1.0]], b_eq=[0.1]), 2),
+    # shifted rhs 0.1 - 0.2 < 0: the row cannot imply (and is infeasible)
+    (dict(A_ub=[[1.0, 1.0]], b_ub=[0.1], lower=[0.2, 0.0]), 2),
+    # the positive control: 0.49 < 0.5 drops both caps, 0.98 / 2 only z_0's
+    (dict(A_ub=[[1.0, 1.0]], b_ub=[0.49]), 0),
+    (dict(A_ub=[[2.0, 1.0]], b_ub=[0.98]), 1),
+    # a zero coefficient implies nothing, and no division warns
+    (dict(A_ub=[[1.0, 0.0]], b_ub=[0.1]), 1),
+    # 0.5 * span * A_ij overflows to inf, which still compares right
+    (dict(A_ub=[[10.0, 10.0]], b_ub=[1.0], upper=[1e308, 1e308]), 0),
+])
+def test_presolve_keeps_caps_it_cannot_prove(kw, kept):
+    prog = LinearProgram(**{"c": [1.0, 1.0], "upper": [1.0, 1.0], **kw})
+    A = _assemble(prog, perturb=False)[0]
+    assert A.shape[0] == prog.A_ub.shape[0] + kept + prog.A_eq.shape[0]
+    _assert_presolve_invisible(prog)
+
+
+def test_perturbation_keeps_full_row_positions():
+    # rows with every cap: ub, cap z_0, cap z_1, cap z_2, eq; the ub row
+    # implies the caps of z_0 and z_1 (0.4 < 1/2)
+    prog = LinearProgram(c=[1.0, 1.0, 1.0], A_ub=[[1.0, 1.0, 0.0]], b_ub=[0.4],
+                         A_eq=[[0.0, 1.0, 1.0]], b_eq=[0.5], upper=[1.0] * 3)
+    _, b, _, _ = _assemble(prog, perturb=False)
+    _, b_perturbed, _, _ = _assemble(prog, perturb=True)
+    assert np.array_equal(b, [0.4, 1.0, 0.5])
+    assert np.allclose(b_perturbed - b, 1e-11 * np.array([1.0, 4.0, 5.0]),
+                       rtol=1e-3, atol=0.0)
+
+
 def _random_instance(rng):
     n = int(rng.integers(1, 6))
     m_ub = int(rng.integers(0, 6))
@@ -365,6 +464,12 @@ def _design_family_lp(draw):
                 b_eq=b[eq] if eq.any() else None,
                 lower=np.zeros(1 + n_o),
                 upper=np.concatenate([[np.inf], np.full(n_o, cap)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_design_family_lp())
+def test_presolve_matches_design_family_without_implied_caps(kw):
+    _assert_presolve_invisible(LinearProgram(**kw))
 
 
 @settings(max_examples=200, deadline=None)
