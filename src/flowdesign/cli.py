@@ -1,12 +1,12 @@
 """Command-line entry points.
 
 Subcommands:
-  design     solve sampling rates for a topology, write xi.csv / theta.txt
-             (and socp.txt for the steady-state scheme)
+  design     solve one scheme of design.SCHEMES for a topology, write
+             xi.csv / theta.txt (and socp.txt for steady_state)
   simulate   closed-loop sampling simulation -> metrics.csv, rates.csv
   idealized  analytic variance propagation  -> metrics.csv, rates.csv
   synth      generate a synthetic topology bundle
-  validate   structural checks on a topology bundle
+  validate   load a topology bundle and check its design problem
 
 Exit codes: 0 success, 2 configuration/usage errors (message names the
 field), 1 anything else that fails.
@@ -19,24 +19,21 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from .design import (export_canonical_socp, serialize_socp, solve_classical_E,
-                     solve_myopic, solve_naive, solve_steady_state_E)
-from .harness import (ConfigError, ExperimentConfig, load_instance,
+from .design import (SCHEMES, export_canonical_socp, serialize_socp,
+                     solve_scheme)
+from .harness import (ConfigError, ExperimentConfig, _g, load_instance,
                       parse_config, run_idealized, run_simulation,
                       write_metrics)
-from .model import FlowDesignError, ValidationError, validate_problem
+from .model import FlowDesignError, ValidationError
 from .network import (CONSTRAINT_MODES, TOPOLOGY_KINDS, ParameterError,
-                      build_measurement_model, design_problem, flow_model,
-                      load_topology, save_topology, synth_topology)
+                      save_topology, synth_topology)
+# unused here, but perfbench/tracing.py patches these bindings (TRACED)
+from .design import (solve_classical_E, solve_myopic,  # noqa: F401
+                     solve_naive, solve_steady_state_E)
+from .model import validate_problem  # noqa: F401
+from .network import build_measurement_model, load_topology  # noqa: F401
 
-_DESIGN_SCHEMES = ("naive", "myopic", "classical", "steady-state")
 _SYNTH_DESTS = {"n_flows": "flows"}  # synth_topology keyword -> synth flag dest
-
-
-def _g(v) -> str:
-    return format(float(v), ".17g")
 
 
 def _seed(tok: str) -> int:
@@ -53,42 +50,29 @@ def _cmd_design(args) -> int:
     mm, fm, p, warnings = load_instance(cfg)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    if args.scheme == "naive":
-        res = solve_naive(p)
-    elif args.scheme == "classical":
-        res = solve_classical_E(p)
-    elif args.scheme == "myopic":
-        res = solve_myopic(p, fm, np.zeros(fm.n_r))
-    else:
-        res = solve_steady_state_E(p, fm, tol_theta=cfg.tol_theta)
+    res = solve_scheme(args.scheme, p, fm, tol_theta=cfg.tol_theta)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "xi.csv"), "w", newline="") as fh:
+    with open(os.path.join(args.out, "xi.csv"), "w", newline="",
+              encoding="utf-8") as fh:
         fh.write("# flowdesign xi.csv v1\n")
         fh.write("op_id,xi\n")
         for k, v in enumerate(res.xi):
             fh.write(f"{k + 1},{_g(v)}\n")
-    with open(os.path.join(args.out, "theta.txt"), "w") as fh:
+    with open(os.path.join(args.out, "theta.txt"), "w", encoding="utf-8") as fh:
         fh.write(_g(res.theta) + "\n")
-    if args.scheme == "steady-state":
-        with open(os.path.join(args.out, "socp.txt"), "w") as fh:
+    if args.scheme == "steady_state":
+        with open(os.path.join(args.out, "socp.txt"), "w", encoding="utf-8") as fh:
             fh.write(serialize_socp(export_canonical_socp(p, fm)))
     print(f"{res.scheme}: theta = {_g(res.theta)} over {mm.n_o} observation "
           f"points -> {args.out}")
     return 0
 
 
-def _apply_overrides(cfg, args):
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.trace_seed is not None:
-        cfg = replace(cfg, trace_seed=args.trace_seed)
-    if args.flows_dump:
-        cfg = replace(cfg, flows_dump=True)
-    return cfg
-
-
 def _cmd_experiment(args) -> int:
-    cfg = _apply_overrides(parse_config(args.config), args)
+    overrides = {name: getattr(args, name)  # flags left unset are None
+                 for name in ("seed", "trace_seed", "flows_dump")
+                 if getattr(args, name) is not None}
+    cfg = replace(parse_config(args.config), **overrides)
     run = run_simulation if args.command == "simulate" else run_idealized
     ms = run(cfg)
     write_metrics(ms, args.out, flows_dump=cfg.flows_dump)
@@ -115,21 +99,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    spec = load_topology(args.topology)
-    mm = build_measurement_model(spec)
-    fm = flow_model(mm)
-    p = design_problem(mm)
-    warnings = validate_problem(p, fm)
-    # structural spot-check: L'D^-1 L is diagonal by construction (each
-    # measurement sees one flow); its diagonal must equal J xi
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        xi = rng.uniform(0.0, 1.0, mm.n_o)
-        diag = np.bincount(mm.l_of, weights=xi[mm.k_of] / mm.mu[mm.l_of],
-                           minlength=mm.n_r)
-        if np.any(np.abs(diag - mm.J @ xi) > 1e-12):
-            print("error: diag(L'D^-1 L) != J xi", file=sys.stderr)
-            return 1
+    mm, _fm, _p, warnings = load_instance(
+        ExperimentConfig(topology_dir=args.topology))
     for warning in warnings:
         print(f"warning: {warning}")
     print(f"ok: {mm.n_v} routers, {mm.n_o} observation points, "
@@ -145,13 +116,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("design", help="solve rates for a topology bundle")
     d.add_argument("--topology", required=True, help="topology bundle directory")
-    d.add_argument("--scheme", choices=_DESIGN_SCHEMES, default="steady-state")
+    d.add_argument("--scheme", choices=SCHEMES, default="steady_state",
+                   type=lambda name: name.replace("-", "_"))
     d.add_argument("--out", required=True, help="output directory")
     d.add_argument("--cap", type=float, default=ExperimentConfig.cap)
-    d.add_argument("--tol-theta", type=float, dest="tol_theta",
-                   default=ExperimentConfig.tol_theta)
-    d.add_argument("--constraint-mode", dest="constraint_mode",
-                   choices=CONSTRAINT_MODES,
+    d.add_argument("--tol-theta", type=float, default=ExperimentConfig.tol_theta)
+    d.add_argument("--constraint-mode", choices=CONSTRAINT_MODES,
                    default=ExperimentConfig.constraint_mode)
     d.set_defaults(func=_cmd_design)
 
@@ -163,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the config's replication seed")
         s.add_argument("--trace-seed", type=int, default=None, dest="trace_seed",
                        help="override the config's trace seed")
-        s.add_argument("--flows-dump", action="store_true", dest="flows_dump",
+        s.add_argument("--flows-dump", action="store_true", default=None,
                        help="also write per-flow MSE to flows.csv")
         s.set_defaults(func=_cmd_experiment)
 
@@ -198,15 +168,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (FlowDesignError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FlowDesignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Sampling-rate design solvers.
 
-Four strategies over a common DesignProblem:
+Four schemes over a common DesignProblem, named by SCHEMES; solve_scheme
+dispatches a scheme name to its solver for the CLI and both runners:
 
-* classical E-optimal: max over xi of the minimum single-period
+* classical (E-optimal): max over xi of the minimum single-period
   information, a plain LP (max theta s.t. J xi >= theta).
-* steady-state E-optimal: max over xi of the minimum steady-state
+* steady_state (E-optimal): max over xi of the minimum steady-state
   Kalman information. Each flow contributes the hyperbolic constraint
   theta^2 <= m_i (theta + 1/sigma_i^2), i.e. m_i must reach a convex
   function of theta, so its tangents give LP relaxations. A handful of
@@ -38,6 +39,8 @@ _SLACK_TOL = 1e-8       # hyperbolic slack on returned designs, relative to thet
 _BRACKET_REL = 1e-12    # roundoff allowed around the certified theta bracket
 _CUT_MAX_ROUNDS = 50
 
+SCHEMES = ("naive", "classical", "myopic", "steady_state")
+
 
 class InfeasibleError(FlowDesignError):
     """The constraint system admits no design."""
@@ -47,17 +50,11 @@ class InfeasibleError(FlowDesignError):
 class DesignResult:
     xi: np.ndarray
     theta: float
-    scheme: str                 # classical_E | steady_state_E | myopic | naive
+    scheme: str                 # one of SCHEMES
     info: np.ndarray            # per-flow information whose minimum is theta
     diagnostics: dict = field(default_factory=dict)
     # the LP behind classical and myopic designs; warm-starts the next one
     lp_solution: LpSolution | None = None
-
-
-def _split_rows(p: DesignProblem):
-    """Budget rows partitioned into (A_ub, b_ub, A_eq, b_eq) pieces."""
-    mask = p.row_is_equality
-    return p.R[~mask], p.b[~mask], p.R[mask], p.b[mask]
 
 
 def _theta_lp(p: DesignProblem, slopes, offsets: np.ndarray,
@@ -72,7 +69,8 @@ def _theta_lp(p: DesignProblem, slopes, offsets: np.ndarray,
     n = 1 + p.n_o
     c = np.zeros(n)
     c[0] = 1.0
-    R_ub, b_ub, R_eq, b_eq = _split_rows(p)
+    eq = p.row_is_equality
+    R_ub, b_ub, R_eq, b_eq = p.R[~eq], p.b[~eq], p.R[eq], p.b[eq]
     # slopes*theta - (J xi)_i <= offsets_i, then budget rows with a zero theta column
     A_ub = np.zeros((p.n_r + R_ub.shape[0], n))
     A_ub[:p.n_r, 0] = slopes
@@ -117,7 +115,7 @@ def _lp_design(p: DesignProblem, offsets: np.ndarray, scheme: str,
 
 def solve_classical_E(p: DesignProblem) -> DesignResult:
     """Maximize the minimum single-period information min_i (J xi)_i."""
-    return _lp_design(p, np.zeros(p.n_r), "classical_E")
+    return _lp_design(p, np.zeros(p.n_r), "classical")
 
 
 def solve_myopic(p: DesignProblem, fm: FlowModel, prior_info,
@@ -154,11 +152,11 @@ def _check_certificate(theta: float, m: np.ndarray, sigma2: np.ndarray,
     bracket up to roundoff."""
     slack = m * (theta + 1.0 / sigma2) - theta * theta
     if np.any(slack < -_SLACK_TOL * theta * theta):
-        raise FlowDesignError("steady_state_E: hyperbolic constraint violated")
+        raise FlowDesignError("steady_state: hyperbolic constraint violated")
     lo, hi = bracket
     if not lo * (1.0 - _BRACKET_REL) <= theta <= hi * (1.0 + _BRACKET_REL):
         raise FlowDesignError(
-            f"steady_state_E: theta {theta!r} outside its bracket {bracket!r}")
+            f"steady_state: theta {theta!r} outside its bracket {bracket!r}")
 
 
 def solve_steady_state_E(p: DesignProblem, fm: FlowModel,
@@ -215,7 +213,7 @@ def solve_steady_state_E(p: DesignProblem, fm: FlowModel,
             diagnostics["warnings"].append(
                 f"cut LP {rounds} ended {sol.status}; bracket kept")
             break
-        _require_optimal(sol, "steady_state_E",
+        _require_optimal(sol, "steady_state",
                          "information unbounded for every flow; add caps",
                          "budget system is infeasible at theta=0 "
                          "(over-constrained equalities?)")
@@ -257,7 +255,7 @@ def solve_steady_state_E(p: DesignProblem, fm: FlowModel,
     diagnostics.update(bisection_iterations=rounds, lp_pivots=pivots,
                        lp_perturbed=perturbed, theta_bracket=(lo, hi),
                        tol_theta=tol_theta)
-    return DesignResult(xi=xi_best, theta=theta, scheme="steady_state_E",
+    return DesignResult(xi=xi_best, theta=theta, scheme="steady_state",
                         info=info, diagnostics=diagnostics)
 
 
@@ -296,6 +294,25 @@ def solve_naive(p: DesignProblem) -> DesignResult:
     theta = float(np.min(info)) if info.size else 0.0
     return DesignResult(xi=xi, theta=theta, scheme="naive", info=info,
                         diagnostics={})
+
+
+def solve_scheme(scheme: str, p: DesignProblem, fm: FlowModel, prior_info=None,
+                 tol_theta: float = 1e-9,
+                 start: DesignResult | None = None) -> DesignResult:
+    """The design of ``scheme``, one of SCHEMES. Myopic alone reads
+    ``prior_info`` (default zero) and ``start``, steady_state alone
+    ``tol_theta``. Solvers are looked up here at call time, so a patch of
+    flowdesign.design.solve_* sees every call."""
+    if scheme == "naive":
+        return solve_naive(p)
+    if scheme == "classical":
+        return solve_classical_E(p)
+    if scheme == "myopic":
+        prior = np.zeros(fm.n_r) if prior_info is None else prior_info
+        return solve_myopic(p, fm, prior, start=start)
+    if scheme == "steady_state":
+        return solve_steady_state_E(p, fm, tol_theta=tol_theta)
+    raise ValidationError(f"scheme must be one of {', '.join(SCHEMES)}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Experiment orchestration: configs, the batch sequential loop, metrics.
 
-Two runners share the ExperimentConfig:
+Two runners share the ExperimentConfig. Its scheme is one of
+design.SCHEMES other than classical, and both runners get their designs
+from design.solve_scheme:
 
 * run_idealized propagates filter variances analytically (no sampling
   noise), with the myopic scheme re-solving its LP every period and the
-  fixed schemes keeping one design throughout.
+  fixed schemes keeping one design from t = 1 (block_size and
+  warmup_scheme do not apply).
 * run_simulation runs the full closed loop of every replication: design
   at block boundaries (plug-in means from the filter when
   mu_mode=plugin), sample, fuse, filter, and report squared errors
@@ -22,27 +25,28 @@ versioned `#` comment header so downstream scripts can pin schemas.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .design import (DesignResult, solve_myopic, solve_naive,
-                     solve_steady_state_E)
-# fuse_gls and predict_update are the one-period public forms of the
-# _fuse/_update steps run_simulation calls; they stay bound here because
-# perfbench/tracing.py patches them as harness attributes.
-from .filtering import FilterState, _update, predict_update, predicted_info
-from .model import (FlowDesignError, FlowModel, ValidationError,
+from .design import SCHEMES, solve_scheme
+from .filtering import FilterState, _update, predicted_info
+from .model import (FlowDesignError, FlowModel, ValidationError, read_text,
                     validate_problem)
 from .network import (CONSTRAINT_MODES, TOPOLOGY_KINDS, ParameterError,
                       build_measurement_model, design_problem, flow_model,
                       load_topology, remap_mu, synth_topology)
-from .simulate import (Trace, _fuse, fuse_gls, gen_random_walk_trace,
-                       load_trace, sample_packets)
+from .simulate import (Trace, _fuse, gen_random_walk_trace, load_trace,
+                       sample_packets)
+# unused here, but perfbench/tracing.py patches these bindings (TRACED);
+# fuse_gls/predict_update are the one-period forms of _fuse/_update
+from .design import solve_myopic, solve_naive, solve_steady_state_E  # noqa: F401
+from .filtering import predict_update  # noqa: F401
+from .simulate import fuse_gls  # noqa: F401
 
-_SCHEMES = ("naive", "myopic", "steady_state")
 _MU_MODES = ("true_mu", "plugin")
 _WARMUP = ("naive", "scheme")
 _MU_FLOOR = 1.0  # plug-in means are clamped here to keep weights positive
@@ -90,16 +94,12 @@ class ExperimentConfig:
     flows_dump: bool = False
 
     def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise ConfigError("scheme", f"must be one of {', '.join(_SCHEMES)}")
-        if self.mu_mode not in _MU_MODES:
-            raise ConfigError("mu_mode", f"must be one of {', '.join(_MU_MODES)}")
-        if self.constraint_mode not in CONSTRAINT_MODES:
-            raise ConfigError("constraint_mode",
-                              f"must be one of {', '.join(CONSTRAINT_MODES)}")
-        if self.warmup_scheme not in _WARMUP:
-            raise ConfigError("warmup_scheme",
-                              f"must be one of {', '.join(_WARMUP)}")
+        runnable = [s for s in SCHEMES if s != "classical"]  # design-only
+        for name, allowed in (("scheme", runnable), ("mu_mode", _MU_MODES),
+                              ("constraint_mode", CONSTRAINT_MODES),
+                              ("warmup_scheme", _WARMUP)):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(name, f"must be one of {', '.join(allowed)}")
         if self.horizon < 1:
             raise ConfigError("horizon", "must be >= 1")
         if self.block_size < 1:
@@ -154,24 +154,27 @@ def parse_config(path: str) -> ExperimentConfig:
     """Flat `key = value` file, `#` comments, one key per line."""
     if not os.path.exists(path):
         raise ConfigError("config", f"file {path!r} not found")
+    try:
+        text = read_text(path)
+    except ValidationError as exc:
+        raise ConfigError("config", str(exc)) from None
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError("config", f"line {lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(key, "unknown key")
-            if key in values:
-                raise ConfigError(key, "duplicate key")
-            try:
-                values[key] = _CONFIG_KEYS[key](val)
-            except ValueError as exc:
-                raise ConfigError(key, str(exc)) from None
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError("config", f"line {lineno}: expected key = value")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(key, "unknown key")
+        if key in values:
+            raise ConfigError(key, "duplicate key")
+        try:
+            values[key] = _CONFIG_KEYS[key](val)
+        except ValueError as exc:
+            raise ConfigError(key, str(exc)) from None
     return ExperimentConfig(**values)
 
 
@@ -260,6 +263,11 @@ def run_idealized(cfg: ExperimentConfig) -> MetricsSeries:
     period from the accumulated information, warm-started from the
     previous period's optimal basis (only the offsets move, so most
     periods need no pivot); naive and steady_state keep one fixed design.
+
+    block_size and warmup_scheme are ignored: with the true means known
+    there is nothing to wait for, so the fixed schemes hold from t = 1
+    with no warm-up block, and myopic tracks the exact information
+    recursion, one design (and one logged rate row) per period.
     """
     if cfg.mu_mode != "true_mu":
         raise ConfigError("mu_mode", "run_idealized requires true_mu")
@@ -269,43 +277,28 @@ def run_idealized(cfg: ExperimentConfig) -> MetricsSeries:
             "constraint_mode": cfg.constraint_mode, "warnings": warnings}
 
     per_flow = np.empty((T, fm.n_r))
+    info = np.zeros(fm.n_r)
     if cfg.scheme == "myopic":
         rates = np.empty((T, mm.n_o))
         block_starts = np.arange(1, T + 1)
-        info = np.zeros(fm.n_r)
         res = None
         for t in range(T):
-            res = solve_myopic(p, fm, info, start=res)
+            res = solve_scheme("myopic", p, fm, info, start=res)
             rates[t] = res.xi
             info = res.info  # predicted prior + J xi, the new posterior info
             per_flow[t] = _mse_from_info(info)
         meta["theta_final"] = float(np.min(info))
     else:
-        res = _design_for_block(cfg, mm, fm, p, cfg.scheme, fm.mu,
-                                np.zeros(fm.n_r))
+        res = solve_scheme(cfg.scheme, p, fm, tol_theta=cfg.tol_theta)
         rates = res.xi[None, :]
         block_starts = np.array([1])
         meta["theta"] = res.theta
         meta["design_diagnostics"] = dict(res.diagnostics)
         m = mm.J @ res.xi
-        info = np.zeros(fm.n_r)
         for t in range(T):
             info = predicted_info(info, fm.sigma2) + m
             per_flow[t] = _mse_from_info(info)
     return _series(cfg, per_flow, block_starts, rates, meta)
-
-
-def _design_for_block(cfg: ExperimentConfig, mm, fm, p, scheme: str,
-                      mu_hat: np.ndarray, prior_info: np.ndarray) -> DesignResult:
-    if scheme == "naive":
-        # R, b and the traversal pattern do not depend on mu
-        return solve_naive(p)
-    if cfg.mu_mode == "plugin":
-        mm = remap_mu(mm, mu_hat)
-        p = design_problem(mm, cap=cfg.cap, constraint_mode=cfg.constraint_mode)
-    if scheme == "steady_state":
-        return solve_steady_state_E(p, fm, tol_theta=cfg.tol_theta)
-    return solve_myopic(p, fm, prior_info)
 
 
 def _filter_block(raw, mm, fm, xi, state: FilterState):
@@ -408,7 +401,11 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
     def design(scheme, mu_hat, prior_info):
         res = fixed.get(scheme)
         if res is None:
-            res = _design_for_block(cfg, mm, fm, p, scheme, mu_hat, prior_info)
+            q = p
+            if plugin and scheme != "naive":  # naive does not depend on mu
+                q = design_problem(remap_mu(mm, mu_hat), cap=cfg.cap,
+                                   constraint_mode=cfg.constraint_mode)
+            res = solve_scheme(scheme, q, fm, prior_info, cfg.tol_theta)
             if scheme == "naive" or (scheme == "steady_state" and not plugin):
                 fixed[scheme] = res
         return res.xi
@@ -472,7 +469,8 @@ def write_metrics(ms: MetricsSeries, outdir: str,
                   flows_dump: bool = False) -> None:
     """Write metrics.csv and rates.csv (and optionally flows.csv)."""
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "metrics.csv"), "w", newline="") as fh:
+    with open(os.path.join(outdir, "metrics.csv"), "w", newline="",
+              encoding="utf-8") as fh:
         fh.write("# flowdesign metrics.csv v1\n")
         fh.write(f"# median_max_mse {_g(ms.median)} "
                  f"window {ms.window[0]}..{ms.window[1]}\n")
@@ -480,7 +478,8 @@ def write_metrics(ms: MetricsSeries, outdir: str,
         w.writerow(["t", "max_mse", "scheme"])
         for t, v in zip(ms.t, ms.max_mse):
             w.writerow([int(t), _g(v), ms.scheme])
-    with open(os.path.join(outdir, "rates.csv"), "w", newline="") as fh:
+    with open(os.path.join(outdir, "rates.csv"), "w", newline="",
+              encoding="utf-8") as fh:
         fh.write("# flowdesign rates.csv v1\n")
         fh.write("# block_starts " + " ".join(str(int(t)) for t in ms.block_starts)
                  + "\n")
@@ -490,7 +489,8 @@ def write_metrics(ms: MetricsSeries, outdir: str,
             for k in range(ms.rates.shape[1]):
                 w.writerow([bi + 1, k + 1, _g(ms.rates[bi, k])])
     if flows_dump:
-        with open(os.path.join(outdir, "flows.csv"), "w", newline="") as fh:
+        with open(os.path.join(outdir, "flows.csv"), "w", newline="",
+                  encoding="utf-8") as fh:
             fh.write("# flowdesign flows.csv v1\n")
             w = csv.writer(fh)
             w.writerow(["t", "flow", "mse"])

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,19 @@ class FlowDesignError(Exception):
 
 class ValidationError(FlowDesignError):
     """A problem instance is structurally broken or trivially infeasible."""
+
+
+def read_text(path: str) -> str:
+    """The file's text as UTF-8, whatever the locale; a ValidationError
+    names the file and the line of the first byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(
+            f"{os.path.basename(path)}: line {line} is not UTF-8") from None
 
 
 def _vector(x, name: str) -> np.ndarray:

@@ -23,13 +23,15 @@ arrays here are 0-indexed.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import DesignProblem, FlowDesignError, FlowModel, ValidationError
+from .model import (DesignProblem, FlowDesignError, FlowModel,
+                    ValidationError, read_text)
 
 
 CONSTRAINT_MODES = ("inequality", "equality_with_zeroing")
@@ -411,7 +413,7 @@ def synth_topology(kind: str, *, n_nodes=None, rows=None, cols=None,
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
@@ -420,24 +422,23 @@ def _write_csv(path, header, rows):
 def _read_csv(path, header):
     if not os.path.exists(path):
         raise ValidationError(f"missing bundle file {os.path.basename(path)}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            got = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{os.path.basename(path)}: empty file") from None
-        if [c.strip() for c in got] != list(header):
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        got = next(reader)
+    except StopIteration:
+        raise ValidationError(f"{os.path.basename(path)}: empty file") from None
+    if [c.strip() for c in got] != list(header):
+        raise ValidationError(
+            f"{os.path.basename(path)}: expected header {','.join(header)}")
+    rows = []
+    for row in reader:
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
             raise ValidationError(
-                f"{os.path.basename(path)}: expected header {','.join(header)}")
-        rows = []
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{os.path.basename(path)}: row {reader.line_num} has "
-                    f"{len(row)} fields, expected {len(header)}")
-            rows.append([c.strip() for c in row])
+                f"{os.path.basename(path)}: row {reader.line_num} has "
+                f"{len(row)} fields, expected {len(header)}")
+        rows.append([c.strip() for c in row])
     return rows
 
 

@@ -13,12 +13,13 @@ weighted means (weights xi_k/mu_i, information m_i equal to their sum).
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FlowModel, ValidationError
+from .model import FlowModel, ValidationError, read_text
 from .network import MeasurementModel
 
 
@@ -165,7 +166,7 @@ def save_trace(trace: Trace, path: str) -> None:
     counts = np.rint(trace.x)
     if np.any(np.abs(counts - trace.x) > 1e-9):
         raise ValidationError("trace volumes must be integers to serialize")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["t"] + [f"flow_{i + 1}" for i in range(trace.n_r)])
         for t in range(trace.T):
@@ -175,35 +176,34 @@ def save_trace(trace: Trace, path: str) -> None:
 def load_trace(path: str) -> Trace:
     if not os.path.exists(path):
         raise ValidationError(f"trace file {path!r} not found")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError("trace file is empty") from None
+    header = [c.strip() for c in header]
+    if len(header) < 2 or header[0] != "t":
+        raise ValidationError("trace header must be t,flow_1,...,flow_nr")
+    n_r = len(header) - 1
+    if header[1:] != [f"flow_{i + 1}" for i in range(n_r)]:
+        raise ValidationError("trace header must be t,flow_1,...,flow_nr")
+    rows = []
+    for row in reader:
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != n_r + 1:
+            raise ValidationError(
+                f"trace row {reader.line_num}: expected {n_r + 1} fields")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError("trace file is empty") from None
-        header = [c.strip() for c in header]
-        if len(header) < 2 or header[0] != "t":
-            raise ValidationError("trace header must be t,flow_1,...,flow_nr")
-        n_r = len(header) - 1
-        if header[1:] != [f"flow_{i + 1}" for i in range(n_r)]:
-            raise ValidationError("trace header must be t,flow_1,...,flow_nr")
-        rows = []
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != n_r + 1:
-                raise ValidationError(
-                    f"trace row {reader.line_num}: expected {n_r + 1} fields")
-            try:
-                t = int(row[0])
-                vals = [float(c) for c in row[1:]]
-            except ValueError:
-                raise ValidationError(
-                    f"trace row {reader.line_num}: bad number") from None
-            if t != len(rows) + 1:
-                raise ValidationError(
-                    f"trace row {reader.line_num}: periods must run 1..T in order")
-            rows.append(vals)
+            t = int(row[0])
+            vals = [float(c) for c in row[1:]]
+        except ValueError:
+            raise ValidationError(
+                f"trace row {reader.line_num}: bad number") from None
+        if t != len(rows) + 1:
+            raise ValidationError(
+                f"trace row {reader.line_num}: periods must run 1..T in order")
+        rows.append(vals)
     if not rows:
         raise ValidationError("trace file has no data rows")
     return Trace(x=np.array(rows), source="file-replay")

@@ -1,17 +1,24 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import flowdesign
 from flowdesign import (
     build_measurement_model,
     design_problem,
     export_canonical_socp,
     flow_model,
     load_topology,
+    save_topology,
     serialize_socp,
     solve_classical_E,
     solve_myopic,
     solve_naive,
     solve_steady_state_E,
+    synth_topology,
 )
 from flowdesign.cli import main
 
@@ -49,7 +56,7 @@ def test_synth_validate_design_round_trip(bundle, tmp_path, capsys):
     rc = main(["design", "--topology", bundle, "--out", str(out)])
     assert rc == 0
     msg = capsys.readouterr().out
-    assert msg.startswith("steady_state_E: theta = ")
+    assert msg.startswith("steady_state: theta = ")
 
     spec = load_topology(bundle)
     mm = build_measurement_model(spec)
@@ -118,6 +125,10 @@ def test_usage_errors_exit_2(bundle, tmp_path, capsys):
                  str(tmp_path / "x"), "--no-such-flag"]) == 2
     assert main(["design", "--out", str(tmp_path / "x")]) == 2  # missing required
     assert main(["frobnicate"]) == 2
+    for scheme in ("steady_state_E", "classical_E", "E"):
+        assert main(["design", "--topology", bundle, "--scheme", scheme,
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "--scheme" in capsys.readouterr().err
     assert main(["simulate", "--config", str(tmp_path / "missing.cfg"),
                  "--out", str(tmp_path / "x")]) == 2
     capsys.readouterr()
@@ -215,3 +226,75 @@ def test_validate_bad_bundle_exit_1(bundle, tmp_path, capsys):
     path.write_text("node,b\n")  # wrong header
     assert main(["validate", "--topology", broken]) == 1
     assert "budgets.csv" in capsys.readouterr().err
+
+
+def test_design_scheme_spellings_write_same_files(bundle, tmp_path, capsys):
+    outs = []
+    for spelling in ("steady-state", "steady_state"):
+        out = tmp_path / spelling
+        assert main(["design", "--topology", bundle, "--scheme", spelling,
+                     "--out", str(out)]) == 0
+        outs.append(out)
+        assert capsys.readouterr().out.startswith("steady_state: theta = ")
+    for name in ("xi.csv", "theta.txt", "socp.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_experiments_reject_classical(bundle, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, bundle, scheme="classical")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert ("config field 'scheme': must be one of naive, myopic, "
+            "steady_state") in err
+
+
+def test_validate_accepts_tiny_means(tmp_path, capsys):
+    # flow means of 1e-4 packets give J entries near 1e4; an absolute
+    # 1e-12 check of J xi used to reject this valid bundle
+    d = str(tmp_path / "tiny")
+    save_topology(synth_topology("grid", rows=4, cols=4, budget=0.02, seed=1,
+                                 mu_scale=1e-4), d)
+    assert main(["validate", "--topology", d]) == 0
+    assert capsys.readouterr().out.endswith(
+        "ok: 16 routers, 48 observation points, 60 flows, 160 measurements\n")
+
+
+def run_cli(*argv):
+    """flowdesign in a fresh interpreter, so an uncaught error shows as a
+    traceback on stderr."""
+    src = os.path.dirname(os.path.dirname(flowdesign.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "flowdesign.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_non_utf8_config_exits_2(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"# caf\xc3\xa9 is UTF-8\nhorizon = 10\nscheme = \xff\n")
+    proc = run_cli("idealized", "--config", str(cfg), "--out",
+                   str(tmp_path / "x"))
+    assert proc.returncode == 2
+    assert "config field 'config': bad.cfg: line 3 is not UTF-8" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_non_utf8_bundle_exits_1(bundle, tmp_path):
+    import shutil
+    broken = tmp_path / "broken"
+    shutil.copytree(bundle, broken)
+    flows = broken / "flows.csv"
+    flows.write_bytes(flows.read_bytes() + b"n1,n\xff,1,1\n")
+    proc = run_cli("validate", "--topology", str(broken))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: flows.csv: line 5 is not UTF-8")
+    assert "Traceback" not in proc.stderr
+
+
+def test_non_utf8_trace_exits_1(bundle, tmp_path):
+    trace = tmp_path / "walk.csv"
+    trace.write_bytes(b"t,flow_1,flow_2,flow_3\n1,5,5,5\n2,5,\xff,5\n")
+    cfg = write_cfg(tmp_path, bundle, trace_file=str(trace))
+    proc = run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "x"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: walk.csv: line 3 is not UTF-8")
+    assert "Traceback" not in proc.stderr

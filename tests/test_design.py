@@ -7,6 +7,7 @@ from flowdesign import (
     FlowDesignError,
     FlowModel,
     InfeasibleError,
+    SCHEMES,
     SocpCone,
     ValidationError,
     check_design_output,
@@ -17,11 +18,13 @@ from flowdesign import (
     export_canonical_socp,
     flow_model,
     parse_socp_text,
+    predicted_info,
     serialize_socp,
     solve_classical_E,
     solve_myopic,
     solve_naive,
     solve_lp,
+    solve_scheme,
     solve_steady_state_E,
     steady_state_info,
     synth_topology,
@@ -46,7 +49,7 @@ def pair_fm(s1=0.01, s2=0.04):
 
 def test_classical_worked_example():
     res = solve_classical_E(pair_problem())
-    assert res.scheme == "classical_E"
+    assert res.scheme == "classical"
     assert res.theta == pytest.approx(25.0, rel=1e-9)
     assert np.allclose(res.xi, [0.5, 0.5], atol=1e-9)
     assert np.allclose(res.info, [25.0, 25.0], atol=1e-8)
@@ -415,6 +418,55 @@ def test_steady_state_never_worse_than_naive():
         ss = solve_steady_state_E(p, fm)
         naive_limit = float(np.min(steady_state_info(naive.info, fm.sigma2)))
         assert ss.theta >= naive_limit * (1 - 1e-9)
+
+
+# ------------------------------------------------------------------ scheme table
+
+
+def grid_instance(mode="inequality"):
+    mm = build_measurement_model(
+        synth_topology("grid", rows=3, cols=3, budget=0.02, seed=1))
+    return design_problem(mm, constraint_mode=mode), flow_model(mm)
+
+
+def assert_same_design(a, b):
+    assert a.scheme == b.scheme
+    assert a.xi.tobytes() == b.xi.tobytes()
+    assert a.info.tobytes() == b.info.tobytes()
+    assert repr(a.theta) == repr(b.theta)
+    assert a.diagnostics == b.diagnostics
+
+
+@pytest.mark.parametrize("mode", ["inequality", "equality_with_zeroing"])
+def test_solve_scheme_matches_each_solver_bit_for_bit(mode):
+    p, fm = grid_instance(mode)
+    prior = np.random.default_rng(3).uniform(0.0, 2e-6, fm.n_r)
+    warm = solve_myopic(p, fm, prior)
+    later = predicted_info(prior, fm.sigma2) + p.J @ warm.xi
+    cases = [
+        ("naive", {}, solve_naive(p)),
+        ("classical", {}, solve_classical_E(p)),
+        ("myopic", {}, solve_myopic(p, fm, np.zeros(fm.n_r))),
+        ("myopic", {"prior_info": prior}, warm),
+        ("myopic", {"prior_info": later, "start": warm},
+         solve_myopic(p, fm, later, start=warm)),
+        ("steady_state", {}, solve_steady_state_E(p, fm)),
+        ("steady_state", {"tol_theta": 1e-4},
+         solve_steady_state_E(p, fm, tol_theta=1e-4)),
+    ]
+    for scheme, kwargs, direct in cases:
+        res = solve_scheme(scheme, p, fm, **kwargs)
+        assert_same_design(res, direct)
+        assert direct.scheme == scheme  # every solver labels with the table
+    assert {c[0] for c in cases} == set(SCHEMES)
+    assert SCHEMES == design.SCHEMES
+
+
+def test_solve_scheme_rejects_unknown_names():
+    p, fm = grid_instance()
+    for name in ("steady-state", "classical_E", "steady_state_E", ""):
+        with pytest.raises(ValidationError, match="naive, classical"):
+            solve_scheme(name, p, fm)
 
 
 # ------------------------------------------------------------------ cones

@@ -14,6 +14,7 @@ from flowdesign import (
     TopologySpec,
     ValidationError,
     build_measurement_model,
+    design,
     design_problem,
     flow_model,
     gen_random_walk_trace,
@@ -90,6 +91,8 @@ def test_parse_config_full_file(tmp_path):
     ("topology_kind = line\nflows_dump = maybe\n", "flows_dump"),
     ("topology_kind = line\nuse_prediction = no\n", "use_prediction"),  # removed key
     ("topology_kind = line\nhorizon 5\n", "config"),
+    ("topology_kind = line\nscheme = classical\n", "scheme"),  # design only
+    ("topology_kind = line\nscheme = steady-state\n", "scheme"),
 ])
 def test_parse_config_rejects(tmp_path, text, field):
     p = tmp_path / "bad.cfg"
@@ -246,15 +249,16 @@ def test_simulation_solves_fixed_true_mu_designs_once(tmp_path, monkeypatch,
     calls = collections.Counter()
 
     def counting(name):
-        fn = getattr(harness, name)
+        fn = getattr(design, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
+    # solve_scheme looks the solvers up in flowdesign.design at call time
     for name in ("solve_naive", "solve_steady_state_E", "solve_myopic"):
-        monkeypatch.setattr(harness, name, counting(name))
+        monkeypatch.setattr(design, name, counting(name))
     cfg = synth_cfg(horizon=20, block_size=5, replications=3, seed=4,
                     scheme=scheme, warmup_scheme=warmup)
     ms = run_simulation(cfg)
