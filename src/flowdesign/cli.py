@@ -21,10 +21,10 @@ from dataclasses import replace
 
 from .design import (SCHEMES, export_canonical_socp, serialize_socp,
                      solve_scheme)
-from .harness import (ConfigError, ExperimentConfig, _g, load_instance,
+from .harness import (ConfigError, ExperimentConfig, load_instance,
                       parse_config, run_idealized, run_simulation,
                       write_metrics)
-from .model import FlowDesignError, ValidationError
+from .model import FlowDesignError, ValidationError, floats_text, write_lines
 from .network import (CONSTRAINT_MODES, TOPOLOGY_KINDS, ParameterError,
                       save_topology, synth_topology)
 # unused here, but perfbench/tracing.py patches these bindings (TRACED)
@@ -52,18 +52,15 @@ def _cmd_design(args) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     res = solve_scheme(args.scheme, p, fm, tol_theta=cfg.tol_theta)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "xi.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        fh.write("# flowdesign xi.csv v1\n")
-        fh.write("op_id,xi\n")
-        for k, v in enumerate(res.xi):
-            fh.write(f"{k + 1},{_g(v)}\n")
-    with open(os.path.join(args.out, "theta.txt"), "w", encoding="utf-8") as fh:
-        fh.write(_g(res.theta) + "\n")
+    (theta,) = floats_text(res.theta, {})
+    write_lines(os.path.join(args.out, "xi.csv"),
+                ["# flowdesign xi.csv v1", "op_id,xi"]
+                + [f"{k},{v}" for k, v in enumerate(floats_text(res.xi, {}), 1)])
+    write_lines(os.path.join(args.out, "theta.txt"), [theta])
     if args.scheme == "steady_state":
-        with open(os.path.join(args.out, "socp.txt"), "w", encoding="utf-8") as fh:
-            fh.write(serialize_socp(export_canonical_socp(p, fm)))
-    print(f"{res.scheme}: theta = {_g(res.theta)} over {mm.n_o} observation "
+        write_lines(os.path.join(args.out, "socp.txt"),
+                    serialize_socp(export_canonical_socp(p, fm)).splitlines())
+    print(f"{res.scheme}: theta = {theta} over {mm.n_o} observation "
           f"points -> {args.out}")
     return 0
 
@@ -76,7 +73,8 @@ def _cmd_experiment(args) -> int:
     run = run_simulation if args.command == "simulate" else run_idealized
     ms = run(cfg)
     write_metrics(ms, args.out, flows_dump=cfg.flows_dump)
-    print(f"{args.command}[{ms.scheme}]: median max MSE {_g(ms.median)} over "
+    print(f"{args.command}[{ms.scheme}]: median max MSE "
+          f"{floats_text(ms.median, {})[0]} over "
           f"t={ms.window[0]}..{ms.window[1]} -> {args.out}")
     return 0
 

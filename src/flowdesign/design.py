@@ -14,7 +14,8 @@ dispatches a scheme name to its solver for the CLI and both runners:
   design's actual theta (lower bound); the returned design carries that
   bracket as its certificate. No cone solver needed, but
   export_canonical_socp emits the equivalent second-order cone data
-  for cross-checking against one.
+  for cross-checking against one, and serialize_socp its text form,
+  with floats from model.floats_text.
 * myopic: max over xi of the minimum one-step-ahead posterior
   information given accumulated prior information, again an LP.
 * naive: split each router budget equally over its traversed
@@ -393,15 +394,6 @@ def cone_residuals(socp: CanonicalSocp, x) -> np.ndarray:
     return out
 
 
-def _fmt(values, texts: dict) -> str:
-    # texts maps float64 bits to text, so each distinct value is formatted
-    # once; keyed on bits since -0.0 == 0.0 but they print -0 and 0
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    return " ".join([texts.get(bits) or texts.setdefault(bits, format(v, ".17g"))
-                     for bits, v in zip(values.view(np.int64).tolist(),
-                                        values.tolist())])
-
-
 def serialize_socp(socp: CanonicalSocp) -> str:
     """Plain-text block form, one cone per stanza. Round-trips exactly.
 
@@ -421,24 +413,23 @@ def serialize_socp(socp: CanonicalSocp) -> str:
         s
         <float>
 
-    Floats are printed with 17 significant digits so parsing recovers
-    the exact IEEE values.
+    Floats are written by model.floats_text with one memo for the whole
+    text, 17 significant digits, so parsing recovers the exact IEEE values.
     """
     texts: dict = {}
+
+    def fmt(values) -> str:
+        return " ".join(model.floats_text(values, texts))
+
     lines = ["socp-canonical v1",
              f"nvars {socp.n} flow_cones {socp.n_flow_cones} "
              f"budget_cones {socp.n_budget_cones}",
-             "f", _fmt(socp.f, texts)]
+             "f", fmt(socp.f)]
     for idx, cone in enumerate(socp.cones, start=1):
         lines.append(f"cone {idx} rows {cone.P.shape[0]}")
         lines.append("P")
-        lines.extend(_fmt(row, texts) for row in cone.P)
-        lines.append("q")
-        lines.append(_fmt(cone.q, texts))
-        lines.append("r")
-        lines.append(_fmt(cone.r, texts))
-        lines.append("s")
-        lines.append(_fmt(cone.s, texts))
+        lines.extend(fmt(row) for row in cone.P)
+        lines += ["q", fmt(cone.q), "r", fmt(cone.r), "s", fmt(cone.s)]
     return "\n".join(lines) + "\n"
 
 

@@ -19,23 +19,25 @@ from design.solve_scheme:
 
 Config files are flat `key = value` text; see _CONFIG_KEYS for the
 vocabulary (keys mirror ExperimentConfig fields). CSV outputs carry a
-versioned `#` comment header so downstream scripts can pin schemas.
+versioned `#` comment header so downstream scripts can pin schemas; like
+every file the package writes, they go through model.write_lines (UTF-8,
+lines ended by "\n") with floats from model.floats_text.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import os
 from dataclasses import dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
 from .design import SCHEMES, solve_scheme
 from .filtering import FilterState, _update, predicted_info
-from .model import (FlowDesignError, FlowModel, ValidationError, read_text,
-                    validate_problem)
+from .model import (FlowDesignError, FlowModel, ValidationError, floats_text,
+                    read_text, validate_problem, write_lines)
 from .network import (CONSTRAINT_MODES, TOPOLOGY_KINDS, ParameterError,
                       build_measurement_model, design_problem, flow_model,
                       load_topology, remap_mu, synth_topology)
@@ -113,8 +115,8 @@ class ExperimentConfig:
         for name in ("seed", "trace_seed", "topology_seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(name, "must be >= 0")
-        if self.trace_floor < 0:
-            raise ConfigError("trace_floor", "must be >= 0")
+        if not (math.isfinite(self.trace_floor) and self.trace_floor >= 0):
+            raise ConfigError("trace_floor", "must be finite and >= 0")
         if (self.topology_dir is None) == (self.topology_kind is None):
             raise ConfigError(
                 "topology_dir", "give exactly one of topology_dir or topology_kind")
@@ -259,10 +261,12 @@ def run_idealized(cfg: ExperimentConfig) -> MetricsSeries:
 
     No sampling noise is simulated; per-flow MSE at t is the filter
     variance s_i(t) given the scheme's rates. Requires mu_mode=true_mu
-    (there are no estimates to plug in). Myopic re-solves its LP every
-    period from the accumulated information, warm-started from the
-    previous period's optimal basis (only the offsets move, so most
-    periods need no pivot); naive and steady_state keep one fixed design.
+    (there are no estimates to plug in). One loop steps the information
+    recursion info = predicted_info(info) + J xi over the periods. Myopic
+    re-solves its LP every period from the accumulated information,
+    warm-started from the previous period's optimal basis (only the
+    offsets move, so most periods need no pivot); naive and steady_state
+    solve once, at t = 1, and keep that design.
 
     block_size and warmup_scheme are ignored: with the true means known
     there is nothing to wait for, so the fixed schemes hold from t = 1
@@ -276,28 +280,24 @@ def run_idealized(cfg: ExperimentConfig) -> MetricsSeries:
     meta = {"mode": "idealized", "scheme": cfg.scheme,
             "constraint_mode": cfg.constraint_mode, "warnings": warnings}
 
+    myopic = cfg.scheme == "myopic"
+    rates = np.empty((T if myopic else 1, mm.n_o))
     per_flow = np.empty((T, fm.n_r))
     info = np.zeros(fm.n_r)
-    if cfg.scheme == "myopic":
-        rates = np.empty((T, mm.n_o))
-        block_starts = np.arange(1, T + 1)
-        res = None
-        for t in range(T):
-            res = solve_scheme("myopic", p, fm, info, start=res)
+    res = None
+    for t in range(T):
+        if res is None or myopic:
+            res = solve_scheme(cfg.scheme, p, fm, info, cfg.tol_theta, start=res)
             rates[t] = res.xi
-            info = res.info  # predicted prior + J xi, the new posterior info
-            per_flow[t] = _mse_from_info(info)
+            m = p.J @ res.xi
+        info = predicted_info(info, fm.sigma2) + m  # myopic: res.info, bit for bit
+        per_flow[t] = _mse_from_info(info)
+    if myopic:
         meta["theta_final"] = float(np.min(info))
     else:
-        res = solve_scheme(cfg.scheme, p, fm, tol_theta=cfg.tol_theta)
-        rates = res.xi[None, :]
-        block_starts = np.array([1])
         meta["theta"] = res.theta
         meta["design_diagnostics"] = dict(res.diagnostics)
-        m = mm.J @ res.xi
-        for t in range(T):
-            info = predicted_info(info, fm.sigma2) + m
-            per_flow[t] = _mse_from_info(info)
+    block_starts = np.arange(1, rates.shape[0] + 1)
     return _series(cfg, per_flow, block_starts, rates, meta)
 
 
@@ -457,43 +457,29 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
     return _series(cfg, sq_sum / cfg.replications, block_starts, rates, meta)
 
 
-# ---------------------------------------------------------------------------
-# output files (all floats as %.17g so reruns are bit-identical)
-
-
-def _g(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_metrics(ms: MetricsSeries, outdir: str,
                   flows_dump: bool = False) -> None:
-    """Write metrics.csv and rates.csv (and optionally flows.csv)."""
+    """Write metrics.csv and rates.csv (and optionally flows.csv), one
+    line at a time. metrics.csv and rates.csv keep one float memo each,
+    flows.csv one per period, so its memo holds at most one row."""
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "metrics.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        fh.write("# flowdesign metrics.csv v1\n")
-        fh.write(f"# median_max_mse {_g(ms.median)} "
-                 f"window {ms.window[0]}..{ms.window[1]}\n")
-        w = csv.writer(fh)
-        w.writerow(["t", "max_mse", "scheme"])
-        for t, v in zip(ms.t, ms.max_mse):
-            w.writerow([int(t), _g(v), ms.scheme])
-    with open(os.path.join(outdir, "rates.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        fh.write("# flowdesign rates.csv v1\n")
-        fh.write("# block_starts " + " ".join(str(int(t)) for t in ms.block_starts)
-                 + "\n")
-        w = csv.writer(fh)
-        w.writerow(["block", "op_id", "xi"])
-        for bi in range(ms.rates.shape[0]):
-            for k in range(ms.rates.shape[1]):
-                w.writerow([bi + 1, k + 1, _g(ms.rates[bi, k])])
+    texts: dict = {}
+    (median,) = floats_text(ms.median, texts)
+    write_lines(os.path.join(outdir, "metrics.csv"), chain(
+        ["# flowdesign metrics.csv v1",
+         f"# median_max_mse {median} window {ms.window[0]}..{ms.window[1]}",
+         "t,max_mse,scheme"],
+        (f"{int(t)},{v},{ms.scheme}"
+         for t, v in zip(ms.t, floats_text(ms.max_mse, texts)))))
+    texts = {}
+    write_lines(os.path.join(outdir, "rates.csv"), chain(
+        ["# flowdesign rates.csv v1",
+         "# block_starts " + " ".join(str(int(t)) for t in ms.block_starts),
+         "block,op_id,xi"],
+        (f"{bi},{k},{v}" for bi, row in enumerate(ms.rates, 1)
+         for k, v in enumerate(floats_text(row, texts), 1))))
     if flows_dump:
-        with open(os.path.join(outdir, "flows.csv"), "w", newline="",
-                  encoding="utf-8") as fh:
-            fh.write("# flowdesign flows.csv v1\n")
-            w = csv.writer(fh)
-            w.writerow(["t", "flow", "mse"])
-            for ti, t in enumerate(ms.t):
-                for i in range(ms.per_flow_mse.shape[1]):
-                    w.writerow([int(t), i + 1, _g(ms.per_flow_mse[ti, i])])
+        write_lines(os.path.join(outdir, "flows.csv"), chain(
+            ["# flowdesign flows.csv v1", "t,flow,mse"],
+            (f"{int(t)},{i},{v}" for t, row in zip(ms.t, ms.per_flow_mse)
+             for i, v in enumerate(floats_text(row, {}), 1))))

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (DesignProblem, FlowDesignError, FlowModel,
-                    ValidationError, read_text)
+                    ValidationError, floats_text, read_text)
 
 
 CONSTRAINT_MODES = ("inequality", "equality_with_zeroing")
@@ -413,8 +413,9 @@ def synth_topology(kind: str, *, n_nodes=None, rows=None, cols=None,
 
 
 def _write_csv(path, header, rows):
+    # csv.writer, not model.write_lines: node ids may need quoting
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
 
@@ -465,12 +466,13 @@ def save_topology(t: TopologySpec, dirpath: str) -> None:
     _write_csv(os.path.join(dirpath, "nodes.csv"), ["id"],
                [[n] for n in t.nodes])
     _write_csv(os.path.join(dirpath, "links.csv"), ["u", "v"], links)
+    texts: dict = {}
     _write_csv(os.path.join(dirpath, "flows.csv"),
                ["origin", "destination", "sigma2", "mu"],
-               [[f.origin, f.destination, format(f.sigma2, ".17g"),
-                 format(f.mu, ".17g")] for f in t.flows])
-    _write_csv(os.path.join(dirpath, "budgets.csv"), ["router", "b"],
-               [[n, format(t.budgets[n], ".17g")] for n in t.nodes])
+               [[f.origin, f.destination, *floats_text([f.sigma2, f.mu], texts)]
+                for f in t.flows])
+    _write_csv(os.path.join(dirpath, "budgets.csv"), ["router", "b"], zip(
+        t.nodes, floats_text([t.budgets[n] for n in t.nodes], texts)))
 
 
 def load_topology(dirpath: str) -> TopologySpec:

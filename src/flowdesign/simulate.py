@@ -16,10 +16,11 @@ import csv
 import io
 import os
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .model import FlowModel, ValidationError, read_text
+from .model import FlowModel, ValidationError, read_text, write_lines
 from .network import MeasurementModel
 
 
@@ -166,11 +167,10 @@ def save_trace(trace: Trace, path: str) -> None:
     counts = np.rint(trace.x)
     if np.any(np.abs(counts - trace.x) > 1e-9):
         raise ValidationError("trace volumes must be integers to serialize")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"flow_{i + 1}" for i in range(trace.n_r)])
-        for t in range(trace.T):
-            w.writerow([t + 1] + [int(v) for v in counts[t]])
+    write_lines(path, chain(
+        [",".join(["t"] + [f"flow_{i + 1}" for i in range(trace.n_r)])],
+        (",".join(map(str, [t, *map(int, row.tolist())]))
+         for t, row in enumerate(counts, 1))))
 
 
 def load_trace(path: str) -> Trace:

@@ -23,8 +23,8 @@ different route, so agreement is meaningful:
 * per_period_simulation: run_simulation's closed loop one period at a
   time, through the validating public functions, with every block's
   design solved afresh.
-* socp_floats: serialize_socp's number text with every value formatted
-  on its own, where the library formats each distinct bit pattern once.
+* float_texts: model.floats_text with every value formatted on its own,
+  where the library formats each distinct bit pattern once per memo.
 """
 
 from __future__ import annotations
@@ -467,6 +467,6 @@ def per_period_simulation(cfg):
 # SOCP text
 
 
-def socp_floats(values) -> str:
-    """Space-separated 17-significant-digit text of ``values``."""
-    return " ".join(format(float(v), ".17g") for v in np.atleast_1d(values))
+def float_texts(values) -> list:
+    """The 17-significant-digit text of each of ``values``."""
+    return [format(float(v), ".17g") for v in np.atleast_1d(values)]

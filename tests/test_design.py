@@ -31,7 +31,7 @@ from flowdesign import (
 )
 
 from oracles import (bisect_steady_state, grid_design_bounds,
-                     highs_classical_theta, socp_floats)
+                     highs_classical_theta, float_texts)
 
 
 def pair_problem():
@@ -545,7 +545,8 @@ def test_socp_round_trip_exact():
 
 def _oracle_text(socp, monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(design, "_fmt", lambda values, texts: socp_floats(values))
+        m.setattr(design.model, "floats_text",
+                  lambda values, texts: float_texts(values))
         return serialize_socp(socp)
 
 

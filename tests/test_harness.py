@@ -127,6 +127,8 @@ def test_config_requires_one_topology_source(tmp_path):
     {"cap": 1.5},
     {"tol_theta": 0.0},
     {"trace_floor": -1.0},
+    {"trace_floor": float("nan")},
+    {"trace_floor": float("inf")},
     {"median_window_start": 0},
     {"median_window_start": 500},
     {"tol_theta": float("nan")},
@@ -134,8 +136,9 @@ def test_config_requires_one_topology_source(tmp_path):
     {"topology_kind": "hypercube"},
 ])
 def test_config_validation(kw):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as exc:
         synth_cfg(**{"horizon": 200, **kw})
+    assert exc.value.field == next(iter(kw))  # the message names the key
 
 
 def test_median_window_default_and_override():
@@ -533,41 +536,75 @@ def test_simulation_noiseless_full_rate_tracks_analytic_variance(tmp_path):
 # ------------------------------------------------------------------ files
 
 
-def test_write_metrics_formats(tmp_path):
-    cfg = synth_cfg(horizon=9, block_size=4, replications=2, seed=7)
-    ms = run_simulation(cfg)
+def _float_bits(texts) -> bytes:
+    return np.array([float(v) for v in texts]).tobytes()
+
+
+def test_write_metrics_formats(tmp_path, monkeypatch):
+    """Every file the package writes: `#` headers as pinned, every float
+    read back to its bits, every line ended by "\n" alone."""
+    # a signed zero, an unobservable flow's inf and the least subnormal
+    odd = np.array([-0.0, np.inf, 5e-324])
+    ms = run_simulation(synth_cfg(horizon=9, block_size=4, replications=2, seed=7))
+    per_flow, rates = ms.per_flow_mse.copy(), ms.rates.copy()
+    per_flow[1, :3] = rates[1, :3] = odd
+    ms = replace(ms, max_mse=per_flow.max(axis=1), per_flow_mse=per_flow,
+                 rates=rates, median=-0.0)
     out = str(tmp_path / "out")
     write_metrics(ms, out, flows_dump=True)
 
     lines = open(os.path.join(out, "metrics.csv")).read().splitlines()
-    assert lines[0] == "# flowdesign metrics.csv v1"
-    parts = lines[1].split()
-    assert parts[:2] == ["#", "median_max_mse"]
-    assert float(parts[2]) == ms.median
-    assert parts[3] == "window" and parts[4] == f"{ms.window[0]}..{ms.window[1]}"
-    assert lines[2] == "t,max_mse,scheme"
+    assert lines[:3] == ["# flowdesign metrics.csv v1",
+                         "# median_max_mse -0 window 2..9", "t,max_mse,scheme"]
     rows = [ln.split(",") for ln in lines[3:]]
     assert [int(r[0]) for r in rows] == list(range(1, 10))
-    assert float(rows[4][1]) == ms.max_mse[4]  # %.17g survives the round trip
+    assert _float_bits(r[1] for r in rows) == ms.max_mse.tobytes()
     assert {r[2] for r in rows} == {ms.scheme}
 
     lines = open(os.path.join(out, "rates.csv")).read().splitlines()
-    assert lines[0] == "# flowdesign rates.csv v1"
-    assert lines[1] == "# block_starts 1 5 9"
-    assert lines[2] == "block,op_id,xi"
+    assert lines[:3] == ["# flowdesign rates.csv v1", "# block_starts 1 5 9",
+                         "block,op_id,xi"]
     body = [ln.split(",") for ln in lines[3:]]
-    assert len(body) == ms.rates.size
-    assert body[0][:2] == ["1", "1"] and body[-1][0] == "3"
-    assert float(body[ms.rates.shape[1]][2]) == ms.rates[1, 0]
+    n_o = ms.rates.shape[1]
+    assert [(int(b), int(k)) for b, k, _ in body] == [
+        (bi, k) for bi in (1, 2, 3) for k in range(1, n_o + 1)]
+    assert _float_bits(v for _, _, v in body) == ms.rates.tobytes()
 
     lines = open(os.path.join(out, "flows.csv")).read().splitlines()
-    assert lines[0] == "# flowdesign flows.csv v1"
-    per_t = {}
-    for ln in lines[2:]:
-        t, fl, v = ln.split(",")
-        per_t.setdefault(int(t), []).append(float(v))
-    recomputed = np.array([max(per_t[t]) for t in sorted(per_t)])
-    np.testing.assert_array_equal(recomputed, ms.max_mse)
+    assert lines[:2] == ["# flowdesign flows.csv v1", "t,flow,mse"]
+    body = [ln.split(",") for ln in lines[2:]]
+    n_r = ms.per_flow_mse.shape[1]
+    assert [(int(t), int(i)) for t, i, _ in body] == [
+        (t, i) for t in range(1, 10) for i in range(1, n_r + 1)]
+    assert _float_bits(v for _, _, v in body) == ms.per_flow_mse.tobytes()
+
+    # design writes xi.csv, theta.txt and socp.txt from the same floats
+    solve = cli.solve_scheme
+
+    def odd_design(*args, **kw):
+        res = solve(*args, **kw)
+        return replace(res, xi=np.r_[odd, res.xi[3:]], theta=5e-324)
+
+    monkeypatch.setattr(cli, "solve_scheme", odd_design)
+    bundle, trace = str(tmp_path / "bundle"), str(tmp_path / "trace.csv")
+    spec = synth_topology("grid", rows=3, cols=3, budget=0.02, seed=1)
+    save_topology(spec, bundle)
+    mm = build_measurement_model(spec)
+    save_trace(gen_random_walk_trace(flow_model(mm), 5, seed=1), trace)
+    xi = solve_steady_state_E(design_problem(mm), flow_model(mm)).xi
+    assert cli.main(["design", "--topology", bundle, "--out", out]) == 0
+    lines = open(os.path.join(out, "xi.csv")).read().splitlines()
+    assert lines[:2] == ["# flowdesign xi.csv v1", "op_id,xi"]
+    body = [ln.split(",") for ln in lines[2:]]
+    assert [int(k) for k, _ in body] == list(range(1, xi.size + 1))
+    assert _float_bits(v for _, v in body) == np.r_[odd, xi[3:]].tobytes()
+    assert open(os.path.join(out, "theta.txt")).read() == "4.9406564584124654e-324\n"
+
+    written = [os.path.join(d, f) for d, _, fs in os.walk(tmp_path) for f in fs]
+    assert len(written) == 11  # six outputs, four bundle files, one trace
+    for path in written:
+        with open(path, "rb") as fh:
+            assert b"\r" not in fh.read(), path
 
 
 def test_flows_dump_only_when_asked(tmp_path):
