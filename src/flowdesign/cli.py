@@ -144,11 +144,9 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--cols", type=int, default=None)
     g.add_argument("--links", type=int, default=None)
     g.add_argument("--flows", type=int, default=None)
-    g.add_argument("--flow-fraction", type=float, default=0.25,
-                   dest="flow_fraction")
-    g.add_argument("--mu-scale", type=float, default=1000.0, dest="mu_scale")
-    g.add_argument("--sigma-rel", type=float, default=0.05, dest="sigma_rel")
-    g.add_argument("--budget", type=float, default=0.01)
+    for flag in ("flow_fraction", "mu_scale", "sigma_rel", "budget"):
+        g.add_argument("--" + flag.replace("_", "-"), type=float, dest=flag,
+                       default=getattr(ExperimentConfig, flag))
     g.add_argument("--seed", type=_seed, default=0)
     g.set_defaults(func=_cmd_synth)
 

@@ -462,20 +462,22 @@ def parse_socp_text(text: str) -> CanonicalSocp:
     if (len(head) != 6 or head[0] != "nvars" or head[2] != "flow_cones"
             or head[4] != "budget_cones"):
         raise ValidationError("malformed socp header line")
-    try:
-        n, n_flow, n_budget = int(head[1]), int(head[3]), int(head[5])
-    except ValueError:
-        raise ValidationError("malformed socp header counts") from None
+    if not all(tok.isdecimal() for tok in head[1::2]):
+        raise ValidationError("malformed socp header counts")
+    n, n_flow, n_budget = int(head[1]), int(head[3]), int(head[5])
     take("f")
     f = floats(take(), n)
     cones = []
     for idx in range(1, n_flow + n_budget + 1):
         head = take().split()
-        if len(head) != 4 or head[0] != "cone" or head[2] != "rows":
+        if (len(head) != 4 or head[0] != "cone" or head[2] != "rows"
+                or not (head[1].isdecimal() and head[3].isdecimal())):
             raise ValidationError(f"malformed cone header for cone {idx}")
         if int(head[1]) != idx:
             raise ValidationError(f"cone {head[1]} out of order (expected {idx})")
         rows = int(head[3])
+        if rows < 1:
+            raise ValidationError(f"cone {idx} has {rows} rows (must be >= 1)")
         take("P")
         P = np.vstack([floats(take(), n) for _ in range(rows)])
         take("q")

@@ -38,12 +38,17 @@ class FilterState:
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         if info.shape != mean.shape or info.ndim != 1:
             raise ValidationError("info and mean must be 1-D arrays of equal length")
-        if np.any(info < 0) or not np.all(np.isfinite(info)):
-            raise ValidationError("posterior information must be finite and >= 0")
-        if np.any(~np.isfinite(mean) & (info > 0)):
-            raise ValidationError("mean must be finite wherever info > 0")
+        _check_posterior(info, mean)
         object.__setattr__(self, "info", info)
         object.__setattr__(self, "mean", mean)
+
+
+def _check_posterior(info, mean):
+    """FilterState's value checks, on arrays of any one shape."""
+    if np.any(info < 0) or not np.all(np.isfinite(info)):
+        raise ValidationError("posterior information must be finite and >= 0")
+    if np.any(~np.isfinite(mean) & (info > 0)):
+        raise ValidationError("mean must be finite wherever info > 0")
 
 
 def predicted_info(info: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
@@ -80,13 +85,13 @@ def predict_update(state: FilterState, fm: FlowModel, m, y=None) -> FilterState:
 
 
 def _update(info, mean, sigma2, m, y):
-    """predict_update's arithmetic on bare arrays: the new (info, mean)."""
+    """predict_update's arithmetic on bare arrays: the new (info, mean).
+    ``info`` and ``mean`` may stack rows, (R, n_r), over one ``m``."""
     info_new = predicted_info(info, sigma2) + m
     observed = m > 0
     if not observed.any():
         return info_new, mean.copy()
-    gain = np.zeros(m.shape)
-    gain[observed] = m[observed] / info_new[observed]
+    gain = np.divide(m, info_new, out=np.zeros(info_new.shape), where=observed)
     resid = np.where(observed & np.isnan(mean), 0.0, mean)
     # diffuse prior with an observation: gain is 1, mean becomes y
     mean_new = np.where(observed, resid + gain * (y - resid), mean)

@@ -12,10 +12,10 @@ from design.solve_scheme:
   at block boundaries (plug-in means from the filter when
   mu_mode=plugin), sample, fuse, filter, and report squared errors
   averaged over replications. Replications advance block by block in
-  lockstep, and the packet draws of W replications (one per usable core)
-  run at once, on the caller and a thread pool of W - 1 workers; the
-  outputs are byte-identical for every W. Under true_mu the draw tasks
-  also fuse, and one filter step per period advances all replications.
+  lockstep on one (R, n_r) filter state; the packet draws of W of them
+  (one per usable core) run at once, on the caller and W - 1 threads.
+  plugin fuses each period, true_mu once per block; the outputs are
+  byte-identical for every W.
 
 Config files are flat `key = value` text; see _CONFIG_KEYS for the
 vocabulary (keys mirror ExperimentConfig fields). CSV outputs carry a
@@ -35,7 +35,7 @@ from itertools import chain
 import numpy as np
 
 from .design import SCHEMES, solve_scheme
-from .filtering import FilterState, _update, predicted_info
+from .filtering import _check_posterior, _update, predicted_info
 from .model import (FlowDesignError, FlowModel, ValidationError, floats_text,
                     read_text, validate_problem, write_lines)
 from .network import (CONSTRAINT_MODES, TOPOLOGY_KINDS, ParameterError,
@@ -301,45 +301,19 @@ def run_idealized(cfg: ExperimentConfig) -> MetricsSeries:
     return _series(cfg, per_flow, block_starts, rates, meta)
 
 
-def _filter_block(raw, mm, fm, xi, state: FilterState):
-    """Fuse and filter one plug-in block's sampled periods, in order.
-
-    Each period is fuse_gls, with the filter's mean at the start of the
-    period as the fusion mean, then predict_update; only the block-end
-    state is validated. Returns it and the (B, n_r) posterior means.
-    """
-    flow = mm.l_of[raw.present]
-    rate = xi[mm.k_of][raw.present]
-    info, mean = state.info, state.mean
-    means = np.empty((raw.z.shape[0], fm.n_r))
-    z_present = raw.z if raw.present.all() else raw.z[:, raw.present]
-    for b, z in enumerate(z_present):
-        w = rate / np.maximum(mean, _MU_FLOOR)[flow]
-        y, m = _fuse(flow, w, z, fm.n_r)
-        info, mean = _update(info, mean, fm.sigma2, m, y)
-        means[b] = mean
-    return FilterState(info=info, mean=mean), means
+def _draw(x, mm, xi, rng, present):
+    """One replication's block draw: sample_packets on the (B, n_r)
+    volumes ``x``, kept only as the (B, n) estimates z of the ``present``
+    measurements, so the counts and absent columns are freed here."""
+    z = sample_packets(x, mm, xi, rng).z
+    return z if present.all() else z[:, present]
 
 
-def _fused_draw(x, mm, xi, rng, present, flow, w, m):
-    """One block's draw, fused under the fixed weights ``w`` (with sums
-    ``m``): the (B, n_r) fuse_gls observations, bit for bit, since one
-    bincount over b * n_r + flow sums each bin in the same order."""
-    raw = sample_packets(x, mm, xi, rng)
-    z = raw.z if present.all() else raw.z[:, present]
-    B, n_r = z.shape[0], m.size
-    idx = (np.arange(B)[:, None] * n_r + flow).ravel()
-    wz = np.bincount(idx, weights=(w * z).ravel(), minlength=B * n_r)
-    y = np.full((B, n_r), np.nan)
-    np.divide(wz.reshape(B, n_r), m, out=y, where=m > 0)
-    return y
-
-
-def _draw_group(pool, fn, arg_lists):
-    """fn(*args) for each of ``arg_lists``, in order: the first on the
+def _draw_group(pool, arg_lists):
+    """_draw(*args) for each of ``arg_lists``, in order: the first on the
     caller, the others on ``pool`` at the same time."""
-    futures = [pool.submit(fn, *args) for args in arg_lists[1:]]
-    return [fn(*arg_lists[0])] + [f.result() for f in futures]
+    futures = [pool.submit(_draw, *args) for args in arg_lists[1:]]
+    return [_draw(*arg_lists[0])] + [f.result() for f in futures]
 
 
 def _draw_threads(replications: int) -> int:
@@ -358,26 +332,21 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
     Every replication shares one ground-truth trace but draws its own
     sampling noise. Rates are redesigned at block boundaries
     (t = 1, B+1, ...); block 1 follows warmup_scheme because no
-    estimates exist yet. Each block's packets are drawn in one
-    sample_packets call on its (B, n_r) slice of the trace, which takes
-    the same values from the replication's generator as B one-period
-    calls. The naive design is solved once per run.
+    estimates exist yet, and the naive design is solved once per run.
+    Replications advance in lockstep on one (R, n_r) filter state. A
+    block is one sample_packets call per replication on its (B, n_r)
+    slice of the trace (the same values as B one-period calls), W at a
+    time (W = usable cores, at most R): one on the caller and W - 1 on
+    a thread pool.
 
-    In plugin mode the design and the GLS weights use the latest filter
-    means clamped at 1 (they start at the model mu), so each replication
-    designs its own rates per block (the logged rates are replication
-    0's), and fusion and filtering step period by period through each
-    replication in turn. Under true_mu, m = J xi does not depend on the
-    draw, so all replications share each block's design (steady_state's
-    is solved once per run); each draw is fused over its whole block,
-    and one update per period then filters the (R, n_r) means of all
-    replications at once.
-
-    Replications advance in lockstep, block by block, with their packets
-    drawn W at a time (W = usable cores, at most R): one on the caller
-    and W - 1 on a thread pool, each with its replication's own
-    generator. Squared errors are added in replication order, so every
-    output is byte-identical for every W.
+    Under plugin each replication designs its own rates from its filter
+    means clamped at 1 (the logged rates are replication 0's) and fuses
+    each period with weights from them. Under true_mu, m = J xi does not
+    depend on the draw: one design from mu serves every replication
+    (steady_state's is solved once per run), each block is fused in one
+    call, and one update per period steps all R rows. The block-end
+    state is validated, and squared errors are added in replication
+    order, so every output is byte-identical for every W.
     """
     mm, fm, p, warnings = load_instance(cfg)
     trace = _get_trace(cfg, fm)
@@ -388,8 +357,8 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
     block_starts = np.arange(1, T + 1, B)
     rngs = [np.random.default_rng(stream)
             for stream in np.random.SeedSequence(cfg.seed).spawn(R)]
-    states = [FilterState(info=np.zeros(fm.n_r), mean=fm.mu.copy())
-              for _ in range(R)]
+    info = np.zeros((R, fm.n_r))
+    mean = np.tile(fm.mu, (R, 1))
     W = _draw_threads(R)
     groups = [range(g0, min(g0 + W, R)) for g0 in range(0, R, W)]
 
@@ -418,35 +387,34 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
             if t0 == 0 and cfg.warmup_scheme == "naive":
                 scheme = "naive"
             x = trace.x[t0:t0 + B]
-            if plugin:
-                xis = [design(scheme, np.maximum(s.mean, _MU_FLOOR), s.info)
-                       for s in states]
-                rates[bi] = xis[0]
-                for group in groups:
-                    raws = _draw_group(pool, sample_packets,
-                                       [(x, mm, xis[r], rngs[r]) for r in group])
-                    for r in group:
-                        # pop, so each block's draw is freed once it is filtered
-                        states[r], means = _filter_block(
-                            raws.pop(0), mm, fm, xis[r], states[r])
-                        sq_sum[t0:t0 + B] += (means - x) ** 2
-                continue
-            xi = rates[bi] = design(scheme, fm.mu, states[0].info)
-            present = xi[mm.k_of] > 0.0
-            flow = mm.l_of[present]
-            w = xi[mm.k_of][present] / fm.mu[flow]
-            m = np.bincount(flow, weights=w, minlength=fm.n_r)
-            ys = np.stack([y for group in groups for y in _draw_group(
-                pool, _fused_draw,
-                [(x, mm, xi, rngs[r], present, flow, w, m) for r in group])])
-            # one info vector serves every replication: m is shared
-            info, mean = states[0].info, np.array([s.mean for s in states])
-            for b in range(ys.shape[1]):
-                info, mean = _update(info, mean, fm.sigma2, m, ys[:, b])
-                ys[:, b] = mean  # the posterior means replace the inputs
-            states = [FilterState(info=info, mean=row) for row in mean]
+            xis = ([design(scheme, np.maximum(mean[r], _MU_FLOOR), info[r])
+                    for r in range(R)] if plugin
+                   else [design(scheme, fm.mu, info[0])] * R)
+            rates[bi] = xis[0]
+            present = [xi[mm.k_of] > 0.0 for xi in xis]
+            out = np.empty((R,) + x.shape)  # fused y, then posterior means
+            for group in groups:
+                zs = _draw_group(pool, [(x, mm, xis[r], rngs[r], present[r])
+                                        for r in group])
+                for r in group:
+                    z = zs.pop(0)  # pop, so each draw is freed once fused
+                    flow = mm.l_of[present[r]]
+                    rate = xis[r][mm.k_of][present[r]]
+                    if not plugin:
+                        out[r], m = _fuse(flow, rate / fm.mu[flow], z, fm.n_r)
+                        continue
+                    for b, z_b in enumerate(z):
+                        w = rate / np.maximum(mean[r], _MU_FLOOR)[flow]
+                        y, m = _fuse(flow, w, z_b, fm.n_r)
+                        info[r], mean[r] = _update(info[r], mean[r], fm.sigma2, m, y)
+                        out[r, b] = mean[r]
+            if not plugin:  # m is every replication's: one update per period
+                for b in range(x.shape[0]):
+                    info, mean = _update(info, mean, fm.sigma2, m, out[:, b])
+                    out[:, b] = mean  # the posterior means replace the inputs
+            _check_posterior(info, mean)
             for r in range(R):
-                sq_sum[t0:t0 + B] += (ys[r] - x) ** 2
+                sq_sum[t0:t0 + B] += (out[r] - x) ** 2
     meta = {"mode": "simulation", "scheme": cfg.scheme,
             "constraint_mode": cfg.constraint_mode,
             "mu_mode": cfg.mu_mode, "replications": cfg.replications,

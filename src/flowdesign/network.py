@@ -497,8 +497,10 @@ def load_topology(dirpath: str) -> TopologySpec:
              sigma2=num(s2, "flows.csv"), mu=num(m, "flows.csv"))
         for o, d, s2, m in _read_csv(os.path.join(dirpath, "flows.csv"),
                                      ["origin", "destination", "sigma2", "mu"]))
-    budgets = {r: num(bv, "budgets.csv")
-               for r, bv in _read_csv(os.path.join(dirpath, "budgets.csv"),
-                                      ["router", "b"])}
+    budgets = {}
+    for r, bv in _read_csv(os.path.join(dirpath, "budgets.csv"), ["router", "b"]):
+        if r in budgets:
+            raise ValidationError(f"budgets.csv: duplicate router {r!r}")
+        budgets[r] = num(bv, "budgets.csv")
     return TopologySpec(nodes=nodes, edges=tuple(edges), flows=flows,
                         budgets=budgets)

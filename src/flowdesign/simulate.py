@@ -151,11 +151,14 @@ def fuse_gls(raw: RawMeasurements, mm: MeasurementModel, xi, mu_plugin):
 
 def _fuse(flow, w, z, n_r):
     """fuse_gls's arithmetic on the present measurements alone: ``flow``,
-    ``w`` and ``z`` give each one's flow index, weight and estimate."""
+    ``w`` and ``z`` give each one's flow index, weight and estimate. A
+    (B, n) ``z`` is B periods under the same weights, fused by one
+    bincount over b * n_r + flow: row b of y matches a one-period call."""
     m = np.bincount(flow, weights=w, minlength=n_r)
-    wz = np.bincount(flow, weights=w * z, minlength=n_r)
-    y = np.full(n_r, np.nan)
-    np.divide(wz, m, out=y, where=m > 0)
+    y = np.full(z.shape[:-1] + (n_r,), np.nan)
+    idx = (np.arange(y.size // n_r)[:, None] * n_r + flow).ravel()
+    wz = np.bincount(idx, weights=(w * z).ravel(), minlength=y.size)
+    np.divide(wz.reshape(y.shape), m, out=y, where=m > 0)
     return y, m
 
 

@@ -604,6 +604,13 @@ def test_socp_round_trip_awkward_floats():
         lambda t: t + "extra junk\n",
         lambda t: t.replace("nvars 3", "nvars three"),
         lambda t: t.replace("100", "1e--2", 1),
+        lambda t: t.replace("cone 1 rows", "cone x rows"),
+        lambda t: t.replace("cone 1 rows 2", "cone 1 rows two"),
+        lambda t: t.replace("cone 1 rows 2", "cone 1 rows 0"),
+        lambda t: t.replace("cone 1 rows 2", "cone 1 rows -1"),
+        # no cones at all, and counts that sum to that
+        lambda t: "\n".join(t.splitlines()[:4]).replace("flow_cones 2",
+                                                         "flow_cones -1"),
     ],
 )
 def test_socp_parse_rejects_malformed(mangle):

@@ -457,6 +457,33 @@ def test_simulate_cli_exits_1_on_draw_failure(monkeypatch, tmp_path, capsys):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("bad", ["negative-info", "nan-info", "nan-mean"])
+@pytest.mark.parametrize("mu_mode", ["true_mu", "plugin"])
+def test_simulation_rejects_bad_block_end_state(monkeypatch, mu_mode, bad):
+    # update 4 ends block 1: replication 0's last period under plugin,
+    # the last period of every replication under true_mu
+    real = harness._update
+    calls = [0]
+
+    def update(*args):
+        info, mean = real(*args)
+        calls[0] += 1
+        if calls[0] == 4:
+            info, mean = info.copy(), mean.copy()
+            if bad == "nan-mean":
+                mean[...] = np.nan
+            else:
+                info[0] = -1.0 if bad == "negative-info" else np.nan
+        return info, mean
+
+    monkeypatch.setattr(harness, "_update", update)
+    match = "mean must be finite" if bad == "nan-mean" else "information"
+    with pytest.raises(ValidationError, match=match):
+        run_simulation(synth_cfg(horizon=8, block_size=4, replications=2,
+                                 seed=3, mu_mode=mu_mode))
+    assert calls[0] >= 4
+
+
 def test_simulation_deterministic(tmp_path):
     cfg = synth_cfg(horizon=10, block_size=5, replications=3, seed=11,
                     mu_mode="plugin")

@@ -400,6 +400,18 @@ def test_bundle_bad_header(tmp_path):
         load_topology(str(tmp_path))
 
 
+def test_bundle_duplicate_budget_row(tmp_path, capsys):
+    t = synth_topology("line", n_nodes=3, n_flows=2, seed=0)
+    save_topology(t, str(tmp_path))
+    with open(tmp_path / "budgets.csv", "a") as fh:
+        fh.write("n0,0.5\n")
+    with pytest.raises(ValidationError, match="budgets.csv: duplicate router 'n0'"):
+        load_topology(str(tmp_path))
+    from flowdesign import cli
+    assert cli.main(["validate", "--topology", str(tmp_path)]) == 1
+    assert "duplicate router 'n0'" in capsys.readouterr().err
+
+
 def test_bundle_bad_number(tmp_path):
     t = synth_topology("line", n_nodes=3, n_flows=1, seed=0)
     save_topology(t, str(tmp_path))
