@@ -1,10 +1,28 @@
-"""Dense two-phase simplex solver.
+"""Two-phase tableau simplex solver.
 
-Deliberately plain: a dense tableau, Bland's anti-cycling rule for both
-the entering and leaving choices; rows are equilibrated. The design
-problems solved here have at most a few hundred variables, and what
-matters is that repeated runs pivot identically (bit-identical output
-files) and that failures are explicit.
+A dense tableau with Bland's anti-cycling rule for both the entering and
+leaving choices; rows are equilibrated. The design problems solved here
+have at most a few hundred variables, and what matters is that repeated
+runs pivot identically (bit-identical output files) and that failures
+are explicit.
+
+A pivot updates only the columns where the normalised pivot row is
+nonzero (the sparse elimination step of tableau codes; Bixby 2002). On
+the design LPs that row is a few percent nonzero while the pivot column
+is nearly full, since the theta column fills it. Against the full
+update T -= outer(colvals, prow), a column with prow[j] = ±0 differs
+only where the full update would compute -0.0 - colvals[i]·(±0) = +0.0:
+every nonzero entry of every tableau is bit-identical, and zeros may
+differ in sign. No decision reads the sign of a zero (Bland's rule
+compares against ±_PIVOT_TOL, ratio ties are found with ==), and sums,
+products, and quotients by a nonzero divisor, of operands that differ
+only in the sign of zeros differ only in the sign of zeros. Every
+division by a tableau entry (the pivot row in _pivot, the ratio test in
+_bland) has a divisor of magnitude above _PIVOT_TOL, so the pivots are
+the same; a new division by a tableau entry must keep that true (x/+0
+and x/-0 are infinities of opposite sign). A zero basic value reaches x as
+z + lower, which is +0.0 for either sign when lower is +0.0, as in
+every design LP.
 
 Implied caps are presolved away (Brearley, Mitra & Williams 1975;
 Andersen & Andersen 1995): the row z_j <= span_j is dropped when an
@@ -122,12 +140,20 @@ class LpSolution:
 
 
 def _pivot(T, basis, row, col):
-    T[row] = T[row] / T[row, col]
+    """Gauss-Jordan step on T[row, col], over the pivot row's nonzeros.
+
+    The full update T -= outer(colvals, prow) leaves a column with
+    prow[j] = ±0 unchanged except that a -0.0 entry may turn +0.0, so
+    skipping those columns changes only signs of zeros (module
+    docstring). The pivot column needs no stores: prow[col] = x/x = 1
+    and T[i, col] - T[i, col] * 1 = +0.0 exactly.
+    """
+    prow = T[row] / T[row, col]
+    T[row] = prow
+    nz = np.flatnonzero(prow)
     colvals = T[:, col].copy()
     colvals[row] = 0.0
-    T -= np.outer(colvals, T[row])
-    T[:, col] = 0.0
-    T[row, col] = 1.0
+    T[:, nz] -= colvals[:, None] * prow[nz]
     basis[row] = col
 
 

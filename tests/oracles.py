@@ -9,6 +9,8 @@ different route, so agreement is meaningful:
   information recursion; rigorous even where plain iteration contracts
   too slowly to be usable.
 * vertex_lp_max: brute-force vertex enumeration for small LPs.
+* dense_pivot: the simplex pivot as a Gauss-Jordan step over the whole
+  tableau, where lp._pivot updates only the pivot row's nonzero columns.
 * grid_design_bounds: a grid search over the budget face returning a
   certified two-sided sandwich [theta_lower, theta_upper] for the
   steady-state design optimum.
@@ -132,6 +134,17 @@ def vertex_lp_max(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     if best_val is None:
         return "infeasible", None, None
     return "optimal", best_x, best_val
+
+
+def dense_pivot(T, basis, row, col):
+    """lp._pivot's step on T[row, col] with the full outer-product update."""
+    T[row] = T[row] / T[row, col]
+    colvals = T[:, col].copy()
+    colvals[row] = 0.0
+    T -= np.outer(colvals, T[row])
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+    basis[row] = col
 
 
 # ---------------------------------------------------------------------------

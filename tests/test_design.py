@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,44 @@ def test_steady_state_zero_budget_is_certified_by_classical_lp(monkeypatch):
     assert res.theta == 0.0
     assert res.diagnostics["warnings"] == []
     assert res.diagnostics["theta_bracket"] == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("leak", [0.0, 1e-18])
+def test_steady_state_zero_optimum_survives_roundoff_theta(monkeypatch, leak):
+    # flow 0 is seen only at points 2 and 6 of router 0, whose budget is
+    # 0, so theta* = 0. The warm-started classical LP certifies its basis
+    # with theta ~2e-22 instead of 0.0, and with leak its design also
+    # gives point 2 a rate of roundoff (within the zero row's eps slack),
+    # so flow 0 gets ~1e-22 of information; the zero test must still fire
+    # rather than run every cut round
+    thetas = []
+    theta_lp = design._theta_lp
+
+    def recording(p, slopes, offsets, start=None):
+        sol = theta_lp(p, slopes, offsets, start)
+        if np.isscalar(slopes) and not np.any(offsets):
+            thetas.append(sol.x[0])
+            x = sol.x.copy()
+            x[1 + 2] += leak
+            sol = dataclasses.replace(sol, x=x)
+        return sol
+
+    monkeypatch.setattr(design, "_theta_lp", recording)
+    J = [[0.0, 0.0, 0.000153455145503889, 0.0, 0.0, 0.0, 0.0008851341164710102],
+         [0.0, 0.00018541000481459062, 0.0004728640607121764,
+          0.00041595243364798105, 0.0, 0.0, 0.000742834499790502]]
+    owner = np.array([1, 1, 0, 0, 1, 1, 0])
+    p = DesignProblem(J=J, R=(owner == np.arange(2)[:, None]).astype(float),
+                      b=[0.0, 0.007677977062560226],
+                      row_is_equality=[False, True])
+    mu = np.array([35629.71516301539, 82005.95691533308])
+    res = solve_steady_state_E(p, FlowModel(sigma2=(0.05 * mu) ** 2, mu=mu))
+    assert len(thetas) == 1 and 0.0 < thetas[0] < 1e-20
+    assert (res.theta > 0.0) == (leak > 0.0)
+    assert res.diagnostics["warnings"] == []
+    lo, hi = res.diagnostics["theta_bracket"]
+    assert lo == res.theta <= hi < 1e-13
+    assert res.diagnostics["bisection_iterations"] == 3
 
 
 def test_steady_state_tol_validation():
