@@ -24,7 +24,7 @@ from .design import (SCHEMES, export_canonical_socp, serialize_socp,
 from .harness import (ConfigError, ExperimentConfig, load_instance,
                       parse_config, run_idealized, run_simulation,
                       write_metrics)
-from .model import FlowDesignError, ValidationError, floats_text, write_lines
+from .model import FlowDesignError, floats_text, write_lines
 from .network import (CONSTRAINT_MODES, TOPOLOGY_KINDS, ParameterError,
                       save_topology, synth_topology)
 # unused here, but perfbench/tracing.py patches these bindings (TRACED)
@@ -33,7 +33,8 @@ from .design import (solve_classical_E, solve_myopic,  # noqa: F401
 from .model import validate_problem  # noqa: F401
 from .network import build_measurement_model, load_topology  # noqa: F401
 
-_SYNTH_DESTS = {"n_flows": "flows"}  # synth_topology keyword -> synth flag dest
+# synth_topology keyword -> synth flag dest
+_SYNTH_DESTS = {"n_nodes": "nodes", "n_links": "links", "n_flows": "flows"}
 
 
 def _seed(tok: str) -> int:
@@ -88,8 +89,6 @@ def _cmd_synth(args) -> int:
             sigma_rel=args.sigma_rel, budget=args.budget, seed=args.seed)
     except ParameterError as exc:  # named by its keyword; report the flag's dest
         raise ConfigError(_SYNTH_DESTS.get(exc.param, exc.param), exc.detail) from None
-    except ValidationError as exc:  # a topology the generator cannot build
-        raise ConfigError("kind", str(exc)) from None
     save_topology(spec, args.out)
     print(f"synth[{args.kind}]: {spec.n_v} nodes, {spec.n_o} observation "
           f"points, {spec.n_r} flows -> {args.out}")

@@ -13,6 +13,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 from dataclasses import dataclass
 from itertools import islice
@@ -39,6 +41,30 @@ def read_text(path: str) -> str:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ValidationError(
             f"{os.path.basename(path)}: line {line} is not UTF-8") from None
+
+
+def read_csv(path: str, what: str):
+    """The stripped header of the CSV file at ``path`` (empty for an
+    empty file) and an iterator over its non-blank rows as (line number,
+    stripped fields); fields may be quoted, lines may end in CRLF. The
+    iterator raises on a row whose field count is not the header's, so
+    the caller checks the header first. ``what`` names a missing file."""
+    if not os.path.exists(path):
+        raise ValidationError(f"{what} {path!r} not found")
+    name = os.path.basename(path)
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = [c.strip() for c in next(reader, [])]
+
+    def rows():
+        for row in reader:
+            if not any(c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"{name}: line {reader.line_num} has {len(row)} "
+                    f"fields, expected {len(header)}")
+            yield reader.line_num, [c.strip() for c in row]
+    return header, rows()
 
 
 def write_lines(path: str, lines) -> None:

@@ -22,16 +22,15 @@ arrays here are 0-indexed.
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
 from .model import (DesignProblem, FlowDesignError, FlowModel,
-                    ValidationError, floats_text, read_text)
+                    ValidationError, floats_text, read_csv, write_lines)
 
 
 CONSTRAINT_MODES = ("inequality", "equality_with_zeroing")
@@ -62,7 +61,9 @@ class Flow:
 class TopologySpec:
     """Declarative network description.
 
-    nodes: router ids (unique, no commas so the CSV bundle stays trivial)
+    nodes: router ids: unique, nonempty, no surrounding whitespace, and
+           none of `,` `"` CR LF, so a bundle row is its fields joined
+           by commas and never needs CSV quoting
     edges: directed (u, v) pairs; edge index = observation point index
     flows: Flow records
     budgets: router id -> per-router sampling budget b_j >= 0
@@ -80,7 +81,7 @@ class TopologySpec:
         if len(set(nodes)) != len(nodes):
             raise ValidationError("duplicate node ids")
         for n in nodes:
-            if not n or any(ch in n for ch in ",\n\r") or n != n.strip():
+            if not n or any(ch in n for ch in ',"\n\r') or n != n.strip():
                 raise ValidationError(f"bad node id {n!r}")
         known = set(nodes)
         edges = tuple((str(u), str(v)) for u, v in self.edges)
@@ -324,8 +325,8 @@ def _grid_links(rows: int, cols: int):
 def _random_links(n: int, n_links: int, rng):
     max_links = n * (n - 1) // 2
     if not (n - 1 <= n_links <= max_links):
-        raise ValidationError(
-            f"random topology needs n_links in [{n - 1}, {max_links}]")
+        raise ParameterError("n_links", f"must be in [{n - 1}, {max_links}] "
+                                        f"for {n} nodes, got {n_links}")
     order = rng.permutation(n)
     links = set()
     # random spanning tree first so every pair is connected
@@ -365,12 +366,16 @@ def synth_topology(kind: str, *, n_nodes=None, rows=None, cols=None,
             raise ParameterError(name, f"must be {need}, got {value!r}")
     rng = np.random.default_rng(seed)
     if kind == "grid":
-        if rows is None or cols is None or rows < 1 or cols < 1 or rows * cols < 2:
-            raise ValidationError("grid topology needs rows x cols >= 2 nodes")
+        for name, value in (("rows", rows), ("cols", cols)):
+            if value is None or value < 1:
+                raise ParameterError(name, f"must be >= 1 for a grid, got {value!r}")
+        if rows * cols < 2:
+            raise ParameterError("cols", "must be >= 2 when rows is 1, got 1")
         n, links = rows * cols, _grid_links(rows, cols)
     elif kind in ("line", "star", "random"):
         if n_nodes is None or n_nodes < 2:
-            raise ValidationError(f"{kind} topology needs n_nodes >= 2")
+            raise ParameterError(
+                "n_nodes", f"must be >= 2 for a {kind} topology, got {n_nodes!r}")
         n = n_nodes
         if kind == "line":
             links = [(i, i + 1) for i in range(n - 1)]
@@ -381,23 +386,31 @@ def synth_topology(kind: str, *, n_nodes=None, rows=None, cols=None,
                 n_links = min(2 * n, n * (n - 1) // 2)
             links = _random_links(n, n_links, rng)
     else:
-        raise ValidationError(f"unknown topology kind {kind!r}")
+        raise ParameterError(
+            "kind", f"must be one of {', '.join(TOPOLOGY_KINDS)}, got {kind!r}")
 
     names = _node_names(n)
     edges = [e for a, b in links for e in ((names[a], names[b]), (names[b], names[a]))]
 
     pairs = [(u, v) for u in names for v in names if u != v]
-    mu = mu_scale * rng.lognormal(mean=0.0, sigma=1.0, size=len(pairs))
-    spread = rng.uniform(0.5, 1.5, size=len(pairs))
     keep = n_flows if n_flows is not None else max(1, round(flow_fraction * len(pairs)))
     if keep > len(pairs):
         raise ParameterError("n_flows", f"must be <= {len(pairs)}, got {keep}")
-    chosen = np.sort(np.argsort(-mu, kind="stable")[:keep])
-    flows = tuple(
-        Flow(origin=pairs[i][0], destination=pairs[i][1],
-             sigma2=float((sigma_rel * mu[i] * spread[i]) ** 2),
-             mu=float(mu[i]))
-        for i in chosen)
+    with np.errstate(over="ignore"):  # a non-finite mu or sigma2 is named below
+        mu = mu_scale * rng.lognormal(mean=0.0, sigma=1.0, size=len(pairs))
+        spread = rng.uniform(0.5, 1.5, size=len(pairs))
+        chosen = np.sort(np.argsort(-mu, kind="stable")[:keep])
+        flows = tuple(
+            Flow(origin=pairs[i][0], destination=pairs[i][1],
+                 sigma2=float((sigma_rel * mu[i] * spread[i]) ** 2),
+                 mu=float(mu[i]))
+            for i in chosen)
+    if not all(0 < f.mu < np.inf for f in flows):
+        raise ParameterError("mu_scale", "must give every flow a finite mu > 0, "
+                                         f"got {mu_scale!r}")
+    if not all(0 < f.sigma2 < np.inf for f in flows):
+        raise ParameterError("sigma_rel", "must give every flow a finite sigma2 > 0 "
+                                          f"at mu_scale {mu_scale!r}, got {sigma_rel!r}")
     budgets = {name: budget for name in names}
     return TopologySpec(nodes=names, edges=tuple(edges), flows=flows,
                         budgets=budgets)
@@ -412,35 +425,13 @@ def synth_topology(kind: str, *, n_nodes=None, rows=None, cols=None,
 # budgets.csv: router,b
 
 
-def _write_csv(path, header, rows):
-    # csv.writer, not model.write_lines: node ids may need quoting
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _read_csv(path, header):
-    if not os.path.exists(path):
-        raise ValidationError(f"missing bundle file {os.path.basename(path)}")
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    try:
-        got = next(reader)
-    except StopIteration:
-        raise ValidationError(f"{os.path.basename(path)}: empty file") from None
-    if [c.strip() for c in got] != list(header):
+def _read_csv(dirpath, name, header):
+    """The (line number, fields) rows of bundle file ``name`` under ``header``."""
+    got, rows = read_csv(os.path.join(dirpath, name), "bundle file")
+    if got != header:
         raise ValidationError(
-            f"{os.path.basename(path)}: expected header {','.join(header)}")
-    rows = []
-    for row in reader:
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(header):
-            raise ValidationError(
-                f"{os.path.basename(path)}: row {reader.line_num} has "
-                f"{len(row)} fields, expected {len(header)}")
-        rows.append([c.strip() for c in row])
-    return rows
+            f"{name}: line 1: expected header {','.join(header)}")
+    return list(rows)
 
 
 def _paired_links(edges):
@@ -463,44 +454,42 @@ def save_topology(t: TopologySpec, dirpath: str) -> None:
     load_topology both produce."""
     links = _paired_links(t.edges)
     os.makedirs(dirpath, exist_ok=True)
-    _write_csv(os.path.join(dirpath, "nodes.csv"), ["id"],
-               [[n] for n in t.nodes])
-    _write_csv(os.path.join(dirpath, "links.csv"), ["u", "v"], links)
     texts: dict = {}
-    _write_csv(os.path.join(dirpath, "flows.csv"),
-               ["origin", "destination", "sigma2", "mu"],
-               [[f.origin, f.destination, *floats_text([f.sigma2, f.mu], texts)]
-                for f in t.flows])
-    _write_csv(os.path.join(dirpath, "budgets.csv"), ["router", "b"], zip(
-        t.nodes, floats_text([t.budgets[n] for n in t.nodes], texts)))
+    flows = ([f.origin, f.destination, *floats_text([f.sigma2, f.mu], texts)]
+             for f in t.flows)
+    budgets = zip(t.nodes, floats_text([t.budgets[n] for n in t.nodes], texts))
+    for name, header, rows in (
+            ("nodes.csv", "id", zip(t.nodes)), ("links.csv", "u,v", links),
+            ("flows.csv", "origin,destination,sigma2,mu", flows),
+            ("budgets.csv", "router,b", budgets)):
+        write_lines(os.path.join(dirpath, name),
+                    chain([header], map(",".join, rows)))
 
 
 def load_topology(dirpath: str) -> TopologySpec:
     """Read a bundle written by save_topology (or by hand)."""
     if not os.path.isdir(dirpath):
         raise ValidationError(f"topology bundle {dirpath!r} is not a directory")
-    nodes = tuple(r[0] for r in _read_csv(os.path.join(dirpath, "nodes.csv"), ["id"]))
-    links = _read_csv(os.path.join(dirpath, "links.csv"), ["u", "v"])
-    edges = []
-    for u, v in links:
-        edges.append((u, v))
-        edges.append((v, u))
 
-    def num(token, where):
+    def num(token, name, line):
         try:
             return float(token)
         except ValueError:
-            raise ValidationError(f"{where}: bad number {token!r}") from None
+            raise ValidationError(
+                f"{name}: line {line}: bad number {token!r}") from None
 
+    nodes = tuple(n for _line, (n,) in _read_csv(dirpath, "nodes.csv", ["id"]))
+    edges = [e for _line, (u, v) in _read_csv(dirpath, "links.csv", ["u", "v"])
+             for e in ((u, v), (v, u))]
     flows = tuple(
-        Flow(origin=o, destination=d,
-             sigma2=num(s2, "flows.csv"), mu=num(m, "flows.csv"))
-        for o, d, s2, m in _read_csv(os.path.join(dirpath, "flows.csv"),
-                                     ["origin", "destination", "sigma2", "mu"]))
+        Flow(origin=o, destination=d, sigma2=num(s2, "flows.csv", line),
+             mu=num(m, "flows.csv", line))
+        for line, (o, d, s2, m) in _read_csv(
+            dirpath, "flows.csv", ["origin", "destination", "sigma2", "mu"]))
     budgets = {}
-    for r, bv in _read_csv(os.path.join(dirpath, "budgets.csv"), ["router", "b"]):
+    for line, (r, bv) in _read_csv(dirpath, "budgets.csv", ["router", "b"]):
         if r in budgets:
             raise ValidationError(f"budgets.csv: duplicate router {r!r}")
-        budgets[r] = num(bv, "budgets.csv")
+        budgets[r] = num(bv, "budgets.csv", line)
     return TopologySpec(nodes=nodes, edges=tuple(edges), flows=flows,
                         budgets=budgets)

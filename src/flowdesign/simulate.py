@@ -12,15 +12,13 @@ weighted means (weights xi_k/mu_i, information m_i equal to their sum).
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .model import FlowModel, ValidationError, read_text, write_lines
+from .model import FlowModel, ValidationError, read_csv, write_lines
 from .network import MeasurementModel
 
 
@@ -177,36 +175,22 @@ def save_trace(trace: Trace, path: str) -> None:
 
 
 def load_trace(path: str) -> Trace:
-    if not os.path.exists(path):
-        raise ValidationError(f"trace file {path!r} not found")
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationError("trace file is empty") from None
-    header = [c.strip() for c in header]
-    if len(header) < 2 or header[0] != "t":
-        raise ValidationError("trace header must be t,flow_1,...,flow_nr")
+    header, rows = read_csv(path, "trace file")
+    name = os.path.basename(path)
     n_r = len(header) - 1
-    if header[1:] != [f"flow_{i + 1}" for i in range(n_r)]:
-        raise ValidationError("trace header must be t,flow_1,...,flow_nr")
-    rows = []
-    for row in reader:
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != n_r + 1:
-            raise ValidationError(
-                f"trace row {reader.line_num}: expected {n_r + 1} fields")
+    if n_r < 1 or header != ["t"] + [f"flow_{i + 1}" for i in range(n_r)]:
+        raise ValidationError(
+            f"{name}: line 1: header must be t,flow_1,...,flow_nr")
+    x = []
+    for line, (t, *vals) in rows:
         try:
-            t = int(row[0])
-            vals = [float(c) for c in row[1:]]
+            t, vals = int(t), [float(c) for c in vals]
         except ValueError:
+            raise ValidationError(f"{name}: line {line}: bad number") from None
+        if t != len(x) + 1:
             raise ValidationError(
-                f"trace row {reader.line_num}: bad number") from None
-        if t != len(rows) + 1:
-            raise ValidationError(
-                f"trace row {reader.line_num}: periods must run 1..T in order")
-        rows.append(vals)
-    if not rows:
-        raise ValidationError("trace file has no data rows")
-    return Trace(x=np.array(rows), source="file-replay")
+                f"{name}: line {line}: periods must run 1..T in order")
+        x.append(vals)
+    if not x:
+        raise ValidationError(f"{name}: no data rows")
+    return Trace(x=np.array(x), source="file-replay")

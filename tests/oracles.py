@@ -27,10 +27,15 @@ different route, so agreement is meaningful:
   design solved afresh.
 * float_texts: model.floats_text with every value formatted on its own,
   where the library formats each distinct bit pattern once per memo.
+* csv_bundle: a topology bundle's four files as csv.writer renders them
+  (minimal quoting, "\n" line ends), where save_topology joins fields
+  with commas.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 from collections import deque
 
@@ -483,3 +488,25 @@ def per_period_simulation(cfg):
 def float_texts(values) -> list:
     """The 17-significant-digit text of each of ``values``."""
     return [format(float(v), ".17g") for v in np.atleast_1d(values)]
+
+
+# ---------------------------------------------------------------------------
+# topology bundle
+
+
+def csv_bundle(t) -> dict:
+    """File name -> bytes of the bundle of ``t`` through csv.writer; the
+    links are every other edge, as the bundle pairs (u, v) with (v, u)."""
+    texts = {}
+    for name, rows in (
+            ("nodes.csv", [["id"]] + [[n] for n in t.nodes]),
+            ("links.csv", [["u", "v"]] + [list(e) for e in t.edges[::2]]),
+            ("flows.csv", [["origin", "destination", "sigma2", "mu"]] + [
+                [f.origin, f.destination, *float_texts([f.sigma2, f.mu])]
+                for f in t.flows]),
+            ("budgets.csv", [["router", "b"]] + [
+                [n, *float_texts(t.budgets[n])] for n in t.nodes])):
+        buf = io.StringIO(newline="")
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        texts[name] = buf.getvalue().encode("utf-8")
+    return texts

@@ -208,6 +208,41 @@ def test_bad_synth_parameter_is_named(tmp_path, capsys, key, value, dest, via):
     assert f"config field '{key if via == 'config' else dest}': must be" in err
 
 
+@pytest.mark.parametrize("settings,key,dest", [
+    (dict(topology_kind="random", n_nodes=5, n_links=100), "n_links", "links"),
+    (dict(topology_kind="random", n_nodes=5, n_links=3), "n_links", "links"),
+    (dict(topology_kind="line", n_nodes=1), "n_nodes", "nodes"),
+    (dict(topology_kind="star"), "n_nodes", "nodes"),
+    (dict(topology_kind="grid", rows=0, cols=3), "rows", "rows"),
+    (dict(topology_kind="grid", cols=3), "rows", "rows"),
+    (dict(topology_kind="grid", rows=2, cols=-1), "cols", "cols"),
+    (dict(topology_kind="grid", rows=1, cols=1), "cols", "cols"),
+    (dict(topology_kind="line", n_nodes=3, sigma_rel=1e200), "sigma_rel",
+     "sigma_rel"),
+    (dict(topology_kind="line", n_nodes=3, mu_scale=1e308), "mu_scale",
+     "mu_scale"),
+])
+@pytest.mark.parametrize("via", ["config", "synth"])
+def test_bad_topology_shape_is_named(tmp_path, capsys, settings, key, dest, via):
+    if via == "config":
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items())
+                       + "horizon = 4\nreplications = 1\n")
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]
+        field = key
+    else:
+        flags = {"topology_kind": "kind", "n_nodes": "nodes",
+                 "n_links": "links"}
+        argv = ["synth", "--out", str(tmp_path / "s")]
+        for k, v in settings.items():
+            argv += ["--" + flags.get(k, k).replace("_", "-"), str(v)]
+        field = dest
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}': must " in err
+    assert "Warning" not in err
+
+
 def test_runtime_errors_exit_1(bundle, tmp_path, capsys):
     assert main(["design", "--topology", str(tmp_path / "nowhere"),
                  "--out", str(tmp_path / "x")]) == 1

@@ -84,6 +84,19 @@ def test_parse_config_full_file(tmp_path):
     assert cfg.cap == 1.0 and cfg.trace_seed == 1
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_parse_config_line_ends(tmp_path, end):
+    p = tmp_path / "exp.cfg"
+    p.write_bytes(end.join(["topology_kind = line", "n_nodes = 6", "",
+                            "horizon = 12", "horizon 5"]).encode())
+    with pytest.raises(ConfigError, match="line 5: expected key = value"):
+        parse_config(str(p))
+    p.write_bytes(end.join(["topology_kind = line", "n_nodes = 6", "",
+                            "horizon = 12"]).encode() + end.encode())
+    cfg = parse_config(str(p))
+    assert (cfg.n_nodes, cfg.horizon) == (6, 12)
+
+
 @pytest.mark.parametrize("text,field", [
     ("topology_kind = line\nfrobnicate = 3\n", "frobnicate"),
     ("topology_kind = line\nhorizon = 5\nhorizon = 6\n", "horizon"),

@@ -12,15 +12,18 @@ from flowdesign import (
     build_measurement_model,
     design_problem,
     flow_model,
+    gen_random_walk_trace,
     load_topology,
+    load_trace,
     remap_mu,
     route_flows,
     save_topology,
+    save_trace,
     solve_naive,
     synth_topology,
 )
 
-from oracles import dense_gls, path_incidence, per_flow_routes
+from oracles import csv_bundle, dense_gls, path_incidence, per_flow_routes
 
 
 def bidir(links):
@@ -382,6 +385,103 @@ def test_bundle_round_trip(tmp_path):
     save_topology(t, str(tmp_path / "topo"))
     back = load_topology(str(tmp_path / "topo"))
     assert back == t  # exact, thanks to 17-digit floats
+
+
+BUNDLE_FILES = ("nodes.csv", "links.csv", "flows.csv", "budgets.csv")
+
+
+def written_files(t, dirpath):
+    save_topology(t, str(dirpath))
+    return {name: (dirpath / name).read_bytes() for name in BUNDLE_FILES}
+
+
+@pytest.mark.parametrize("kind,kw", [
+    ("line", dict(n_nodes=5)), ("star", dict(n_nodes=6)),
+    ("grid", dict(rows=3, cols=4)), ("random", dict(n_nodes=7, n_links=10)),
+])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_bundle_bytes_match_csv_writer(tmp_path, kind, kw, seed):
+    t = synth_topology(kind, seed=seed, budget=0.02, **kw)
+    assert written_files(t, tmp_path) == csv_bundle(t)
+
+
+def test_bundle_bytes_match_csv_writer_awkward_values(tmp_path):
+    # ids that csv.writer leaves unquoted: spaces inside, non-ASCII, a
+    # quote-free apostrophe; floats that need all 17 digits, a tiny mean
+    # and a negative-zero budget, which writes as -0
+    t = TopologySpec(
+        nodes=("r 1", "r\u00fc2", "o'3"),
+        edges=bidir([("r 1", "r\u00fc2"), ("r\u00fc2", "o'3")]),
+        flows=(Flow("r 1", "o'3", sigma2=1 / 3, mu=1e-300),
+               Flow("o'3", "r\u00fc2", sigma2=2.0 ** -1074, mu=0.1)),
+        budgets={"r 1": -0.0, "r\u00fc2": 1 / 3, "o'3": 1e300})
+    files = written_files(t, tmp_path)
+    assert files == csv_bundle(t)
+    assert files["budgets.csv"].startswith(b"router,b\nr 1,-0\n")
+    assert load_topology(str(tmp_path)) == t
+
+
+def test_node_id_with_quote_is_rejected():
+    with pytest.raises(ValidationError, match="bad node id 'a\"b'"):
+        TopologySpec(nodes=("a\"b", "c"), edges=bidir([("a\"b", "c")]),
+                     flows=(Flow("a\"b", "c", sigma2=1.0, mu=10.0),),
+                     budgets={"a\"b": 0.1, "c": 0.1})
+
+
+def _quoted(line):
+    return ",".join(f'"{f}"' for f in line.split(","))
+
+
+def _spaced(line):
+    return ",".join(f"  {f} " for f in line.split(","))
+
+
+HAND_WRITTEN = {
+    "quoted": lambda lines: "\n".join(map(_quoted, lines)) + "\n",
+    "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
+    "blank_lines": lambda lines: "\n \n , \n".join(lines) + "\n\n",
+    "spaces": lambda lines: "\n".join(map(_spaced, lines)) + "\n",
+}
+
+
+def _trace_case(tmp_path):
+    fm = flow_model(build_measurement_model(synth_topology(
+        "line", n_nodes=3, n_flows=2, seed=0)))
+    path = tmp_path / "trace.csv"
+    save_trace(gen_random_walk_trace(fm, T=4, seed=1), str(path))
+    return [path], lambda: load_trace(str(path)).x.tolist()
+
+
+def _bundle_case(tmp_path):
+    save_topology(synth_topology("random", n_nodes=5, n_links=6, n_flows=4,
+                                 seed=2), str(tmp_path))
+    return ([tmp_path / name for name in BUNDLE_FILES],
+            lambda: load_topology(str(tmp_path)))
+
+
+@pytest.mark.parametrize("case", [_bundle_case, _trace_case])
+@pytest.mark.parametrize("style", sorted(HAND_WRITTEN))
+def test_hand_written_files_load(tmp_path, case, style):
+    paths, load = case(tmp_path)
+    expected = load()
+    for path in paths:
+        path.write_bytes(HAND_WRITTEN[style](
+            path.read_text().splitlines()).encode())
+    assert load() == expected
+
+
+@pytest.mark.parametrize("case", [_bundle_case, _trace_case])
+def test_short_row_and_bad_header_name_file_and_line(tmp_path, case):
+    paths, load = case(tmp_path)
+    path = paths[-1]
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + ["", "1"] + lines[2:]) + "\n")
+    with pytest.raises(ValidationError,
+                       match=rf"^{path.name}: line 4 has 1 fields, expected"):
+        load()
+    path.write_text("\n".join(["T" + lines[0]] + lines[1:]) + "\n")
+    with pytest.raises(ValidationError, match=rf"^{path.name}: line 1: "):
+        load()
 
 
 def test_bundle_missing_file(tmp_path):
