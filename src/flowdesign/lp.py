@@ -46,6 +46,23 @@ duals pass the cold solver's own stopping test. Anything else runs the
 cold two-phase solve, so a hint never changes which answers are
 possible, only how many pivots they take.
 
+Reuse: myopic periods move only the theta rows' right-hand side, so
+their LPs share one matrix. Every LpSolution carries a private record
+of the work that reads the matrix alone: the assembled, equilibrated
+rows and their scales, ``free`` and the kept caps, _violation's row
+scales, and, for the basis last offered as a hint on those rows,
+B = A[T,S] and the dual half of its certificate (u and its reduced-cost
+and dual test). A solve started from that solution reuses the record
+when c, A_ub, A_eq, lower and upper have the bits it was built from,
+and b_ub too on the rows that are >= 0 over the free columns, the only
+rows the kept-cap test reads. The record keeps copies of those bytes:
+unlike ==, bytes tell -0.0 from 0.0, and an array changed in place
+after the solve no longer matches. Each
+reused array is then the same function of the same bits, so pivots,
+bases and output bytes are those of a solve without the record, and an
+accepted period costs b / scale, one solve with B and the primal
+checks.
+
 Convention: maximize c'x subject to A_ub x <= b_ub, A_eq x = b_eq and
 lower <= x <= upper. Lower bounds must be finite (variables are shifted
 onto z = x - lower >= 0 internally); upper bounds may be +inf.
@@ -53,7 +70,7 @@ onto z = x - lower >= 0 internally); upper bounds may be +inf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,10 +123,12 @@ class LinearProgram:
             np.asarray(self.lower, dtype=float))
         upper = np.full(n, np.inf) if self.upper is None else np.atleast_1d(
             np.asarray(self.upper, dtype=float))
-        if lower.shape != (n,) or not np.all(np.isfinite(lower)):
+        if lower.shape != (n,) or upper.shape != (n,):
+            raise ValidationError("bounds must have one entry per variable")
+        if not np.all(np.isfinite(lower)):
             raise ValidationError("lower bounds must be finite (shift unbounded variables)")
-        if upper.shape != (n,) or np.any(np.isnan(upper)):
-            raise ValidationError("upper bounds must have one entry per variable")
+        if np.any(np.isnan(upper)):
+            raise ValidationError("upper bounds must not be NaN")
         if np.any(upper < lower):
             raise ValidationError("upper bound below lower bound")
         for name, val in (("c", c), ("A_ub", A_ub), ("b_ub", b_ub),
@@ -120,6 +139,37 @@ class LinearProgram:
     @property
     def n(self) -> int:
         return self.c.size
+
+
+def _matrix_key(lp: LinearProgram) -> tuple:
+    """The shapes and bits of what the matrix work reads, b_ub aside;
+    unlike ==, bits tell -0.0 from 0.0."""
+    return tuple((a.shape, a.tobytes())
+                 for a in (lp.c, lp.A_ub, lp.A_eq, lp.lower, lp.upper))
+
+
+@dataclass(eq=False)
+class _Rows:
+    """The work of solve_lp that reads only the LP's matrix (module
+    docstring). ``cert`` holds, for the basis last offered as a hint on
+    these rows, that basis's bytes and the dual half of its certificate."""
+    key: tuple               # _matrix_key of the LP
+    nonneg: np.ndarray       # A_ub rows >= 0 over the free columns, whose
+    b_nonneg: bytes          # b_ub the kept-cap test reads, so it is keyed too
+    free: np.ndarray         # columns with upper > lower
+    span_kept: np.ndarray    # the kept caps' right-hand sides
+    pos: np.ndarray          # each row's position among all rows, caps included
+    A: np.ndarray            # equilibrated rows: ub, kept caps, eq
+    scale: np.ndarray        # each row's largest coefficient (1 if none)
+    is_eq: np.ndarray
+    s_ub: np.ndarray         # _violation's row scales
+    s_eq: np.ndarray
+    finite: np.ndarray       # finite upper bounds
+    cert: tuple | None = None
+
+    def matches(self, lp: LinearProgram) -> bool:
+        return (self.key == _matrix_key(lp)
+                and self.b_nonneg == lp.b_ub[self.nonneg].tobytes())
 
 
 @dataclass(frozen=True)
@@ -133,6 +183,9 @@ class LpSolution:
     # final basis over the assembled columns (structural, then slack);
     # None unless optimal with no redundant rows dropped. A warm-start hint.
     basis: np.ndarray | None = None
+    # what the solve derived from the LP's matrix alone, reused by a later
+    # solve of a bit-identical matrix started from this solution
+    _rows: _Rows | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -180,15 +233,17 @@ def _bland(T, basis, n_cols, cap):
     return "iteration_limit", pivots
 
 
-def _assemble(lp: LinearProgram, perturb: bool):
-    """Rows of the shifted problem in z = x - lower >= 0, rhs, equality mask.
+def _assemble(lp: LinearProgram) -> _Rows:
+    """The rows of the shifted problem in z = x - lower >= 0, equilibrated.
 
     Variables pinned by upper == lower are eliminated up front (they sit
     at the bound exactly and only feed the tableau degenerate rows);
     ``free`` maps the reduced columns back to original indices. Rows are
     the inequalities, then the finite upper bounds that no inequality
-    implies (module docstring), then the equalities; the perturbation
-    shifts each row by its position among all rows, caps included.
+    implies (module docstring), then the equalities. Each row is scaled
+    by its largest coefficient: rows of very different magnitude (rate
+    caps ~1 next to information rows ~1/mu) otherwise force pivots on
+    entries barely above the pivot tolerance.
     """
     span = lp.upper - lp.lower
     free = np.flatnonzero(span > 0)
@@ -196,40 +251,50 @@ def _assemble(lp: LinearProgram, perturb: bool):
     A_ub = lp.A_ub[:, free]
     b_ub = lp.b_ub - lp.A_ub @ lp.lower
     caps = np.flatnonzero(np.isfinite(span))
-    rows = np.all(A_ub >= 0, axis=1) & (b_ub >= 0)
-    A_imp = A_ub[rows][:, caps]
+    nonneg = np.all(A_ub >= 0, axis=1)
+    bounding = nonneg & (b_ub >= 0)
+    A_imp = A_ub[bounding][:, caps]
     # b_i / A_ij < cap / 2 multiplied out, as A_ij may be 0 (inf is right)
     with np.errstate(over="ignore"):
-        implied = (A_imp > 0) & (b_ub[rows, None] < 0.5 * span[caps] * A_imp)
+        implied = (A_imp > 0) & (b_ub[bounding, None] < 0.5 * span[caps] * A_imp)
     kept = caps[~implied.any(axis=0)]
     A = np.vstack([A_ub, np.eye(free.size)[kept], lp.A_eq[:, free]])
-    b = np.concatenate([b_ub, span[kept], lp.b_eq - lp.A_eq @ lp.lower])
+    scale = np.max(np.abs(A), axis=1, initial=0.0)
+    scale = np.where(scale > 0, scale, 1.0)
+    A = A / scale[:, None]
+    A.flags.writeable = False  # shared by every solve that reuses it
+    n_ub = b_ub.size
+    return _Rows(
+        key=_matrix_key(lp), nonneg=nonneg,
+        b_nonneg=lp.b_ub[nonneg].tobytes(), free=free, span_kept=span[kept],
+        pos=np.concatenate([np.arange(n_ub), n_ub + kept,
+                            n_ub + caps.size + np.arange(lp.A_eq.shape[0])]),
+        A=A, scale=scale,
+        is_eq=np.arange(A.shape[0]) >= A.shape[0] - lp.A_eq.shape[0],
+        s_ub=np.maximum(np.max(np.abs(lp.A_ub), axis=1), 1.0),
+        s_eq=np.maximum(np.max(np.abs(lp.A_eq), axis=1), 1.0),
+        finite=np.isfinite(lp.upper))
+
+
+def _rhs(lp: LinearProgram, rows: _Rows, perturb: bool = False) -> np.ndarray:
+    """The right-hand side of ``rows`` for ``lp``, equilibrated. The
+    perturbation shifts each row by its position among all rows, caps
+    included."""
+    b = np.concatenate([lp.b_ub - lp.A_ub @ lp.lower, rows.span_kept,
+                        lp.b_eq - lp.A_eq @ lp.lower])
     if perturb:
         # tiny deterministic shift that breaks rhs degeneracy while staying
         # far inside _CHECK_TOL
-        pos = np.concatenate([np.arange(b_ub.size), b_ub.size + kept,
-                              b_ub.size + caps.size + np.arange(lp.A_eq.shape[0])])
-        b = b + 1e-11 * (pos + 1.0)
-    is_eq = np.arange(b.size) >= b.size - lp.A_eq.shape[0]
-    return A, b, is_eq, free
-
-
-def _equilibrate(A, b):
-    """Rows scaled by their largest coefficient: rows of very different
-    magnitude (rate caps ~1 next to information rows ~1/mu) otherwise
-    force pivots on entries barely above the pivot tolerance."""
-    scale = np.max(np.abs(A), axis=1, initial=0.0)
-    scale = np.where(scale > 0, scale, 1.0)
-    return A / scale[:, None], b / scale
+        b = b + 1e-11 * (rows.pos + 1.0)
+    return b / rows.scale
 
 
 def _two_phase(A, b, is_eq, c_max, cap):
-    """Solve max c_max'z s.t. rows, z >= 0.
+    """Solve max c_max'z s.t. the equilibrated rows, z >= 0.
 
     Returns (status, z, pivots, basis); basis is None unless optimal.
     """
     m, n = A.shape
-    A, b = _equilibrate(A, b)
     flip = b < 0
     # columns: original, one slack per inequality (negated on flipped
     # rows), one artificial per equality or flipped row
@@ -293,18 +358,14 @@ def _two_phase(A, b, is_eq, c_max, cap):
     return "optimal", z, total, basis
 
 
-def _warm_start(A, b, is_eq, c_max, basis):
-    """z for the hinted basis if it is optimal on these rows, else None.
-
-    See the module docstring for the certificate. Only the tight rows T
-    and basic structural columns S enter the solves, so their size is
-    the LP's column count, not its row count.
-    """
+def _dual_half(rows: _Rows, c_max, basis):
+    """(S, tight, B, loose rows of A) for a hinted basis that fits these
+    rows, has a nonsingular B and passes the dual test; else None."""
+    A, is_eq = rows.A, rows.is_eq
     m, n = A.shape
     n_ineq = m - int(np.count_nonzero(is_eq))
-    if basis is None or basis.shape != (m,) or np.any(basis >= n + n_ineq):
+    if basis.shape != (m,) or np.any(basis >= n + n_ineq):
         return None
-    A, b = _equilibrate(A, b)
     S = basis[basis < n]
     tight = np.ones(m, dtype=bool)
     tight[basis[basis >= n] - n] = False
@@ -312,32 +373,53 @@ def _warm_start(A, b, is_eq, c_max, basis):
         return None
     B = A[np.ix_(tight, S)]
     try:
-        x_S = np.linalg.solve(B, b[tight])
         u = np.linalg.solve(B.T, c_max[S])
     except np.linalg.LinAlgError:
-        return None
-    z = np.zeros(n)
-    z[S] = x_S
-    if np.any(x_S < 0.0) or np.any(A[~tight] @ z > b[~tight]):
         return None
     if np.any(u @ A[tight] - c_max < -_PIVOT_TOL) or np.any(
             u[~is_eq[tight]] < -_PIVOT_TOL):
         return None
+    return S, tight, B, A[~tight]
+
+
+def _warm_start(rows: _Rows, b, c_max, basis):
+    """z for the hinted basis if it is optimal on these rows, else None.
+
+    See the module docstring for the certificate. Its dual half reads
+    only the rows and c, so it is computed once per hinted basis and kept
+    in ``rows.cert``; the primal half reads b and runs on every call.
+    Only the tight rows T and basic structural columns S enter the
+    solves, so their size is the LP's column count, not its row count.
+    """
+    if basis is None:
+        return None
+    cert = rows.cert
+    if cert is None or cert[0] != basis.tobytes():
+        cert = rows.cert = (basis.tobytes(), _dual_half(rows, c_max, basis))
+    if cert[1] is None:
+        return None
+    S, tight, B, loose = cert[1]
+    try:
+        x_S = np.linalg.solve(B, b[tight])
+    except np.linalg.LinAlgError:
+        return None
+    z = np.zeros(rows.A.shape[1])
+    z[S] = x_S
+    if np.any(x_S < 0.0) or np.any(loose @ z > b[~tight]):
+        return None
     return z
 
 
-def _violation(lp: LinearProgram, x: np.ndarray) -> float:
+def _violation(lp: LinearProgram, x: np.ndarray, rows: _Rows) -> float:
     """Worst constraint violation, each row scaled by its largest
     coefficient (never below 1). The scaling matches the equilibrated
     metric the tableau works in, so the feasibility the two phases
     certify and the violation reported here agree on what "tight" means;
     bounds have unit coefficients and are left raw."""
-    s_ub = np.maximum(np.max(np.abs(lp.A_ub), axis=1), 1.0)
-    s_eq = np.maximum(np.max(np.abs(lp.A_eq), axis=1), 1.0)
-    finite = np.isfinite(lp.upper)
+    finite = rows.finite
     return float(max(
-        np.max((lp.A_ub @ x - lp.b_ub) / s_ub, initial=0.0),
-        np.max(np.abs(lp.A_eq @ x - lp.b_eq) / s_eq, initial=0.0),
+        np.max((lp.A_ub @ x - lp.b_ub) / rows.s_ub, initial=0.0),
+        np.max(np.abs(lp.A_eq @ x - lp.b_eq) / rows.s_eq, initial=0.0),
         np.max(lp.lower - x, initial=0.0),
         np.max(x[finite] - lp.upper[finite], initial=0.0)))
 
@@ -347,51 +429,57 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None,
     """Solve the program. Never raises for well-posed inputs; inspect status.
 
     ``start``, a solution of an earlier LP of the same shape, offers its
-    basis as a warm start (see the module docstring); a rejected hint
-    costs one small solve and changes nothing else. If the pivot cap is
-    hit (degenerate cycling despite Bland's rule can only happen through
+    basis as a warm start, and its matrix work when the matrix is the
+    same bit for bit (see the module docstring); a rejected hint costs
+    one small solve and changes nothing else. If the pivot cap is hit
+    (degenerate cycling despite Bland's rule can only happen through
     roundoff), the solve is retried once with a tiny deterministic
     perturbation of the right-hand sides and the result is flagged
     ``perturbed``.
     """
-    A, b, is_eq, free = _assemble(lp, perturb=False)
+    rows = None if start is None else start._rows
+    if rows is None or not rows.matches(lp):
+        rows = _assemble(lp)
+    b = _rhs(lp, rows)
+    c_max = lp.c[rows.free]
     if start is not None:
-        z_free = _warm_start(A, b, is_eq, lp.c[free], start.basis)
+        z_free = _warm_start(rows, b, c_max, start.basis)
         if z_free is not None:
-            sol = _finish(lp, free, z_free, 0, False, start.basis)
+            sol = _finish(lp, rows, z_free, 0, False, start.basis)
             if sol.ok:
                 return sol
     m_guess = lp.A_ub.shape[0] + lp.A_eq.shape[0] + lp.n
     cap = max_iter if max_iter is not None else 2000 + 200 * (m_guess + lp.n)
-    status, z_free, iters, basis = _two_phase(A, b, is_eq, lp.c[free], cap)
+    status, z_free, iters, basis = _two_phase(rows.A, b, rows.is_eq, c_max, cap)
     perturbed = False
     if status == "iteration_limit":
         perturbed = True
-        A, b, is_eq, free = _assemble(lp, perturb=True)
-        status, z_free, it2, basis = _two_phase(A, b, is_eq, lp.c[free], cap)
+        status, z_free, it2, basis = _two_phase(
+            rows.A, _rhs(lp, rows, perturb=True), rows.is_eq, c_max, cap)
         iters += it2
         if status == "iteration_limit":
-            return LpSolution("numerical", None, None, iters, True, np.inf)
+            return LpSolution("numerical", None, None, iters, True, np.inf,
+                              _rows=rows)
     if status in ("infeasible", "unbounded"):
-        return LpSolution(status, None, None, iters, perturbed, 0.0)
+        return LpSolution(status, None, None, iters, perturbed, 0.0, _rows=rows)
     # a basis short of the row count lost redundant rows in phase 1
-    return _finish(lp, free, z_free, iters, perturbed,
+    return _finish(lp, rows, z_free, iters, perturbed,
                    basis if basis.size == b.size else None)
 
 
-def _finish(lp, free, z_free, iters, perturbed, basis) -> LpSolution:
+def _finish(lp, rows, z_free, iters, perturbed, basis) -> LpSolution:
     """LpSolution for an optimal z over the free columns."""
     z = np.zeros(lp.n)
-    z[free] = z_free
+    z[rows.free] = z_free
     # basic variables drift by roundoff; snap sub-tolerance excursions
     # back to the box so epsilon-negative rates never leave this module
     clipped = np.clip(z, 0.0, lp.upper - lp.lower)
     z = np.where(np.abs(clipped - z) <= _FEAS_TOL, clipped, z)
     x = z + lp.lower
-    viol = _violation(lp, x)
+    viol = _violation(lp, x, rows)
     ok = viol <= _CHECK_TOL
     return LpSolution("optimal" if ok else "numerical", x, float(lp.c @ x),
-                      iters, perturbed, viol, basis if ok else None)
+                      iters, perturbed, viol, basis if ok else None, rows)
 
 
 def check_feasible(n: int, A_ub=None, b_ub=None, A_eq=None, b_eq=None,

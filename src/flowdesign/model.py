@@ -169,10 +169,16 @@ class DesignProblem:
             raise ValidationError("bounds must have one entry per design variable")
         if not np.all(np.isfinite(J)) or np.any(J < 0):
             raise ValidationError("J must be finite with no negative entries")
+        if not np.all(np.isfinite(R)):
+            raise ValidationError("R must be finite")
+        if not np.all(np.isfinite(b)):
+            raise ValidationError("b must be finite")
         if np.any(lower > upper):
             raise ValidationError("lower bound exceeds upper bound")
         if not np.all(np.isfinite(lower)):
             raise ValidationError("lower bounds must be finite")
+        if np.any(np.isnan(upper)):
+            raise ValidationError("upper bounds must not be NaN")
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "b", b)

@@ -11,7 +11,7 @@ from flowdesign import (LinearProgram, ValidationError, build_measurement_model,
                         predicted_info, solve_lp, synth_topology)
 
 from flowdesign import lp as lp_module
-from flowdesign.lp import _assemble
+from flowdesign.lp import _assemble, _rhs
 from oracles import dense_pivot, vertex_lp_max
 
 scipy_opt = pytest.importorskip("scipy.optimize")
@@ -133,6 +133,48 @@ def test_unusable_warm_start_falls_back_to_cold(hint, target):
     assert warm.x.tobytes() == cold.x.tobytes()
 
 
+def _solve_as_without_record(prog, start):
+    """solve_lp(prog, start=start), asserted equal bit for bit to the
+    solve from the same hint without start's reuse record."""
+    sol = solve_lp(prog, start=start)
+    bare = solve_lp(prog, start=replace(start, _rows=None))
+    assert (sol.status, sol.iterations, sol.perturbed, sol.max_violation) == (
+        bare.status, bare.iterations, bare.perturbed, bare.max_violation)
+    assert (sol.x is None) == (bare.x is None)
+    if sol.x is not None:
+        assert sol.x.tobytes() == bare.x.tobytes()
+    assert (sol.basis is None) == (bare.basis is None)
+    if sol.basis is not None:
+        assert np.array_equal(sol.basis, bare.basis)
+    return sol
+
+
+@pytest.mark.parametrize("size", [4, 5])
+def test_reuse_on_myopic_chain_matches_solve_without_record(size, monkeypatch):
+    mm = build_measurement_model(synth_topology(
+        "grid", rows=size, cols=size, budget=0.02, seed=1))
+    p, fm = design_problem(mm), flow_model(mm)
+    reused, pivoted = [], []
+
+    def checked(prog, start=None):
+        if start is None:
+            return solve_lp(prog)
+        sol = _solve_as_without_record(prog, start)
+        reused.append(sol._rows is start._rows)
+        pivoted.append(sol.iterations > 0)
+        return sol
+
+    monkeypatch.setattr(design, "solve_lp", checked)
+    info, res = np.zeros(p.n_r), None
+    for _ in range(50):
+        res = design.solve_myopic(p, fm, info, start=res)
+        info = predicted_info(info, fm.sigma2) + p.J @ res.xi
+    # every period after the first shares the first one's matrix, and
+    # some periods reject the hint and move to a new basis by pivoting
+    assert reused == [True] * 49
+    assert 0 < sum(pivoted) < 49
+
+
 def test_determinism_bit_identical():
     lp = design_lp()
     a = solve_lp(lp)
@@ -156,6 +198,17 @@ def test_determinism_bit_identical():
 def test_validation(kwargs):
     with pytest.raises(ValidationError):
         LinearProgram(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(upper=[np.nan]), "upper bounds must not be NaN"),
+    (dict(upper=[1.0, 1.0]), "bounds must have one entry per variable"),
+    (dict(lower=[0.0, 0.0]), "bounds must have one entry per variable"),
+    (dict(lower=[-np.inf]), "lower bounds must be finite"),
+])
+def test_validation_names_the_bound(kwargs, message):
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        LinearProgram(c=[1.0], **kwargs)
 
 
 # ------------------------------------------------------------ pivot sequence
@@ -422,7 +475,7 @@ def test_presolve_matches_grid_lp_without_implied_caps(size, mode, cut, monkeypa
 ])
 def test_presolve_keeps_caps_it_cannot_prove(kw, kept):
     prog = LinearProgram(**{"c": [1.0, 1.0], "upper": [1.0, 1.0], **kw})
-    A = _assemble(prog, perturb=False)[0]
+    A = _assemble(prog).A
     assert A.shape[0] == prog.A_ub.shape[0] + kept + prog.A_eq.shape[0]
     _assert_presolve_invisible(prog)
 
@@ -432,8 +485,8 @@ def test_perturbation_keeps_full_row_positions():
     # implies the caps of z_0 and z_1 (0.4 < 1/2)
     prog = LinearProgram(c=[1.0, 1.0, 1.0], A_ub=[[1.0, 1.0, 0.0]], b_ub=[0.4],
                          A_eq=[[0.0, 1.0, 1.0]], b_eq=[0.5], upper=[1.0] * 3)
-    _, b, _, _ = _assemble(prog, perturb=False)
-    _, b_perturbed, _, _ = _assemble(prog, perturb=True)
+    rows = _assemble(prog)
+    b, b_perturbed = _rhs(prog, rows), _rhs(prog, rows, perturb=True)
     assert np.array_equal(b, [0.4, 1.0, 0.5])
     assert np.allclose(b_perturbed - b, 1e-11 * np.array([1.0, 4.0, 5.0]),
                        rtol=1e-3, atol=0.0)
@@ -522,21 +575,29 @@ def _design_family_lp(draw):
     r = _theta_offsets(draw, n_r)
     owner = np.array(draw(st.lists(st.integers(0, n_v - 1), min_size=n_o,
                                    max_size=n_o)))
-    b = np.array(draw(st.lists(st.floats(0.005, 0.05), min_size=n_v,
-                               max_size=n_v)))
+    b = _budgets(draw, n_v)
     eq = np.array(draw(st.lists(st.booleans(), min_size=n_v, max_size=n_v)))
-    cap = draw(st.sampled_from([1.0, 0.01, 0.003]))
+    # a budget below 0.006 implies the cap 0.012, one above keeps it
+    cap = draw(st.sampled_from([1.0, 0.012, 0.01, 0.003]))
     return _design_family_kw(slopes, J, r, owner, b, eq, cap)
+
+
+def _budgets(draw, n_v):
+    return np.array(draw(st.lists(st.floats(0.005, 0.05), min_size=n_v,
+                                  max_size=n_v)))
 
 
 @st.composite
 def _design_family_chain(draw):
-    """A design-family LP and the next LP's theta-row offsets and slopes:
-    a myopic period moves the offsets, a steady-state cut round the
-    slopes (the theta column)."""
+    """A design-family LP; the next LP's theta-row offsets and slopes (a
+    myopic period moves the offsets, a steady-state cut round the slopes,
+    which are the theta column); and, for a step after that, offsets
+    and budgets again."""
     kw = draw(_design_family_lp())
     n_r = int(np.count_nonzero(kw["A_ub"][:, 0]))
-    return kw, _theta_offsets(draw, n_r), _theta_slopes(draw, n_r)
+    n_v = kw["b_ub"].size - n_r + (0 if kw["b_eq"] is None else kw["b_eq"].size)
+    return (kw, _theta_offsets(draw, n_r), _theta_slopes(draw, n_r),
+            _theta_offsets(draw, n_r), _budgets(draw, n_v))
 
 
 @settings(max_examples=200, deadline=None)
@@ -557,11 +618,64 @@ _ZERO_OPTIMUM = _design_family_kw(
     b=np.array([0.03125, 0.01]), eq=np.array([False, False]), cap=1.0)
 
 
+def _same_matrix(a, b) -> bool:
+    """Whether LPs a and b share what solve_lp reuses: c, A_ub, A_eq,
+    lower and upper bit for bit, and b_ub on the rows >= 0 over the free
+    columns, which the kept-cap test reads."""
+    def bits(x):
+        return x.shape, x.tobytes()
+    if any(bits(getattr(a, f)) != bits(getattr(b, f))
+           for f in ("c", "A_ub", "A_eq", "lower", "upper")):
+        return False
+    rows = np.all(b.A_ub[:, b.upper > b.lower] >= 0, axis=1)
+    return bits(a.b_ub[rows]) == bits(b.b_ub[rows])
+
+
+def _chain_step(prev, step, start):
+    """The solve of LP ``step`` (keywords) from ``start``, a solution of
+    LP ``prev``: it equals the solve without start's reuse record, and
+    the record is reused exactly when the two LPs share their matrix."""
+    a, b = LinearProgram(**prev), LinearProgram(**step)
+    sol = _solve_as_without_record(b, start)
+    reused = start._rows is not None and sol._rows is start._rows
+    assert reused == (start._rows is not None and _same_matrix(a, b))
+    return sol
+
+
+# budgets 0.005 imply the caps 0.012 (0.005 < 0.012 / 2); the budget step
+# to 0.0368 keeps them, so the rows change with the matrix untouched
+_IMPLIED_CAP_TURNS_KEPT = (
+    _design_family_kw(slopes=np.array([0.49612653506606963]),
+                      J=np.array([[3.7931604864373199e-04]]),
+                      r=np.array([-2.924124827216567e-06]), owner=np.array([0]),
+                      b=np.array([0.005, 0.005]), eq=np.array([False, False]),
+                      cap=0.012),
+    np.array([-4.000000000000001e-06]), np.array([0.001]),
+    np.array([-4.000000000000001e-06]),
+    np.array([0.03684495966439133, 0.04821892547778172]))
+
+# the moved offsets reject sol's basis, and the cold re-solve on sol's
+# rows ends at a new basis, whose certificate the next step computes
+_COLD_TO_NEW_BASIS = (
+    _design_family_kw(slopes=np.array([0.67669241015016346, 0.44027661076815372]),
+                      J=np.array([[7.5180852957614582e-04], [4.5915396958283287e-04]]),
+                      r=np.array([-4.000000000000001e-06, 7.512339898446753e-06]),
+                      owner=np.array([0]), b=np.array([0.025800679329398918]),
+                      eq=np.array([True]), cap=1.0),
+    np.array([-4.000000000000001e-06, -4.000000000000001e-06]),
+    np.array([0.046802392993527966, 0.30339840751659264]),
+    np.array([4.4662372454483159e-06, 1.3516166603112729e-05]),
+    np.array([0.007695808941247228]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_design_family_chain())
-@example((_ZERO_OPTIMUM, np.full(4, -4.000000000000001e-06), np.ones(4)))
+@example((_ZERO_OPTIMUM, np.full(4, -4.000000000000001e-06), np.ones(4),
+          np.full(4, -4e-06), np.array([0.03125, 0.005])))
+@example(_IMPLIED_CAP_TURNS_KEPT)
+@example(_COLD_TO_NEW_BASIS)
 def test_design_family_lps_against_highs(chain):
-    kw, r, slopes = chain
+    kw, r, slopes, r2, b2 = chain
     sol = solve_lp(LinearProgram(**kw))
     # HiGHS's feasibility tolerance is absolute, so hand it rows scaled
     # to unit coefficients, as the simplex does internally
@@ -578,14 +692,15 @@ def test_design_family_lps_against_highs(chain):
     assert sol.status == ("optimal" if res.status == 0 else "infeasible")
     if res.status == 0:
         assert sol.objective == pytest.approx(-res.fun, rel=1e-7)
-    # warm starts from sol on the next LP of a chain
-    n_r = r.size
+    # warm starts from sol on the next LP of a chain, then from that warm
+    # solution on a step after it
+    n_r, n_ub = r.size, kw["b_ub"].size - r.size
     moved_rhs = dict(kw, b_ub=np.concatenate([r, kw["b_ub"][n_r:]]))
     A_ub = kw["A_ub"].copy()
     A_ub[:n_r, 0] = slopes
     for moved in (moved_rhs, dict(kw, A_ub=A_ub)):
         cold = solve_lp(LinearProgram(**moved))
-        warm = solve_lp(LinearProgram(**moved), start=sol)
+        warm = _chain_step(kw, moved, sol)
         assert warm.status == cold.status
         if cold.ok:
             # at theta* = 0 no relative test can hold: theta is then the
@@ -597,3 +712,14 @@ def test_design_family_lps_against_highs(chain):
                      / np.max(np.abs(rows), axis=1))
             assert warm.objective == pytest.approx(
                 cold.objective, rel=1e-9, abs=64 * np.spacing(np.max(terms)))
+        for step in (
+                # a myopic period: the offsets move
+                dict(moved, b_ub=np.concatenate([r2, moved["b_ub"][n_r:]])),
+                # the budgets move, which under cap 0.012 can turn an
+                # implied cap into a kept one or back
+                dict(moved, b_ub=np.concatenate([moved["b_ub"][:n_r], b2[:n_ub]]),
+                     b_eq=b2[n_ub:]),
+                # every -0.0 of -J turns +0.0
+                dict(moved, A_ub=moved["A_ub"] + 0.0)):
+            # warm may have left sol's basis by a cold re-solve
+            _chain_step(moved, step, warm)

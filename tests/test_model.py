@@ -57,11 +57,26 @@ def test_design_problem_infinite_caps_allowed():
         dict(J=[[1.0]], R=[[1.0]], b=[1.0], lower=[2.0], upper=[1.0]),
         dict(J=[[1.0]], R=[[1.0]], b=[1.0], lower=[-np.inf]),
         dict(J=[[1.0]], R=[[1.0]], b=[1.0], row_is_equality=[True, False]),
+        dict(J=[[1.0]], R=[[1.0]], b=[1.0], upper=[np.nan]),
+        dict(J=[[1.0]], R=[[np.inf]], b=[1.0]),
+        dict(J=[[1.0]], R=[[np.nan]], b=[1.0]),
+        dict(J=[[1.0]], R=[[1.0]], b=[np.inf]),
+        dict(J=[[1.0]], R=[[1.0]], b=[np.nan]),
     ],
 )
 def test_design_problem_rejects(kwargs):
     with pytest.raises(ValidationError):
         DesignProblem(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(upper=[np.nan]), "upper bounds must not be NaN"),
+    (dict(R=[[np.inf]]), "R must be finite"),
+    (dict(b=[np.nan]), "b must be finite"),
+])
+def test_design_problem_names_the_field(kwargs, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        DesignProblem(**{"J": [[1.0]], "R": [[1.0]], "b": [1.0], **kwargs})
 
 
 def test_validate_problem_flags_unobservable_flow():
