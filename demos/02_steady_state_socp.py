@@ -16,8 +16,7 @@ whose positive root is exactly the limiting information of the filter.
 
 import numpy as np
 
-from flowdesign import (DesignProblem, FlowModel, cone_residuals,
-                        export_canonical_socp, parse_socp_text,
+from flowdesign import (DesignProblem, FlowModel, export_canonical_socp,
                         serialize_socp, solve_steady_state_E)
 
 p = DesignProblem(J=[[40.0, 10.0], [10.0, 40.0]], R=[[1.0, 1.0]], b=[1.0])
@@ -33,13 +32,16 @@ print("  cut LPs:", res.diagnostics["bisection_iterations"],
 socp = export_canonical_socp(p, fm)
 x_opt = np.concatenate([[res.theta], res.xi])
 print("\ncone residuals at the optimum (flow cones tight, budget tight):")
-print(" ", cone_residuals(socp, x_opt))
+# the slack r'x + s - ||P x + q|| of each cone; x is in the cone iff >= 0
+print(" ", np.array([c.r @ x_opt + c.s - np.linalg.norm(c.P @ x_opt + c.q)
+                     for c in socp.cones]))
 
 text = serialize_socp(socp)
 print("\nserialized form (first lines):")
 print("\n".join(text.splitlines()[:6]))
 
-# the text form round-trips exactly
-back = parse_socp_text(text)
-assert serialize_socp(back) == text
-print("\nround trip: exact")
+# 17 significant digits parse back to the same float64 bits
+lines = text.splitlines()
+f_back = np.array([float(tok) for tok in lines[lines.index("f") + 1].split()])
+assert f_back.tobytes() == socp.f.tobytes()
+print("\nround trip of the f line: exact")

@@ -6,10 +6,9 @@ from .filtering import (FilterState, predict_update, predicted_info,
                         steady_state_info)
 from .lp import LinearProgram, LpSolution, check_feasible, solve_lp
 from .design import (SCHEMES, CanonicalSocp, DesignResult, InfeasibleError,
-                     SocpCone, cone_residuals, export_canonical_socp,
-                     parse_socp_text, serialize_socp, solve_classical_E,
-                     solve_myopic, solve_naive, solve_scheme,
-                     solve_steady_state_E)
+                     SocpCone, export_canonical_socp, serialize_socp,
+                     solve_classical_E, solve_myopic, solve_naive,
+                     solve_scheme, solve_steady_state_E)
 from .network import (Flow, MeasurementModel, RoutingError, TopologySpec,
                       build_measurement_model, design_problem, flow_model,
                       load_topology, remap_mu, route_flows, save_topology,
@@ -30,13 +29,12 @@ __all__ = [
     "MeasurementModel", "MetricsSeries", "RawMeasurements", "RoutingError",
     "SCHEMES", "SocpCone", "TopologySpec", "Trace", "ValidationError",
     "build_measurement_model", "check_design_output", "check_feasible",
-    "cone_residuals", "design_problem", "export_canonical_socp",
-    "flow_model", "fuse_gls", "gen_random_walk_trace", "load_topology",
-    "load_trace", "parse_config", "parse_socp_text", "predict_update",
-    "predicted_info", "remap_mu", "route_flows", "run_idealized",
-    "run_simulation", "sample_packets", "save_topology", "save_trace",
-    "serialize_socp", "solve_classical_E", "solve_lp", "solve_myopic",
-    "solve_naive", "solve_scheme", "solve_steady_state_E",
+    "design_problem", "export_canonical_socp", "flow_model", "fuse_gls",
+    "gen_random_walk_trace", "load_topology", "load_trace", "parse_config",
+    "predict_update", "predicted_info", "remap_mu", "route_flows",
+    "run_idealized", "run_simulation", "sample_packets", "save_topology",
+    "save_trace", "serialize_socp", "solve_classical_E", "solve_lp",
+    "solve_myopic", "solve_naive", "solve_scheme", "solve_steady_state_E",
     "steady_state_info", "synth_topology", "validate_problem",
     "write_metrics",
 ]

@@ -83,6 +83,8 @@ def _theta_lp(p: DesignProblem, slopes, offsets: np.ndarray,
     A_eq[:, 1:] = R_eq
     lower = np.concatenate([[0.0], p.lower])
     upper = np.concatenate([[np.inf], p.upper])
+    for a in (c, A_ub, rhs, A_eq, b_eq, lower, upper):
+        a.flags.writeable = False  # built here, so LinearProgram keeps them uncopied
     return solve_lp(LinearProgram(c=c, A_ub=A_ub, b_ub=rhs, A_eq=A_eq, b_eq=b_eq,
                                   lower=lower, upper=upper), start=start)
 
@@ -394,19 +396,9 @@ def export_canonical_socp(p: DesignProblem, fm: FlowModel) -> CanonicalSocp:
                          n_flow_cones=p.n_r, n_budget_cones=p.n_v)
 
 
-def cone_residuals(socp: CanonicalSocp, x) -> np.ndarray:
-    """Per-cone slack r'x + s - ||P x + q||; feasible iff all >= 0."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (socp.n,):
-        raise ValidationError(f"x must have {socp.n} entries (theta first)")
-    out = np.empty(len(socp.cones))
-    for idx, cone in enumerate(socp.cones):
-        out[idx] = float(cone.r @ x) + cone.s - np.linalg.norm(cone.P @ x + cone.q)
-    return out
-
-
 def serialize_socp(socp: CanonicalSocp) -> str:
-    """Plain-text block form, one cone per stanza. Round-trips exactly.
+    """Plain-text block form, one cone per stanza. Round-trips exactly:
+    the SOCP text reader of tests/oracles.py reads back the same bits.
 
     Layout::
 
@@ -442,63 +434,3 @@ def serialize_socp(socp: CanonicalSocp) -> str:
         lines.extend(fmt(row) for row in cone.P)
         lines += ["q", fmt(cone.q), "r", fmt(cone.r), "s", fmt(cone.s)]
     return "\n".join(lines) + "\n"
-
-
-def parse_socp_text(text: str) -> CanonicalSocp:
-    """Inverse of serialize_socp. Raises ValidationError on malformed input."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    pos = 0
-
-    def take(expect: str | None = None) -> str:
-        nonlocal pos
-        if pos >= len(lines):
-            raise ValidationError("socp text ended early")
-        line = lines[pos]
-        pos += 1
-        if expect is not None and line != expect:
-            raise ValidationError(f"expected {expect!r}, found {line!r}")
-        return line
-
-    def floats(line: str, count: int) -> np.ndarray:
-        parts = line.split()
-        if len(parts) != count:
-            raise ValidationError(f"expected {count} numbers, found {len(parts)}")
-        try:
-            return np.array([float(tok) for tok in parts])
-        except ValueError as exc:
-            raise ValidationError(f"bad number in socp text: {exc}") from None
-
-    take("socp-canonical v1")
-    head = take().split()
-    if (len(head) != 6 or head[0] != "nvars" or head[2] != "flow_cones"
-            or head[4] != "budget_cones"):
-        raise ValidationError("malformed socp header line")
-    if not all(tok.isdecimal() for tok in head[1::2]):
-        raise ValidationError("malformed socp header counts")
-    n, n_flow, n_budget = int(head[1]), int(head[3]), int(head[5])
-    take("f")
-    f = floats(take(), n)
-    cones = []
-    for idx in range(1, n_flow + n_budget + 1):
-        head = take().split()
-        if (len(head) != 4 or head[0] != "cone" or head[2] != "rows"
-                or not (head[1].isdecimal() and head[3].isdecimal())):
-            raise ValidationError(f"malformed cone header for cone {idx}")
-        if int(head[1]) != idx:
-            raise ValidationError(f"cone {head[1]} out of order (expected {idx})")
-        rows = int(head[3])
-        if rows < 1:
-            raise ValidationError(f"cone {idx} has {rows} rows (must be >= 1)")
-        take("P")
-        P = np.vstack([floats(take(), n) for _ in range(rows)])
-        take("q")
-        q = floats(take(), rows)
-        take("r")
-        r = floats(take(), n)
-        take("s")
-        s = float(floats(take(), 1)[0])
-        cones.append(SocpCone(P=P, q=q, r=r, s=s))
-    if pos != len(lines):
-        raise ValidationError("trailing content after last cone")
-    return CanonicalSocp(f=f, cones=tuple(cones),
-                         n_flow_cones=n_flow, n_budget_cones=n_budget)

@@ -244,8 +244,8 @@ def _get_trace(cfg: ExperimentConfig, fm: FlowModel) -> Trace:
             raise ConfigError("horizon",
                               f"exceeds trace length {trace.T}")
         return Trace(x=trace.x[:cfg.horizon], source=trace.source)
-    return gen_random_walk_trace(fm, cfg.horizon, x0=fm.mu,
-                                 seed=cfg.trace_seed, floor=cfg.trace_floor)
+    return gen_random_walk_trace(fm, cfg.horizon, seed=cfg.trace_seed,
+                                 floor=cfg.trace_floor)
 
 
 def _mse_from_info(info: np.ndarray) -> np.ndarray:

@@ -55,9 +55,9 @@ B = A[T,S] and the dual half of its certificate (u and its reduced-cost
 and dual test). A solve started from that solution reuses the record
 when c, A_ub, A_eq, lower and upper have the bits it was built from,
 and b_ub too on the rows that are >= 0 over the free columns, the only
-rows the kept-cap test reads. The record keeps copies of those bytes:
-unlike ==, bytes tell -0.0 from 0.0, and an array changed in place
-after the solve no longer matches. Each
+rows the kept-cap test reads. The record keeps those bytes, since
+unlike == they tell -0.0 from 0.0; a LinearProgram's arrays are
+read-only, so the bytes cannot go stale after the solve. Each
 reused array is then the same function of the same bits, so pivots,
 bases and output bytes are those of a solve without the record, and an
 accepted period costs b / scale, one solve with B and the primal
@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ValidationError
+from .model import ValidationError, frozen
 
 _PIVOT_TOL = 1e-9    # entries smaller than this never pivot
 _FEAS_TOL = 1e-9     # phase-1 objective above this means infeasible
@@ -134,7 +134,7 @@ class LinearProgram:
         for name, val in (("c", c), ("A_ub", A_ub), ("b_ub", b_ub),
                           ("A_eq", A_eq), ("b_eq", b_eq),
                           ("lower", lower), ("upper", upper)):
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, name, frozen(val))
 
     @property
     def n(self) -> int:

@@ -21,6 +21,8 @@ from itertools import islice
 
 import numpy as np
 
+_OUTPUT_TOL = 1e-8   # check_design_output's violation tolerance
+
 
 class FlowDesignError(Exception):
     """Base class for errors raised by this package."""
@@ -88,6 +90,15 @@ def floats_text(values, texts: dict) -> list:
             for bits, v in zip(values.view(np.int64).tolist(), values.tolist())]
 
 
+def frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` if it is read-only and owns its data, else a read-only copy:
+    no one else can write the array a value object stores."""
+    if a.flags.writeable or a.base is not None:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
 def _vector(x, name: str) -> np.ndarray:
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.ndim != 1:
@@ -101,16 +112,16 @@ class FlowModel:
 
     ``sigma2[i]`` is the innovation variance of flow i (volume^2 per
     period) and ``mu[i]`` its mean volume (packets per period). Both must
-    be strictly positive. Instances are immutable value objects; the
-    arrays are not defensively copied, treat them as read-only.
+    be strictly positive. Instances are immutable value objects: both
+    arrays are stored read-only (see frozen).
     """
 
     sigma2: np.ndarray
     mu: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma2", _vector(self.sigma2, "sigma2"))
-        object.__setattr__(self, "mu", _vector(self.mu, "mu"))
+        object.__setattr__(self, "sigma2", frozen(_vector(self.sigma2, "sigma2")))
+        object.__setattr__(self, "mu", frozen(_vector(self.mu, "mu")))
         if self.sigma2.shape != self.mu.shape:
             raise ValidationError("sigma2 and mu must have the same length")
         if self.n_r < 1:
@@ -134,7 +145,7 @@ class DesignProblem:
     budget rows, and ``lower``/``upper`` are per-variable bounds. The
     default cap ``upper = 1`` reflects that design variables are sampling
     probabilities; pass ``upper=np.inf`` per variable to lift the cap for
-    abstract problems.
+    abstract problems. Every array is stored read-only (see frozen).
     """
 
     J: np.ndarray
@@ -179,12 +190,9 @@ class DesignProblem:
             raise ValidationError("lower bounds must be finite")
         if np.any(np.isnan(upper)):
             raise ValidationError("upper bounds must not be NaN")
-        object.__setattr__(self, "J", J)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "row_is_equality", eq)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        for name, val in (("J", J), ("R", R), ("b", b), ("row_is_equality", eq),
+                          ("lower", lower), ("upper", upper)):
+            object.__setattr__(self, name, frozen(val))
 
     @property
     def n_r(self) -> int:
@@ -223,23 +231,23 @@ def validate_problem(p: DesignProblem, fm: FlowModel) -> list:
             for i in np.flatnonzero(~np.any(p.J > 0, axis=1))]
 
 
-def check_design_output(p: DesignProblem, xi: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def check_design_output(p: DesignProblem, xi: np.ndarray) -> np.ndarray:
     """Re-substitute a solver's design vector into the constraint system.
 
     Returns the (possibly tiny-negative-clipped) vector and raises if a
-    bound is violated by more than ``tol``, or a budget or equality row
-    by more than ``tol`` relative to its b_j (with a floor of one ulp of
-    a unit rate per coefficient, for rows with b_j = 0).
+    bound is violated by more than _OUTPUT_TOL, or a budget or equality
+    row by more than _OUTPUT_TOL relative to its b_j (with a floor of one
+    ulp of a unit rate per coefficient, for rows with b_j = 0).
     Solvers call this on every output, so downstream code can rely on
     the feasibility of the vector plus nonnegativity of ``J @ xi``.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (p.n_o,):
         raise ValidationError(f"design vector has shape {xi.shape}, expected ({p.n_o},)")
-    if np.any(xi < p.lower - tol) or np.any(xi > p.upper + tol):
+    if np.any(xi < p.lower - _OUTPUT_TOL) or np.any(xi > p.upper + _OUTPUT_TOL):
         raise ValidationError("design vector violates variable bounds")
     resid = p.R @ xi - p.b
-    limit = np.maximum(tol * np.abs(p.b),
+    limit = np.maximum(_OUTPUT_TOL * np.abs(p.b),
                        np.finfo(float).eps * np.abs(p.R).sum(axis=1))
     eq = p.row_is_equality
     if np.any(resid[~eq] > limit[~eq]):
@@ -248,6 +256,6 @@ def check_design_output(p: DesignProblem, xi: np.ndarray, tol: float = 1e-8) -> 
         raise ValidationError("design vector violates an equality budget row")
     xi = np.clip(xi, p.lower, p.upper)
     m = p.J @ xi
-    if np.any(m < -tol):
+    if np.any(m < -_OUTPUT_TOL):
         raise ValidationError("information vector J @ xi came out negative")
     return xi

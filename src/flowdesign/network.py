@@ -236,6 +236,7 @@ def _information_matrix(l_of, k_of, mu, n_o: int) -> np.ndarray:
     the same OP twice, so each cell is written at most once)."""
     J = np.zeros((mu.size, n_o))
     J[l_of, k_of] = 1.0 / mu[l_of]
+    J.flags.writeable = False  # DesignProblem stores it without a copy
     return J
 
 
@@ -255,6 +256,7 @@ def build_measurement_model(t: TopologySpec) -> MeasurementModel:
     owner = np.array([node_index[v] for _u, v in t.edges], dtype=int)
     R = np.zeros((t.n_v, t.n_o))
     R[owner, np.arange(t.n_o)] = 1.0
+    R.flags.writeable = False
     b = np.array([t.budgets[n] for n in t.nodes])
     return MeasurementModel(
         l_of=l_of, k_of=k_of, J=_information_matrix(l_of, k_of, mu, t.n_o),

@@ -12,6 +12,7 @@ weighted means (weights xi_k/mu_i, information m_i equal to their sum).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from itertools import chain
@@ -20,6 +21,8 @@ import numpy as np
 
 from .model import FlowModel, ValidationError, read_csv, write_lines
 from .network import MeasurementModel
+
+_INT_TOL = 1e-6   # how far a volume may sit from an integer packet count
 
 
 @dataclass(frozen=True)
@@ -46,24 +49,21 @@ class Trace:
         return self.x.shape[1]
 
 
-def gen_random_walk_trace(fm: FlowModel, T: int, x0=None, seed: int = 0,
+def gen_random_walk_trace(fm: FlowModel, T: int, seed: int = 0,
                           floor: float = 1.0) -> Trace:
     """Integer random-walk volumes: x(t) = x(t-1) + Normal(0, sigma2).
 
     Each step is rounded to the nearest integer and clamped at ``floor``
     (packet counts cannot go negative; the Gaussian walk is an
-    idealization). ``x0`` defaults to the model means and is not part of
-    the returned trace.
+    idealization). The walk starts at x(0) = fm.mu, which is not part
+    of the returned trace.
     """
     if T < 1:
         raise ValidationError("T must be >= 1")
-    x0 = fm.mu if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (fm.n_r,) or np.any(x0 <= 0) or not np.all(np.isfinite(x0)):
-        raise ValidationError("x0 must be finite and > 0, one entry per flow")
     rng = np.random.default_rng(seed)
     sigma = np.sqrt(fm.sigma2)
     out = np.empty((T, fm.n_r))
-    cur = x0.astype(float)
+    cur = fm.mu
     for t in range(T):
         cur = np.maximum(np.rint(cur + sigma * rng.standard_normal(fm.n_r)), floor)
         out[t] = cur
@@ -112,7 +112,7 @@ def sample_packets(x_t, mm: MeasurementModel, xi, seed_or_rng=0) -> RawMeasureme
     if np.any(x_t < 0) or not np.all(np.isfinite(x_t)):
         raise ValidationError("volumes must be finite and >= 0")
     counts = np.rint(x_t)
-    if np.any(np.abs(counts - x_t) > 1e-6):
+    if np.any(np.abs(counts - x_t) > _INT_TOL):
         raise ValidationError("volumes must be integer packet counts")
     rng = _as_rng(seed_or_rng)
     rates = xi[mm.k_of]
@@ -190,6 +190,10 @@ def load_trace(path: str) -> Trace:
         if t != len(x) + 1:
             raise ValidationError(
                 f"{name}: line {line}: periods must run 1..T in order")
+        if not all(0.0 <= v < math.inf and abs(v - round(v)) <= _INT_TOL
+                   for v in vals):
+            raise ValidationError(
+                f"{name}: line {line}: volumes must be integer packet counts >= 0")
         x.append(vals)
     if not x:
         raise ValidationError(f"{name}: no data rows")

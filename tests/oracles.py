@@ -27,6 +27,9 @@ different route, so agreement is meaningful:
   design solved afresh.
 * float_texts: model.floats_text with every value formatted on its own,
   where the library formats each distinct bit pattern once per memo.
+* parse_socp_text: serialize_socp's text read back, for round trips.
+* cone_residuals: each exported cone's slack at a point, for checking
+  the cones against the steady-state feasible set.
 * csv_bundle: a topology bundle's four files as csv.writer renders them
   (minimal quoting, "\n" line ends), where save_topology joins fields
   with commas.
@@ -41,9 +44,10 @@ from collections import deque
 
 import numpy as np
 
-from flowdesign import (FilterState, RoutingError, design_problem, fuse_gls,
-                        harness, predict_update, remap_mu, sample_packets,
-                        solve_myopic, solve_naive, solve_steady_state_E)
+from flowdesign import (CanonicalSocp, FilterState, RoutingError, SocpCone,
+                        design_problem, fuse_gls, harness, predict_update,
+                        remap_mu, sample_packets, solve_myopic, solve_naive,
+                        solve_steady_state_E)
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +492,47 @@ def per_period_simulation(cfg):
 def float_texts(values) -> list:
     """The 17-significant-digit text of each of ``values``."""
     return [format(float(v), ".17g") for v in np.atleast_1d(values)]
+
+
+def parse_socp_text(text: str) -> CanonicalSocp:
+    """serialize_socp's text read back. The tests read only text that
+    serialize_socp wrote, so the only checks are the stanza labels."""
+    lines = iter(text.splitlines())
+
+    def take(label=None):
+        line = next(lines)
+        assert label is None or line == label, (label, line)
+        return line
+
+    def floats():
+        return np.array([float(tok) for tok in take().split()])
+
+    take("socp-canonical v1")
+    _, n, _, n_flow, _, n_budget = take().split()
+    take("f")
+    f = floats()
+    cones = []
+    for _ in range(int(n_flow) + int(n_budget)):
+        rows = take().split()[-1]
+        take("P")
+        P = np.array([floats() for _ in range(int(rows))])
+        take("q")
+        q = floats()
+        take("r")
+        r = floats()
+        take("s")
+        cones.append(SocpCone(P=P, q=q, r=r, s=float(take())))
+    assert next(lines, None) is None and f.size == int(n)
+    return CanonicalSocp(f=f, cones=tuple(cones), n_flow_cones=int(n_flow),
+                         n_budget_cones=int(n_budget))
+
+
+def cone_residuals(socp: CanonicalSocp, x) -> np.ndarray:
+    """Per-cone slack r'x + s - ||P x + q|| at x = (theta, xi'); x lies
+    in every cone iff all are >= 0."""
+    return np.array([float(cone.r @ x) + cone.s
+                     - np.linalg.norm(cone.P @ x + cone.q)
+                     for cone in socp.cones])
 
 
 # ---------------------------------------------------------------------------

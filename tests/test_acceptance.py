@@ -20,7 +20,6 @@ from flowdesign import (
     FlowModel,
     TopologySpec,
     build_measurement_model,
-    cone_residuals,
     design_problem,
     export_canonical_socp,
     flow_model,
@@ -35,7 +34,8 @@ from flowdesign import (
 )
 
 from conftest import record_acceptance
-from oracles import dense_gls, grid_design_bounds, riccati_iterate
+from oracles import (cone_residuals, dense_gls, grid_design_bounds,
+                     riccati_iterate)
 
 
 def _line(n, ok, detail):

@@ -333,3 +333,49 @@ def test_non_utf8_trace_exits_1(bundle, tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: walk.csv: line 3 is not UTF-8")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("volume", ["1000.5", "-3", "inf", "nan"])
+def test_bad_trace_volume_names_its_line(bundle, tmp_path, capsys, volume):
+    rows = [f"{t},1000,1000,1000" for t in range(1, 11)]
+    rows[1] = f"2,1000,{volume},1000"
+    trace = tmp_path / "walk.csv"
+    trace.write_text("\n".join(["t,flow_1,flow_2,flow_3"] + rows) + "\n")
+    cfg = write_cfg(tmp_path, bundle, trace_file=str(trace))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == (
+        "error: walk.csv: line 3: volumes must be integer packet counts >= 0\n")
+
+
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+from flowdesign.cli import main
+out = sys.argv[1]
+topo, cfg = out + "/topo", out + "/exp.cfg"
+assert main(["synth", "--kind", "line", "--nodes", "4", "--flows", "2",
+             "--budget", "0.02", "--out", topo]) == 0
+assert main(["design", "--topology", topo, "--scheme", "steady_state",
+             "--out", out + "/design"]) == 0
+for command, mu_mode in (("simulate", "plugin"), ("idealized", "true_mu")):
+    with open(cfg, "w") as fh:
+        fh.write(f"topology_dir = {topo}\\nmu_mode = {mu_mode}\\n"
+                 "horizon = 10\\nblock_size = 5\\nreplications = 2\\n")
+    assert main([command, "--config", cfg, "--out", out + "/" + command]) == 0
+allowed = set(sys.stdlib_module_names) | {"numpy", "flowdesign"}
+# numpy.random's Cython extensions register Cython's shared runtime as
+# in-memory modules (cython_runtime, _cython_3_x_y); no file backs them
+print(sorted(m for m in set(sys.modules) - before
+             if m.partition(".")[0] not in allowed
+             and not (m == "cython_runtime" or m.startswith("_cython_"))))
+"""
+
+
+def test_runtime_loads_only_numpy_and_the_standard_library(tmp_path):
+    src = os.path.dirname(os.path.dirname(flowdesign.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "design" / "socp.txt").is_file()
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -14,12 +14,10 @@ from flowdesign import (
     ValidationError,
     check_design_output,
     build_measurement_model,
-    cone_residuals,
     design,
     design_problem,
     export_canonical_socp,
     flow_model,
-    parse_socp_text,
     predicted_info,
     serialize_socp,
     solve_classical_E,
@@ -32,8 +30,9 @@ from flowdesign import (
     synth_topology,
 )
 
-from oracles import (bisect_steady_state, grid_design_bounds,
-                     highs_classical_theta, float_texts)
+from oracles import (bisect_steady_state, cone_residuals, float_texts,
+                     grid_design_bounds, highs_classical_theta,
+                     parse_socp_text)
 
 
 def pair_problem():
@@ -633,30 +632,6 @@ def test_socp_round_trip_awkward_floats():
     assert back.cones[0].r[1] == 1 / 3
     assert back.cones[0].r[2] == 2 / 9
     assert back.cones[1].s == np.pi / 10
-
-
-@pytest.mark.parametrize(
-    "mangle",
-    [
-        lambda t: t.replace("socp-canonical v1", "socp-canonical v2"),
-        lambda t: t.replace("cone 1 ", "cone 7 "),
-        lambda t: "\n".join(t.splitlines()[:-2]) + "\n",
-        lambda t: t + "extra junk\n",
-        lambda t: t.replace("nvars 3", "nvars three"),
-        lambda t: t.replace("100", "1e--2", 1),
-        lambda t: t.replace("cone 1 rows", "cone x rows"),
-        lambda t: t.replace("cone 1 rows 2", "cone 1 rows two"),
-        lambda t: t.replace("cone 1 rows 2", "cone 1 rows 0"),
-        lambda t: t.replace("cone 1 rows 2", "cone 1 rows -1"),
-        # no cones at all, and counts that sum to that
-        lambda t: "\n".join(t.splitlines()[:4]).replace("flow_cones 2",
-                                                         "flow_cones -1"),
-    ],
-)
-def test_socp_parse_rejects_malformed(mangle):
-    text = serialize_socp(export_canonical_socp(pair_problem(), pair_fm()))
-    with pytest.raises(ValidationError):
-        parse_socp_text(mangle(text))
 
 
 def test_socp_mismatched_model():

@@ -4,8 +4,13 @@ import pytest
 from flowdesign import (
     DesignProblem,
     FlowModel,
+    LinearProgram,
     ValidationError,
+    build_measurement_model,
     check_design_output,
+    design_problem,
+    remap_mu,
+    synth_topology,
     validate_problem,
 )
 
@@ -146,3 +151,25 @@ def test_check_design_output_budget_rows_are_relative_to_b():
             check_design_output(p, np.array([0.02, 1e-12]))  # b_j = 0 row
     with pytest.raises(ValidationError, match="equality"):
         check_design_output(p, np.array([0.02 - 1e-9, 0.0]))
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda a: DesignProblem(J=a, R=[[1.0, 1.0]], b=[1.0]), "J"),
+    (lambda a: FlowModel(sigma2=a[0], mu=[100.0, 100.0]), "sigma2"),
+    (lambda a: LinearProgram(c=[1.0, 1.0], A_ub=a, b_ub=[1.0, 1.0]), "A_ub"),
+])
+def test_value_types_store_arrays_no_one_else_can_write(make, field):
+    a = np.array([[40.0, 10.0], [10.0, 40.0]])
+    stored = getattr(make(a), field)
+    before = stored.copy()
+    a[0, 0] = -1.0
+    assert np.array_equal(stored, before)
+    with pytest.raises(ValueError):
+        stored[0] = 0.0
+
+
+def test_read_only_model_arrays_are_stored_without_a_copy():
+    mm = build_measurement_model(synth_topology("grid", rows=3, cols=3, seed=1))
+    for m in (mm, remap_mu(mm, 2.0 * mm.mu)):
+        p = design_problem(m)
+        assert p.J is m.J and p.R is m.R

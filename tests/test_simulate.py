@@ -64,8 +64,8 @@ def test_trace_floor_clamps():
 def test_trace_increment_variance():
     # far from the floor the increments are rounded Gaussians:
     # Var = sigma2 + 1/12 up to Monte Carlo error
-    fm = FlowModel(sigma2=[400.0], mu=[10.0])
-    tr = gen_random_walk_trace(fm, T=100_000, x0=[1e6], seed=7)
+    fm = FlowModel(sigma2=[400.0], mu=[1e6])
+    tr = gen_random_walk_trace(fm, T=100_000, seed=7)
     inc = np.diff(tr.x[:, 0])
     se = 400.0 * np.sqrt(2.0 / inc.size)
     assert abs(np.var(inc) - (400.0 + 1.0 / 12.0)) < 3 * se
@@ -75,8 +75,6 @@ def test_trace_validation():
     fm = FlowModel(sigma2=[1.0], mu=[10.0])
     with pytest.raises(ValidationError):
         gen_random_walk_trace(fm, T=0)
-    with pytest.raises(ValidationError):
-        gen_random_walk_trace(fm, T=5, x0=[0.0])
     with pytest.raises(ValidationError):
         Trace(x=np.array([[1.0, -2.0]]), source="file-replay")
     with pytest.raises(ValidationError):
