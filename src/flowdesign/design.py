@@ -81,12 +81,11 @@ def _theta_lp(p: DesignProblem, slopes, offsets: np.ndarray,
     rhs = np.concatenate([offsets, b_ub])
     A_eq = np.zeros((R_eq.shape[0], n))
     A_eq[:, 1:] = R_eq
-    lower = np.concatenate([[0.0], p.lower])
     upper = np.concatenate([[np.inf], p.upper])
-    for a in (c, A_ub, rhs, A_eq, b_eq, lower, upper):
+    for a in (c, A_ub, rhs, A_eq, b_eq, upper):
         a.flags.writeable = False  # built here, so LinearProgram keeps them uncopied
     return solve_lp(LinearProgram(c=c, A_ub=A_ub, b_ub=rhs, A_eq=A_eq, b_eq=b_eq,
-                                  lower=lower, upper=upper), start=start)
+                                  upper=upper), start=start)
 
 
 def _require_optimal(sol, scheme: str, unbounded: str,
@@ -298,11 +297,11 @@ def solve_naive(p: DesignProblem) -> DesignResult:
             continue
         weight = float(np.sum(p.R[j, sel]))
         rate = p.b[j] / weight
-        if np.any(rate > p.upper[sel] + 1e-12) or np.any(rate < p.lower[sel] - 1e-12):
+        if np.any(rate > p.upper[sel] + 1e-12):
             raise InfeasibleError(
                 f"naive: equal split of budget row {j} leaves its bounds")
         xi[sel] = rate
-    relaxed = DesignProblem(J=p.J, R=p.R, b=p.b, lower=p.lower, upper=p.upper)
+    relaxed = DesignProblem(J=p.J, R=p.R, b=p.b, upper=p.upper)
     xi = model.check_design_output(relaxed, xi)
     info = p.J @ xi
     theta = float(np.min(info)) if info.size else 0.0
@@ -367,7 +366,7 @@ def export_canonical_socp(p: DesignProblem, fm: FlowModel) -> CanonicalSocp:
     whose inequality ||P_i x + q_i|| <= r_i'x + s_i is algebraically
     theta^2 <= (J xi)_i (theta + 1/sigma_i^2), and one linear cone
     (P = 0) per budget row encoding R_j xi <= b_j. Variable bounds
-    (0 <= theta, lower <= xi <= upper) are not cones and must be handed
+    (0 <= theta, 0 <= xi <= upper) are not cones and must be handed
     to an external solver separately; equality-flagged budget rows are
     exported as inequalities.
     """

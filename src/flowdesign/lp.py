@@ -85,8 +85,6 @@ def _matrix(a, n, name):
     if a is None:
         return np.zeros((0, n))
     a = np.asarray(a, dtype=float)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
     if a.ndim != 2 or a.shape[1] != n:
         raise ValidationError(f"{name} must be 2-D with {n} columns")
     if not np.all(np.isfinite(a)):

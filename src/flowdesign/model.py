@@ -142,17 +142,16 @@ class DesignProblem:
 
     ``J`` (n_r x n_o) maps sampling rates to per-flow information,
     ``R xi <= b`` (or ``= b`` where ``row_is_equality`` is set) are the
-    budget rows, and ``lower``/``upper`` are per-variable bounds. The
-    default cap ``upper = 1`` reflects that design variables are sampling
-    probabilities; pass ``upper=np.inf`` per variable to lift the cap for
-    abstract problems. Every array is stored read-only (see frozen).
+    budget rows, and every rate lies in [0, ``upper``]: rates are
+    sampling probabilities, hence the default cap ``upper = 1``; pass
+    ``upper=np.inf`` per variable to lift the cap for abstract problems.
+    Every array is stored read-only (see frozen).
     """
 
     J: np.ndarray
     R: np.ndarray
     b: np.ndarray
     row_is_equality: np.ndarray = None
-    lower: np.ndarray = None
     upper: np.ndarray = None
 
     def __post_init__(self):
@@ -174,9 +173,8 @@ class DesignProblem:
         eq = np.zeros(R.shape[0], dtype=bool) if eq is None else np.asarray(eq, dtype=bool)
         if eq.shape != (R.shape[0],):
             raise ValidationError("row_is_equality must have one flag per budget row")
-        lower = np.zeros(n_o) if self.lower is None else _vector(self.lower, "lower")
         upper = np.ones(n_o) if self.upper is None else _vector(self.upper, "upper")
-        if lower.shape != (n_o,) or upper.shape != (n_o,):
+        if upper.shape != (n_o,):
             raise ValidationError("bounds must have one entry per design variable")
         if not np.all(np.isfinite(J)) or np.any(J < 0):
             raise ValidationError("J must be finite with no negative entries")
@@ -184,15 +182,18 @@ class DesignProblem:
             raise ValidationError("R must be finite")
         if not np.all(np.isfinite(b)):
             raise ValidationError("b must be finite")
-        if np.any(lower > upper):
+        if np.any(upper < 0):
             raise ValidationError("lower bound exceeds upper bound")
-        if not np.all(np.isfinite(lower)):
-            raise ValidationError("lower bounds must be finite")
         if np.any(np.isnan(upper)):
             raise ValidationError("upper bounds must not be NaN")
         for name, val in (("J", J), ("R", R), ("b", b), ("row_is_equality", eq),
-                          ("lower", lower), ("upper", upper)):
+                          ("upper", upper)):
             object.__setattr__(self, name, frozen(val))
+
+    @property
+    def lower(self) -> np.ndarray:
+        """Read-only zeros, one per rate: only the benchmark reads them."""
+        return np.broadcast_to(0.0, (self.n_o,))
 
     @property
     def n_r(self) -> int:
@@ -220,13 +221,12 @@ def validate_problem(p: DesignProblem, fm: FlowModel) -> list:
         raise ValidationError(
             f"J has {p.n_r} flow rows but the flow model has {fm.n_r} flows"
         )
-    # A nonnegative row with xi >= lower >= 0 cannot reach a negative budget.
-    if np.all(p.lower >= 0):
-        for j in range(p.n_v):
-            if p.b[j] < 0 and np.all(p.R[j] >= 0):
-                raise ValidationError(
-                    f"budget row {j} has b = {p.b[j]} < 0, infeasible with xi >= 0"
-                )
+    # A nonnegative row with xi >= 0 cannot reach a negative budget.
+    for j in range(p.n_v):
+        if p.b[j] < 0 and np.all(p.R[j] >= 0):
+            raise ValidationError(
+                f"budget row {j} has b = {p.b[j]} < 0, infeasible with xi >= 0"
+            )
     return [f"flow {i} is unobservable (all-zero J row)"
             for i in np.flatnonzero(~np.any(p.J > 0, axis=1))]
 
@@ -234,17 +234,19 @@ def validate_problem(p: DesignProblem, fm: FlowModel) -> list:
 def check_design_output(p: DesignProblem, xi: np.ndarray) -> np.ndarray:
     """Re-substitute a solver's design vector into the constraint system.
 
-    Returns the (possibly tiny-negative-clipped) vector and raises if a
-    bound is violated by more than _OUTPUT_TOL, or a budget or equality
-    row by more than _OUTPUT_TOL relative to its b_j (with a floor of one
-    ulp of a unit rate per coefficient, for rows with b_j = 0).
+    Returns the vector clipped to [0, upper] and raises if it is not
+    finite, if a bound is violated by more than _OUTPUT_TOL, or a budget
+    or equality row by more than _OUTPUT_TOL relative to its b_j (with a
+    floor of one ulp of a unit rate per coefficient, for rows with b_j = 0).
     Solvers call this on every output, so downstream code can rely on
     the feasibility of the vector plus nonnegativity of ``J @ xi``.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (p.n_o,):
         raise ValidationError(f"design vector has shape {xi.shape}, expected ({p.n_o},)")
-    if np.any(xi < p.lower - _OUTPUT_TOL) or np.any(xi > p.upper + _OUTPUT_TOL):
+    if not np.all(np.isfinite(xi)):
+        raise ValidationError("design vector must be finite")
+    if np.any(xi < -_OUTPUT_TOL) or np.any(xi > p.upper + _OUTPUT_TOL):
         raise ValidationError("design vector violates variable bounds")
     resid = p.R @ xi - p.b
     limit = np.maximum(_OUTPUT_TOL * np.abs(p.b),
@@ -254,7 +256,7 @@ def check_design_output(p: DesignProblem, xi: np.ndarray) -> np.ndarray:
         raise ValidationError("design vector violates a budget row")
     if np.any(np.abs(resid[eq]) > limit[eq]):
         raise ValidationError("design vector violates an equality budget row")
-    xi = np.clip(xi, p.lower, p.upper)
+    xi = np.clip(xi, 0.0, p.upper)
     m = p.J @ xi
     if np.any(m < -_OUTPUT_TOL):
         raise ValidationError("information vector J @ xi came out negative")

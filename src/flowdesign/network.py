@@ -30,7 +30,7 @@ from itertools import chain
 import numpy as np
 
 from .model import (DesignProblem, FlowDesignError, FlowModel,
-                    ValidationError, floats_text, read_csv, write_lines)
+                    ValidationError, floats_text, frozen, read_csv, write_lines)
 
 
 CONSTRAINT_MODES = ("inequality", "equality_with_zeroing")
@@ -189,7 +189,7 @@ class MeasurementModel:
     k_of[g], and n_g = l_of.size. The dense ``L`` and ``psi_diag`` are
     not stored: they are properties that rebuild the view from l_of,
     k_of and mu on each access, for checks and demos; the runtime never
-    calls them.
+    calls them. Every array is stored read-only (see model.frozen).
     """
 
     l_of: np.ndarray       # (n_g,) measurement -> flow index
@@ -199,6 +199,10 @@ class MeasurementModel:
     b: np.ndarray          # (n_v,)
     mu: np.ndarray
     sigma2: np.ndarray
+
+    def __post_init__(self):
+        for name in ("l_of", "k_of", "J", "R", "b", "mu", "sigma2"):
+            object.__setattr__(self, name, frozen(getattr(self, name)))
 
     @property
     def n_r(self) -> int:
@@ -236,7 +240,7 @@ def _information_matrix(l_of, k_of, mu, n_o: int) -> np.ndarray:
     the same OP twice, so each cell is written at most once)."""
     J = np.zeros((mu.size, n_o))
     J[l_of, k_of] = 1.0 / mu[l_of]
-    J.flags.writeable = False  # DesignProblem stores it without a copy
+    J.flags.writeable = False  # so frozen keeps it uncopied
     return J
 
 
@@ -256,7 +260,6 @@ def build_measurement_model(t: TopologySpec) -> MeasurementModel:
     owner = np.array([node_index[v] for _u, v in t.edges], dtype=int)
     R = np.zeros((t.n_v, t.n_o))
     R[owner, np.arange(t.n_o)] = 1.0
-    R.flags.writeable = False
     b = np.array([t.budgets[n] for n in t.nodes])
     return MeasurementModel(
         l_of=l_of, k_of=k_of, J=_information_matrix(l_of, k_of, mu, t.n_o),

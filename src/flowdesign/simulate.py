@@ -38,6 +38,10 @@ class Trace:
             raise ValidationError("trace must be a (T, n_r) matrix with T >= 1")
         if not np.all(np.isfinite(x)) or np.any(x < 0):
             raise ValidationError("trace volumes must be finite and >= 0")
+        off = np.rint(x)  # distance to an integer, in one scratch array
+        off -= x
+        if np.any(np.abs(off, out=off) > _INT_TOL):
+            raise ValidationError("trace volumes must be integer packet counts")
         object.__setattr__(self, "x", x)
 
     @property
@@ -84,22 +88,16 @@ class RawMeasurements:
     present: np.ndarray
 
 
-def _as_rng(seed_or_rng):
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
-
-
-def sample_packets(x_t, mm: MeasurementModel, xi, seed_or_rng=0) -> RawMeasurements:
+def sample_packets(x_t, mm: MeasurementModel, xi, rng) -> RawMeasurements:
     """Binomially thin each flow at each observation point it crosses.
 
     ``x_t`` holds one period's volumes, shape (n_r,), or a block of B
-    periods under the same rates, shape (B, n_r). A block gives ``n``
-    and ``z`` of shape (B, n_g), row b equal to what a one-period call on
-    row b would draw next from the same generator; ``present`` depends
-    only on the rates and is shared by every row. Rate-0 measurements
-    take no draw (the generator returns 0 for p = 0 without consuming
-    its stream).
+    periods under the same rates, shape (B, n_r); the draws come from
+    the caller's np.random.Generator ``rng``. A block gives ``n`` and
+    ``z`` of shape (B, n_g), row b equal to what a one-period call on row
+    b would draw next from ``rng``; ``present`` depends only on the rates
+    and is shared by every row. Rate-0 measurements take no draw (the
+    generator returns 0 for p = 0 without consuming its stream).
     """
     x_t = np.atleast_1d(np.asarray(x_t, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -114,7 +112,6 @@ def sample_packets(x_t, mm: MeasurementModel, xi, seed_or_rng=0) -> RawMeasureme
     counts = np.rint(x_t)
     if np.any(np.abs(counts - x_t) > _INT_TOL):
         raise ValidationError("volumes must be integer packet counts")
-    rng = _as_rng(seed_or_rng)
     rates = xi[mm.k_of]
     present = rates > 0.0
     n = rng.binomial(counts.astype(np.int64)[..., mm.l_of], rates)
@@ -165,13 +162,10 @@ def _fuse(flow, w, z, n_r):
 
 
 def save_trace(trace: Trace, path: str) -> None:
-    counts = np.rint(trace.x)
-    if np.any(np.abs(counts - trace.x) > 1e-9):
-        raise ValidationError("trace volumes must be integers to serialize")
     write_lines(path, chain(
         [",".join(["t"] + [f"flow_{i + 1}" for i in range(trace.n_r)])],
         (",".join(map(str, [t, *map(int, row.tolist())]))
-         for t, row in enumerate(counts, 1))))
+         for t, row in enumerate(np.rint(trace.x), 1))))
 
 
 def load_trace(path: str) -> Trace:

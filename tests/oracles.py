@@ -262,9 +262,9 @@ _HIGHS = {"primal_feasibility_tolerance": 1e-10,
 
 
 def bisect_steady_state(J, sigma2, R, b, upper, row_is_equality=None,
-                        lower=None, rel=1e-12):
+                        rel=1e-12):
     """max theta s.t. every flow's limiting information reaches theta,
-    over {R xi <= b (= b on equality rows), lower <= xi <= upper}.
+    over {R xi <= b (= b on equality rows), 0 <= xi <= upper}.
 
     For fixed theta the flow constraints are the linear rows
     (J xi)_i >= theta^2 / (theta + 1/sigma_i^2), so feasibility is
@@ -281,12 +281,11 @@ def bisect_steady_state(J, sigma2, R, b, upper, row_is_equality=None,
     b = np.asarray(b, dtype=float)
     upper = np.asarray(upper, dtype=float)
     assert np.all(np.isfinite(upper))
-    lower = np.zeros(J.shape[1]) if lower is None else np.asarray(lower, float)
     eq = (np.zeros(b.size, dtype=bool) if row_is_equality is None
           else np.asarray(row_is_equality, dtype=bool))
     scale = np.where(b > 0, b, 1.0)
     Rs, bs = R / scale[:, None], b / scale
-    bounds = list(zip(lower, upper))
+    bounds = [(0.0, u) for u in upper]
 
     def feasible(theta):
         thr = theta * theta / (theta + 1.0 / sigma2)

@@ -80,8 +80,9 @@ def test_classical_budget_scaling_is_linear():
 
 
 def test_classical_infeasible():
+    # the caps let the equality row reach at most 0.8 < b
     p = DesignProblem(J=np.eye(2), R=[[1.0, 1.0]], b=[1.0],
-                      lower=[0.8, 0.8])
+                      row_is_equality=[True], upper=[0.4, 0.4])
     with pytest.raises(InfeasibleError):
         solve_classical_E(p)
 
@@ -344,8 +345,7 @@ def test_steady_state_matches_grid_oracle():
 def _highs_bisection(p, fm):
     pytest.importorskip("scipy.optimize")
     return bisect_steady_state(p.J, fm.sigma2, p.R, p.b, p.upper,
-                               row_is_equality=p.row_is_equality,
-                               lower=p.lower)
+                               row_is_equality=p.row_is_equality)
 
 
 @pytest.mark.parametrize("mode", ["inequality", "equality_with_zeroing"])

@@ -74,6 +74,8 @@ def test_predict_update_validation():
         predict_update(s, fm, m=[1.0], y=[0.0])
     with pytest.raises(ValidationError):
         predict_update(s, fm, m=[1.0, 0.0], y=[np.nan, 0.0])
+    with pytest.raises(ValidationError, match="one entry per flow"):
+        predict_update(s, fm, m=[1.0, 0.0], y=[0.0])
 
 
 def test_filter_state_validation():
@@ -81,6 +83,8 @@ def test_filter_state_validation():
         FilterState(info=[-1.0], mean=[0.0])
     with pytest.raises(ValidationError):
         FilterState(info=[1.0], mean=[np.nan])
+    with pytest.raises(ValidationError, match="equal length"):
+        FilterState(info=[1.0, 1.0], mean=[0.0])
     # NaN mean is fine while diffuse
     FilterState(info=[0.0], mean=[np.nan])
 

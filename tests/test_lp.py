@@ -193,6 +193,8 @@ def test_determinism_bit_identical():
         dict(c=[1.0], lower=[-np.inf]),
         dict(c=[1.0], upper=[np.nan]),
         dict(c=[1.0], A_ub=[[np.inf]], b_ub=[1.0]),
+        dict(c=[1.0], A_eq=[[1.0]], b_eq=[1.0, 2.0]),
+        dict(c=[1.0, 1.0], A_ub=[1.0, 1.0], b_ub=[1.0]),  # a row must be 2-D
     ],
 )
 def test_validation(kwargs):

@@ -59,19 +59,28 @@ def test_design_problem_infinite_caps_allowed():
         dict(J=[[np.inf]], R=[[1.0]], b=[1.0]),
         dict(J=[[1.0]], R=[[1.0, 1.0]], b=[1.0]),
         dict(J=[[1.0]], R=[[1.0]], b=[1.0, 2.0]),
-        dict(J=[[1.0]], R=[[1.0]], b=[1.0], lower=[2.0], upper=[1.0]),
-        dict(J=[[1.0]], R=[[1.0]], b=[1.0], lower=[-np.inf]),
+        dict(J=[[1.0]], R=[[1.0]], b=[1.0], upper=[-1.0]),
         dict(J=[[1.0]], R=[[1.0]], b=[1.0], row_is_equality=[True, False]),
         dict(J=[[1.0]], R=[[1.0]], b=[1.0], upper=[np.nan]),
         dict(J=[[1.0]], R=[[np.inf]], b=[1.0]),
         dict(J=[[1.0]], R=[[np.nan]], b=[1.0]),
         dict(J=[[1.0]], R=[[1.0]], b=[np.inf]),
         dict(J=[[1.0]], R=[[1.0]], b=[np.nan]),
+        dict(J=[[1.0]], R=[[1.0]], b=[[1.0]]),
+        dict(J=[1.0], R=[[1.0]], b=[1.0]),
+        dict(J=[[1.0]], R=[1.0], b=[1.0]),
     ],
 )
 def test_design_problem_rejects(kwargs):
     with pytest.raises(ValidationError):
         DesignProblem(**kwargs)
+
+
+def test_rates_are_bounded_below_by_zero():
+    with pytest.raises(TypeError):
+        DesignProblem(J=np.eye(2), R=np.ones((1, 2)), b=[1.0], lower=[0.1, 0.1])
+    lower = DesignProblem(J=np.eye(2), R=np.ones((1, 2)), b=[1.0]).lower
+    assert lower.tolist() == [0.0, 0.0] and not lower.flags.writeable
 
 
 @pytest.mark.parametrize("kwargs,message", [
@@ -123,6 +132,7 @@ def test_check_design_output_clips_jitter():
         np.array([1.5, 0.0]),          # cap
         np.array([-1e-3, 0.5]),        # lower bound
         np.array([0.5]),               # shape
+        np.array([np.nan, 0.5]),       # not finite
     ],
 )
 def test_check_design_output_raises(xi):
@@ -157,6 +167,8 @@ def test_check_design_output_budget_rows_are_relative_to_b():
     (lambda a: DesignProblem(J=a, R=[[1.0, 1.0]], b=[1.0]), "J"),
     (lambda a: FlowModel(sigma2=a[0], mu=[100.0, 100.0]), "sigma2"),
     (lambda a: LinearProgram(c=[1.0, 1.0], A_ub=a, b_ub=[1.0, 1.0]), "A_ub"),
+    (lambda a: remap_mu(build_measurement_model(synth_topology(
+        "line", n_nodes=3, n_flows=2, seed=1)), a[0]), "mu"),
 ])
 def test_value_types_store_arrays_no_one_else_can_write(make, field):
     a = np.array([[40.0, 10.0], [10.0, 40.0]])
@@ -171,5 +183,7 @@ def test_value_types_store_arrays_no_one_else_can_write(make, field):
 def test_read_only_model_arrays_are_stored_without_a_copy():
     mm = build_measurement_model(synth_topology("grid", rows=3, cols=3, seed=1))
     for m in (mm, remap_mu(mm, 2.0 * mm.mu)):
+        assert not any(getattr(m, f).flags.writeable
+                       for f in ("l_of", "k_of", "J", "R", "b", "mu", "sigma2"))
         p = design_problem(m)
         assert p.J is m.J and p.R is m.R

@@ -547,3 +547,11 @@ def test_save_requires_paired_edges(tmp_path):
     )
     with pytest.raises(ValidationError):
         save_topology(t, str(tmp_path))
+    # an even number of edges, but (b, c) does not pair with (a, b)
+    t = TopologySpec(
+        nodes=("a", "b", "c"), edges=(("a", "b"), ("b", "c")),
+        flows=(Flow("a", "c", sigma2=1.0, mu=10.0),),
+        budgets={"a": 0.1, "b": 0.1, "c": 0.1},
+    )
+    with pytest.raises(ValidationError):
+        save_topology(t, str(tmp_path))

@@ -5,6 +5,7 @@ from flowdesign import (
     FilterState,
     Flow,
     FlowModel,
+    RawMeasurements,
     Trace,
     TopologySpec,
     ValidationError,
@@ -79,6 +80,8 @@ def test_trace_validation():
         Trace(x=np.array([[1.0, -2.0]]), source="file-replay")
     with pytest.raises(ValidationError):
         Trace(x=np.zeros((0, 2)), source="file-replay")
+    with pytest.raises(ValidationError, match="integer packet counts"):
+        Trace(x=np.array([[1.5, 2.0]]), source="file-replay")
 
 
 # ------------------------------------------------------------------ sampling
@@ -87,7 +90,7 @@ def test_trace_validation():
 def test_full_rate_sampling_is_exact():
     mm = two_flow_mm()
     x = np.array([120.0, 60.0])
-    raw = sample_packets(x, mm, np.ones(mm.n_o), seed_or_rng=0)
+    raw = sample_packets(x, mm, np.ones(mm.n_o), np.random.default_rng(0))
     assert np.all(raw.present)
     assert np.allclose(raw.z, x[mm.l_of])
     assert np.array_equal(raw.n, np.rint(x)[mm.l_of].astype(int))
@@ -95,7 +98,8 @@ def test_full_rate_sampling_is_exact():
 
 def test_zero_rate_measurements_absent():
     mm = two_flow_mm()
-    raw = sample_packets([120.0, 60.0], mm, np.zeros(mm.n_o))
+    raw = sample_packets([120.0, 60.0], mm, np.zeros(mm.n_o),
+                         np.random.default_rng(0))
     assert not raw.present.any()
     assert np.all(np.isnan(raw.z))
     assert np.all(raw.n == 0)
@@ -109,7 +113,7 @@ def test_sampling_unbiased_and_variance():
     reps = 3000
     zs = np.empty((reps, mm.n_g))
     for r in range(reps):
-        zs[r] = sample_packets(x, mm, xi, seed_or_rng=rng).z
+        zs[r] = sample_packets(x, mm, xi, rng).z
     true = x[mm.l_of]
     var_true = true * (1 - 0.05) / 0.05
     se_mean = np.sqrt(var_true / reps)
@@ -121,8 +125,10 @@ def test_sampling_unbiased_and_variance():
 
 def test_sampling_determinism_by_seed():
     mm = two_flow_mm()
-    a = sample_packets([100.0, 50.0], mm, np.full(mm.n_o, 0.3), seed_or_rng=9)
-    b = sample_packets([100.0, 50.0], mm, np.full(mm.n_o, 0.3), seed_or_rng=9)
+    a = sample_packets([100.0, 50.0], mm, np.full(mm.n_o, 0.3),
+                       np.random.default_rng(9))
+    b = sample_packets([100.0, 50.0], mm, np.full(mm.n_o, 0.3),
+                       np.random.default_rng(9))
     assert np.array_equal(a.n, b.n)
 
 
@@ -150,19 +156,27 @@ def test_block_sampling_equals_one_period_calls():
 
 def test_sampling_validation():
     mm = two_flow_mm()
+    rng = np.random.default_rng(0)
     with pytest.raises(ValidationError):
-        sample_packets([100.0], mm, np.zeros(mm.n_o))
+        sample_packets([100.0], mm, np.zeros(mm.n_o), rng)
     with pytest.raises(ValidationError):
-        sample_packets([100.0, 50.0], mm, np.full(mm.n_o, 1.5))
+        sample_packets([100.0, 50.0], mm, np.full(mm.n_o, 1.5), rng)
     with pytest.raises(ValidationError):
-        sample_packets([100.0, 50.0], mm, np.full(mm.n_o, -0.1))
+        sample_packets([100.0, 50.0], mm, np.full(mm.n_o, -0.1), rng)
     with pytest.raises(ValidationError):
-        sample_packets([100.5, 50.0], mm, np.zeros(mm.n_o))
+        sample_packets([100.5, 50.0], mm, np.zeros(mm.n_o), rng)
     # a block is checked in every row, not just the first
     with pytest.raises(ValidationError):
-        sample_packets([[100.0, 50.0], [100.0, 50.5]], mm, np.zeros(mm.n_o))
+        sample_packets([[100.0, 50.0], [100.0, 50.5]], mm, np.zeros(mm.n_o), rng)
     with pytest.raises(ValidationError):
-        sample_packets(np.ones((2, 3)), mm, np.zeros(mm.n_o))
+        sample_packets(np.ones((2, 3)), mm, np.zeros(mm.n_o), rng)
+    with pytest.raises(ValidationError, match="one entry per observation point"):
+        sample_packets([100.0, 50.0], mm, np.zeros(mm.n_o + 1), rng)
+    for bad in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            sample_packets([100.0, bad], mm, np.zeros(mm.n_o), rng)
+    with pytest.raises(TypeError):
+        sample_packets([100.0, 50.0], mm, np.zeros(mm.n_o))
 
 
 # ------------------------------------------------------------------ fusion
@@ -171,7 +185,7 @@ def test_sampling_validation():
 def test_fusion_equal_weights_is_average():
     mm = two_flow_mm()
     xi = np.full(mm.n_o, 0.02)
-    raw = sample_packets([10_000.0, 5_000.0], mm, xi, seed_or_rng=1)
+    raw = sample_packets([10_000.0, 5_000.0], mm, xi, np.random.default_rng(1))
     y, m = fuse_gls(raw, mm, xi, mm.mu)
     z0 = raw.z[mm.l_of == 0]
     assert y[0] == pytest.approx(z0.mean(), rel=1e-12)
@@ -187,7 +201,7 @@ def test_fusion_weighted_mean_and_dense_oracle():
     k0, k1 = mm.k_of[mm.l_of == 0]  # flow 0's OPs in path order
     xi[k0] = 0.02
     xi[k1] = 0.01
-    raw = sample_packets([10_000.0, 5_000.0], mm, xi, seed_or_rng=5)
+    raw = sample_packets([10_000.0, 5_000.0], mm, xi, np.random.default_rng(5))
     y, m = fuse_gls(raw, mm, xi, mm.mu)
     z = raw.z[mm.l_of == 0]
     assert y[0] == pytest.approx((2 * z[0] + z[1]) / 3, rel=1e-12)
@@ -203,7 +217,7 @@ def test_fusion_partial_presence():
     xi = np.zeros(mm.n_o)
     _k0, k1 = mm.k_of[mm.l_of == 0]
     xi[k1] = 0.05  # flow 0's second point only; flow 1's single point stays dark
-    raw = sample_packets([10_000.0, 5_000.0], mm, xi, seed_or_rng=2)
+    raw = sample_packets([10_000.0, 5_000.0], mm, xi, np.random.default_rng(2))
     y, m = fuse_gls(raw, mm, xi, mm.mu)
     assert m[0] == pytest.approx(0.05 / 100.0)
     assert np.isfinite(y[0])
@@ -213,13 +227,16 @@ def test_fusion_partial_presence():
 def test_fusion_validation():
     mm = two_flow_mm()
     xi = np.full(mm.n_o, 0.1)
-    raw = sample_packets([100.0, 50.0], mm, xi)
+    raw = sample_packets([100.0, 50.0], mm, xi, np.random.default_rng(0))
     with pytest.raises(ValidationError):
         fuse_gls(raw, mm, xi, [100.0])
     with pytest.raises(ValidationError):
         fuse_gls(raw, mm, xi, [100.0, 0.0])
     with pytest.raises(ValidationError):
         fuse_gls(raw, mm, xi[:-1], mm.mu)
+    with pytest.raises(ValidationError, match="do not match the model"):
+        fuse_gls(RawMeasurements(n=raw.n[:-1], z=raw.z[:-1], present=raw.present[:-1]),
+                 mm, xi, mm.mu)
 
 
 def test_end_to_end_mse_approaches_steady_state():
@@ -252,7 +269,7 @@ def test_end_to_end_mse_approaches_steady_state():
         rng = np.random.default_rng(root.integers(2**63))
         state = FilterState(info=np.zeros(mm.n_r), mean=mm.mu.copy())
         for t_idx in range(T):
-            raw = sample_packets(trace.x[t_idx], mm, xi, seed_or_rng=rng)
+            raw = sample_packets(trace.x[t_idx], mm, xi, rng)
             y, m = fuse_gls(raw, mm, xi, mm.mu)
             state = predict_update(state, fm, m, y=y)
             sq[t_idx] += (state.mean - trace.x[t_idx]) ** 2
@@ -299,7 +316,8 @@ def test_trace_file_errors(tmp_path):
         load_trace(str(p))
 
 
-def test_save_trace_rejects_noninteger():
-    tr = Trace(x=np.array([[1.5]]), source="file-replay")
-    with pytest.raises(ValidationError):
-        save_trace(tr, "/tmp/unused.csv")
+def test_save_trace_rounds_volumes_within_the_integer_tolerance(tmp_path):
+    # sample_packets accepts 1.0000005 as one packet, so the trace file must too
+    path = str(tmp_path / "trace.csv")
+    save_trace(Trace(x=np.array([[1.0000005, 2.0]]), source="file-replay"), path)
+    assert load_trace(path).x.tolist() == [[1.0, 2.0]]
