@@ -316,6 +316,15 @@ def test_trace_file_errors(tmp_path):
         load_trace(str(p))
 
 
+def test_save_trace_rejects_noninteger(tmp_path):
+    # the check now sits in Trace itself, so a 1.5-packet trace never
+    # reaches save_trace and no file is written
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValidationError, match="integer packet counts"):
+        save_trace(Trace(x=np.array([[1.5]]), source="file-replay"), str(path))
+    assert not path.exists()
+
+
 def test_save_trace_rounds_volumes_within_the_integer_tolerance(tmp_path):
     # sample_packets accepts 1.0000005 as one packet, so the trace file must too
     path = str(tmp_path / "trace.csv")
