@@ -24,6 +24,13 @@ and x/-0 are infinities of opposite sign). A zero basic value reaches x as
 z + lower, which is +0.0 for either sign when lower is +0.0, as in
 every design LP.
 
+The tableau is stored column-major, the usual layout of simplex codes
+(Bixby 2002), so the columns a pivot updates are contiguous runs of
+memory rather than strided gathers. Its arithmetic is the row-major
+update's with the operands of each product swapped; IEEE
+multiplication commutes, so every entry keeps its bits, zero signs
+included. Phase 1's row and column drops must keep that order.
+
 Implied caps are presolved away (Brearley, Mitra & Williams 1975;
 Andersen & Andersen 1995): the row z_j <= span_j is dropped when an
 inequality row with coefficients >= 0 over the free columns and b_i >= 0
@@ -197,14 +204,16 @@ def _pivot(T, basis, row, col):
     prow[j] = ±0 unchanged except that a -0.0 entry may turn +0.0, so
     skipping those columns changes only signs of zeros (module
     docstring). The pivot column needs no stores: prow[col] = x/x = 1
-    and T[i, col] - T[i, col] * 1 = +0.0 exactly.
+    and T[i, col] - T[i, col] * 1 = +0.0 exactly. T is column-major, so
+    the update runs over contiguous rows of T.T; prow[j] * colvals[i]
+    has the bits of colvals[i] * prow[j] (module docstring).
     """
     prow = T[row] / T[row, col]
     T[row] = prow
-    nz = np.flatnonzero(prow)
+    nz = prow.nonzero()[0]
     colvals = T[:, col].copy()
     colvals[row] = 0.0
-    T[:, nz] -= colvals[:, None] * prow[nz]
+    T.T[nz] -= prow[nz, None] * colvals
     basis[row] = col
 
 
@@ -215,18 +224,22 @@ def _bland(T, basis, n_cols, cap):
     reduced cost; among the rows with the minimum ratio, the one whose
     basic variable has the smallest index leaves.
     """
+    cost = T[-1, :n_cols]  # views: they follow every pivot's update
+    rhs = T[:-1, -1]
     pivots = 0
     while pivots < cap:
-        enter = np.flatnonzero(T[-1, :n_cols] < -_PIVOT_TOL)
-        if enter.size == 0:
+        neg = cost < -_PIVOT_TOL
+        enter = neg.argmax() if n_cols else 0  # argmax of nothing raises
+        if not n_cols or not neg[enter]:
             return "optimal", pivots
-        col = T[:-1, enter[0]]
-        rows = np.flatnonzero(col > _PIVOT_TOL)
+        col = T[:-1, enter]
+        rows = (col > _PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return "unbounded", pivots
-        ratios = T[rows, -1] / col[rows]
+        ratios = rhs[rows] / col[rows]
         ties = rows[ratios == ratios.min()]
-        _pivot(T, basis, ties[np.argmin(basis[ties])], enter[0])
+        leave = ties[0] if ties.size == 1 else ties[np.argmin(basis[ties])]
+        _pivot(T, basis, leave, enter)
         pivots += 1
     return "iteration_limit", pivots
 
@@ -303,7 +316,7 @@ def _two_phase(A, b, is_eq, c_max, cap):
     N = art_lo + art_rows.size
     art_cols = np.arange(art_lo, N)
 
-    T = np.zeros((m + 1, N + 1))
+    T = np.zeros((m + 1, N + 1), order="F")  # column-major: see _pivot
     T[:m, :n] = np.where(flip[:, None], -A, A)
     T[ineq_rows, slack_cols] = np.where(flip[ineq_rows], -1.0, 1.0)
     T[art_rows, art_cols] = 1.0
@@ -336,9 +349,12 @@ def _two_phase(A, b, is_eq, c_max, cap):
                 total += 1
             else:
                 drop.append(i)
-        T = np.delete(T, drop, axis=0)
-        basis = np.delete(basis, drop)
-        T = np.delete(T, np.s_[art_lo:N], axis=1)
+        if drop:
+            T = np.delete(T, drop, axis=0)
+            basis = np.delete(basis, drop)
+        # column-major again: np.delete may return a C-order copy (it
+        # does for an empty index list, hence the guard above)
+        T = np.asfortranarray(np.delete(T, np.s_[art_lo:N], axis=1))
         N = art_lo
 
     cost = np.zeros(N + 1)

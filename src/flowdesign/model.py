@@ -183,7 +183,7 @@ class DesignProblem:
         if not np.all(np.isfinite(b)):
             raise ValidationError("b must be finite")
         if np.any(upper < 0):
-            raise ValidationError("lower bound exceeds upper bound")
+            raise ValidationError("upper bounds must be >= 0")
         if np.any(np.isnan(upper)):
             raise ValidationError("upper bounds must not be NaN")
         for name, val in (("J", J), ("R", R), ("b", b), ("row_is_equality", eq),

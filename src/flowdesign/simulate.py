@@ -19,7 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .model import FlowModel, ValidationError, read_csv, write_lines
+from .model import FlowModel, ValidationError, frozen, read_csv, write_lines
 from .network import MeasurementModel
 
 _INT_TOL = 1e-6   # how far a volume may sit from an integer packet count
@@ -27,7 +27,8 @@ _INT_TOL = 1e-6   # how far a volume may sit from an integer packet count
 
 @dataclass(frozen=True)
 class Trace:
-    """True flow volumes, one row per period (t = 1..T)."""
+    """True flow volumes, one row per period (t = 1..T). ``x`` is stored
+    read-only (see model.frozen)."""
 
     x: np.ndarray          # (T, n_r), nonnegative integer-valued
     source: str            # synthetic-random-walk | file-replay
@@ -42,7 +43,7 @@ class Trace:
         off -= x
         if np.any(np.abs(off, out=off) > _INT_TOL):
             raise ValidationError("trace volumes must be integer packet counts")
-        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "x", frozen(x))
 
     @property
     def T(self) -> int:
@@ -71,6 +72,7 @@ def gen_random_walk_trace(fm: FlowModel, T: int, seed: int = 0,
     for t in range(T):
         cur = np.maximum(np.rint(cur + sigma * rng.standard_normal(fm.n_r)), floor)
         out[t] = cur
+    out.flags.writeable = False  # so Trace stores it uncopied
     return Trace(x=out, source="synthetic-random-walk")
 
 
@@ -191,4 +193,6 @@ def load_trace(path: str) -> Trace:
         x.append(vals)
     if not x:
         raise ValidationError(f"{name}: no data rows")
-    return Trace(x=np.array(x), source="file-replay")
+    x = np.array(x)
+    x.flags.writeable = False  # so Trace stores it uncopied
+    return Trace(x=x, source="file-replay")

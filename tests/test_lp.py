@@ -398,6 +398,47 @@ def test_pivot_matches_dense_oracle(name, monkeypatch):
         assert a.x.tobytes() == b.x.tobytes()
 
 
+@pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+def test_tableau_stays_column_major(name, monkeypatch):
+    # a C-ordered tableau solves the same LPs, only slower, so the layout
+    # is asserted at every pivot, phase 1's row and column drops included
+    shipped_pivot = lp_module._pivot
+    widths = []
+
+    def recording(T, basis, row, col):
+        assert T.flags.f_contiguous, f"pivot {len(widths)}"
+        widths.append(T.shape[1])
+        shipped_pivot(T, basis, row, col)
+
+    monkeypatch.setattr(lp_module, "_pivot", recording)
+    _ORACLE_CASES[name]()
+    if name in ("redundant", "flipped"):
+        # phase 2 pivots on the tableau left after the artificials went
+        assert min(widths) < widths[0]
+
+
+@pytest.mark.parametrize("name", ["design", "beale", "redundant", "grid4_inequality_classical"])
+def test_pivot_is_layout_independent(name, monkeypatch):
+    # replay each pivot of a solve on C- and F-ordered copies of its tableau
+    shipped_pivot = lp_module._pivot
+    steps = []
+
+    def recording(T, basis, row, col):
+        results = []
+        for order in "CF":
+            T2, basis2 = np.array(T, order=order), basis.copy()
+            shipped_pivot(T2, basis2, row, col)
+            # tobytes reads both in C order; zero signs are compared too
+            results.append((basis2.tobytes(), T2.tobytes()))
+        assert results[0] == results[1], f"pivot {len(steps)}"
+        steps.append(results[0])
+        shipped_pivot(T, basis, row, col)
+
+    monkeypatch.setattr(lp_module, "_pivot", recording)
+    _ORACLE_CASES[name]()
+    assert steps
+
+
 # ------------------------------------------------------------ implied caps
 
 

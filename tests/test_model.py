@@ -87,6 +87,7 @@ def test_rates_are_bounded_below_by_zero():
     (dict(upper=[np.nan]), "upper bounds must not be NaN"),
     (dict(R=[[np.inf]]), "R must be finite"),
     (dict(b=[np.nan]), "b must be finite"),
+    (dict(upper=[-1.0]), "upper bounds must be >= 0"),
 ])
 def test_design_problem_names_the_field(kwargs, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):

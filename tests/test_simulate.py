@@ -18,6 +18,7 @@ from flowdesign import (
     save_trace,
     steady_state_info,
 )
+from flowdesign import simulate
 
 from oracles import dense_gls
 
@@ -82,6 +83,35 @@ def test_trace_validation():
         Trace(x=np.zeros((0, 2)), source="file-replay")
     with pytest.raises(ValidationError, match="integer packet counts"):
         Trace(x=np.array([[1.5, 2.0]]), source="file-replay")
+
+
+def test_trace_owns_a_read_only_copy_of_a_writeable_array():
+    x = np.array([[1.0, 2.0], [3.0, 4.0]])
+    tr = Trace(x=x, source="file-replay")
+    x[0, 0] = 9.0
+    assert np.array_equal(tr.x, [[1.0, 2.0], [3.0, 4.0]])
+    assert not tr.x.flags.writeable
+    with pytest.raises(ValueError):
+        tr.x[0, 0] = 9.0
+
+
+@pytest.mark.parametrize("make", ["synthetic", "file"])
+def test_trace_constructors_store_their_array_uncopied(make, tmp_path, monkeypatch):
+    # a copy would double the trace's memory in every closed-loop run
+    fm = FlowModel(sigma2=[25.0, 100.0], mu=[500.0, 700.0])
+    tr = gen_random_walk_trace(fm, T=30, seed=1)
+    path = str(tmp_path / "trace.csv")
+    save_trace(tr, path)
+    passed = []
+
+    def recording(x, source):
+        passed.append(x)
+        return Trace(x=x, source=source)
+
+    monkeypatch.setattr(simulate, "Trace", recording)
+    tr = gen_random_walk_trace(fm, T=30, seed=1) if make == "synthetic" else load_trace(path)
+    assert tr.x is passed[0]
+    assert not tr.x.flags.writeable
 
 
 # ------------------------------------------------------------------ sampling
