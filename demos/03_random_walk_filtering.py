@@ -11,8 +11,8 @@ whose fixed point has the closed form used throughout the package.
 
 import numpy as np
 
-from flowdesign import (FilterState, FlowModel, gen_random_walk_trace,
-                        predict_update, steady_state_info)
+from flowdesign import (FlowModel, gen_random_walk_trace, predict_update,
+                        steady_state_info)
 
 fm = FlowModel(sigma2=[250_000.0], mu=[1_000_000.0])
 
@@ -28,15 +28,15 @@ rng = np.random.default_rng(7)
 T = 600
 trace = gen_random_walk_trace(fm, T=T, seed=3)
 meas_var = fm.mu[0] / (m * fm.mu[0])
-state = FilterState(info=np.zeros(1), mean=fm.mu.copy())  # diffuse prior
+info, mean = np.zeros(1), fm.mu.copy()  # diffuse prior
 err = np.empty(T)
 for t in range(T):
     y = trace.x[t] + rng.normal(0.0, np.sqrt(meas_var), 1)
-    state = predict_update(state, fm, np.array([m]), y=y)
-    err[t] = state.mean[0] - trace.x[t, 0]
+    info, mean = predict_update(info, mean, fm, np.array([m]), y=y)
+    err[t] = mean[0] - trace.x[t, 0]
 
 print("\nfilter against a simulated trace (T = 600):")
-print("  filter information after T:    ", state.info[0])
+print("  filter information after T:    ", info[0])
 print("  closed-form limit:             ", closed)
 print("  late-window mean squared error:", np.mean(err[100:] ** 2))
 print("  predicted 1/info limit:        ", 1.0 / closed)

@@ -10,41 +10,20 @@ which is the usual variance recursion rewritten so the diffuse prior
 info = 0 needs no special casing. Under constant m the recursion has a
 unique nonnegative fixed point, the steady-state information, available
 in closed form from the quadratic sigma2*u^2 - sigma2*m*u - m = 0.
+
+The posterior is two plain arrays: info (0 encodes the diffuse prior,
+whose mean may be NaN) and mean; predict_update returns new ones.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import FlowModel, ValidationError
 
 
-@dataclass(frozen=True)
-class FilterState:
-    """Posterior of the filter bank.
-
-    ``info[i]`` is the posterior information 1/var of flow i (0 encodes
-    the diffuse prior) and ``mean[i]`` the posterior mean. Value object;
-    updates return new instances.
-    """
-
-    info: np.ndarray
-    mean: np.ndarray
-
-    def __post_init__(self):
-        info = np.atleast_1d(np.asarray(self.info, dtype=float))
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        if info.shape != mean.shape or info.ndim != 1:
-            raise ValidationError("info and mean must be 1-D arrays of equal length")
-        _check_posterior(info, mean)
-        object.__setattr__(self, "info", info)
-        object.__setattr__(self, "mean", mean)
-
-
 def _check_posterior(info, mean):
-    """FilterState's value checks, on arrays of any one shape."""
+    """Raise unless (info, mean), of any one shape, is a posterior."""
     if np.any(info < 0) or not np.all(np.isfinite(info)):
         raise ValidationError("posterior information must be finite and >= 0")
     if np.any(~np.isfinite(mean) & (info > 0)):
@@ -57,8 +36,9 @@ def predicted_info(info: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
     return info / (1.0 + np.asarray(sigma2, dtype=float) * info)
 
 
-def predict_update(state: FilterState, fm: FlowModel, m, y=None) -> FilterState:
-    """Advance the filter bank by one period.
+def predict_update(info, mean, fm: FlowModel, m, y=None):
+    """Advance the filter bank's posterior (info, mean) by one period
+    and return the new (info, mean).
 
     ``m`` is the per-flow information delivered this period and ``y`` the
     corresponding fused observations; ``y[i]`` is only read where
@@ -66,8 +46,13 @@ def predict_update(state: FilterState, fm: FlowModel, m, y=None) -> FilterState:
     ``m[i] = 0`` do a pure prediction step: the mean is unchanged and the
     information shrinks.
     """
+    info = np.atleast_1d(np.asarray(info, dtype=float))
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    if info.shape != mean.shape or info.ndim != 1:
+        raise ValidationError("info and mean must be 1-D arrays of equal length")
+    _check_posterior(info, mean)
     m = np.atleast_1d(np.asarray(m, dtype=float))
-    if m.shape != (fm.n_r,) or state.info.shape != (fm.n_r,):
+    if m.shape != (fm.n_r,) or info.shape != (fm.n_r,):
         raise ValidationError("state, flow model and information vector disagree on n_r")
     if np.any(m < 0) or not np.all(np.isfinite(m)):
         raise ValidationError("per-period information must be finite and >= 0")
@@ -80,8 +65,7 @@ def predict_update(state: FilterState, fm: FlowModel, m, y=None) -> FilterState:
             raise ValidationError("observation vector must have one entry per flow")
         if np.any(~np.isfinite(y[observed])):
             raise ValidationError("observations must be finite where m > 0")
-    info, mean = _update(state.info, state.mean, fm.sigma2, m, y)
-    return FilterState(info=info, mean=mean)
+    return _update(info, mean, fm.sigma2, m, y)
 
 
 def _update(info, mean, sigma2, m, y):

@@ -40,8 +40,8 @@ from .model import (FlowDesignError, FlowModel, ValidationError, floats_text,
 from .network import (CONSTRAINT_MODES, TOPOLOGY_KINDS, ParameterError,
                       build_measurement_model, design_problem, flow_model,
                       load_topology, remap_mu, synth_topology)
-from .simulate import (Trace, _fuse, gen_random_walk_trace, load_trace,
-                       sample_packets)
+from .simulate import (Trace, _count_fault, _fuse, gen_random_walk_trace,
+                       load_trace, sample_packets)
 # unused here, but perfbench/tracing.py patches these bindings (TRACED);
 # fuse_gls/predict_update are the one-period forms of _fuse/_update
 from .design import solve_myopic, solve_naive, solve_steady_state_E  # noqa: F401
@@ -114,8 +114,8 @@ class ExperimentConfig:
         for name in ("seed", "trace_seed", "topology_seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(name, "must be >= 0")
-        if not (math.isfinite(self.trace_floor) and self.trace_floor >= 0):
-            raise ConfigError("trace_floor", "must be finite and >= 0")
+        if fault := _count_fault(self.trace_floor):  # the walk clamps at it
+            raise ConfigError("trace_floor", f"must be {fault}")
         if (self.topology_dir is None) == (self.topology_kind is None):
             raise ConfigError(
                 "topology_dir", "give exactly one of topology_dir or topology_kind")
@@ -301,10 +301,10 @@ def run_idealized(cfg: ExperimentConfig) -> MetricsSeries:
 
 def _draw(x, mm, xi, rng, present):
     """One replication's block draw: sample_packets on the (B, n_r)
-    volumes ``x``, kept only as the (B, n) estimates z of the ``present``
-    measurements, so the counts and absent columns are freed here."""
-    z = sample_packets(x, mm, xi, rng).z
-    return z if present.all() else z[:, present]
+    volumes ``x``, kept only as the (B, n) estimates z = n / xi_k of the
+    ``present`` measurements, so the counts are freed here."""
+    n, rate = sample_packets(x, mm, xi, rng), xi[mm.k_of]
+    return n / rate if present.all() else n[:, present] / rate[present]
 
 
 def _draw_group(pool, arg_lists):

@@ -383,9 +383,7 @@ def _dual_half(rows: _Rows, c_max, basis):
     S = basis[basis < n]
     tight = np.ones(m, dtype=bool)
     tight[basis[basis >= n] - n] = False
-    if S.size != np.count_nonzero(tight):
-        return None
-    B = A[np.ix_(tight, S)]
+    B = A[np.ix_(tight, S)]  # not square, or singular, for a repeated entry
     try:
         u = np.linalg.solve(B.T, c_max[S])
     except np.linalg.LinAlgError:

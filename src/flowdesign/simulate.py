@@ -8,11 +8,12 @@ small rates. Fusion of a flow's measurements uses inverse-variance
 weights with the plug-in approximation Var(z) ~ mu/xi, and because no
 two flows share a measurement row the GLS solve collapses to independent
 weighted means (weights xi_k/mu_i, information m_i equal to their sum).
+The steps pass plain arrays: sample_packets returns the int64 counts N,
+and fuse_gls forms Z = N/xi where xi > 0 and returns the per-flow (y, m).
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from itertools import chain
@@ -23,6 +24,19 @@ from .model import FlowModel, ValidationError, frozen, read_csv, write_lines
 from .network import MeasurementModel
 
 _INT_TOL = 1e-6   # how far a volume may sit from an integer packet count
+
+
+def _count_fault(x) -> str | None:
+    """What keeps ``x`` from holding packet counts, or None. The one count
+    rule: finite, >= 0 and within _INT_TOL of an integer."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails too
+        off = np.rint(x)  # distance to an integer, in one scratch array
+        off -= x
+        bad = x[~(np.abs(off, out=off) <= _INT_TOL) | (x < 0)]
+    if bad.size:
+        ok = np.all(np.isfinite(bad) & (bad >= 0))
+        return "integer packet counts" if ok else "finite and >= 0"
 
 
 @dataclass(frozen=True)
@@ -37,12 +51,8 @@ class Trace:
         x = np.asarray(self.x, dtype=float)
         if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
             raise ValidationError("trace must be a (T, n_r) matrix with T >= 1")
-        if not np.all(np.isfinite(x)) or np.any(x < 0):
-            raise ValidationError("trace volumes must be finite and >= 0")
-        off = np.rint(x)  # distance to an integer, in one scratch array
-        off -= x
-        if np.any(np.abs(off, out=off) > _INT_TOL):
-            raise ValidationError("trace volumes must be integer packet counts")
+        if fault := _count_fault(x):
+            raise ValidationError(f"trace volumes must be {fault}")
         object.__setattr__(self, "x", frozen(x))
 
     @property
@@ -58,13 +68,15 @@ def gen_random_walk_trace(fm: FlowModel, T: int, seed: int = 0,
                           floor: float = 1.0) -> Trace:
     """Integer random-walk volumes: x(t) = x(t-1) + Normal(0, sigma2).
 
-    Each step is rounded to the nearest integer and clamped at ``floor``
-    (packet counts cannot go negative; the Gaussian walk is an
+    Each step is rounded to the nearest integer and clamped at ``floor``,
+    a packet count (counts cannot go negative; the Gaussian walk is an
     idealization). The walk starts at x(0) = fm.mu, which is not part
     of the returned trace.
     """
     if T < 1:
         raise ValidationError("T must be >= 1")
+    if fault := _count_fault(floor):
+        raise ValidationError(f"floor must be {fault}")
     rng = np.random.default_rng(seed)
     sigma = np.sqrt(fm.sigma2)
     out = np.empty((T, fm.n_r))
@@ -76,30 +88,16 @@ def gen_random_walk_trace(fm: FlowModel, T: int, seed: int = 0,
     return Trace(x=out, source="synthetic-random-walk")
 
 
-@dataclass(frozen=True)
-class RawMeasurements:
-    """Sampled data, one entry per (OP, flow) measurement.
-
-    ``n`` and ``z`` have shape (n_g,) for one period or (B, n_g) for a
-    block; ``present`` has shape (n_g,) in both. ``z`` is NaN where
-    ``present`` is False (rate zero, nothing sampled).
-    """
-
-    n: np.ndarray
-    z: np.ndarray
-    present: np.ndarray
-
-
-def sample_packets(x_t, mm: MeasurementModel, xi, rng) -> RawMeasurements:
+def sample_packets(x_t, mm: MeasurementModel, xi, rng) -> np.ndarray:
     """Binomially thin each flow at each observation point it crosses.
 
     ``x_t`` holds one period's volumes, shape (n_r,), or a block of B
     periods under the same rates, shape (B, n_r); the draws come from
-    the caller's np.random.Generator ``rng``. A block gives ``n`` and
-    ``z`` of shape (B, n_g), row b equal to what a one-period call on row
-    b would draw next from ``rng``; ``present`` depends only on the rates
-    and is shared by every row. Rate-0 measurements take no draw (the
-    generator returns 0 for p = 0 without consuming its stream).
+    the caller's np.random.Generator ``rng``. Returns the int64 sampled
+    counts n, shape (n_g,) or (B, n_g); row b of a block equals what a
+    one-period call on row b would draw next from ``rng``. Rate-0
+    measurements take no draw (the generator returns 0 for p = 0 without
+    consuming its stream).
     """
     x_t = np.atleast_1d(np.asarray(x_t, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -109,28 +107,22 @@ def sample_packets(x_t, mm: MeasurementModel, xi, rng) -> RawMeasurements:
         raise ValidationError("xi must have one entry per observation point")
     if np.any(xi < 0) or np.any(xi > 1) or not np.all(np.isfinite(xi)):
         raise ValidationError("sampling rates must lie in [0, 1]")
-    if np.any(x_t < 0) or not np.all(np.isfinite(x_t)):
-        raise ValidationError("volumes must be finite and >= 0")
-    counts = np.rint(x_t)
-    if np.any(np.abs(counts - x_t) > _INT_TOL):
-        raise ValidationError("volumes must be integer packet counts")
-    rates = xi[mm.k_of]
-    present = rates > 0.0
-    n = rng.binomial(counts.astype(np.int64)[..., mm.l_of], rates)
-    z = np.full(n.shape, np.nan)
-    np.divide(n, rates, out=z, where=present)
-    return RawMeasurements(n=n, z=z, present=present)
+    if fault := _count_fault(x_t):
+        raise ValidationError(f"volumes must be {fault}")
+    counts = np.rint(x_t).astype(np.int64)
+    return rng.binomial(counts[..., mm.l_of], xi[mm.k_of])
 
 
-def fuse_gls(raw: RawMeasurements, mm: MeasurementModel, xi, mu_plugin):
-    """Collapse raw measurements into per-flow (y, m).
+def fuse_gls(n, mm: MeasurementModel, xi, mu_plugin):
+    """Collapse one period's sampled counts ``n``, (n_g,), into (y, m).
 
-    Weights are xi_k / mu_plugin_i (inverse of the approximate
-    measurement variance mu/xi); m_i is the weight sum, which equals
-    (J xi)_i when every measurement of the flow is present and
-    mu_plugin is the mu that built J. Flows with nothing observed get
-    m_i = 0 and y_i = NaN. ``raw`` is one period's draw.
+    Only the present measurements (rate xi_k > 0) count, each as the
+    estimate z = n / xi_k with weight xi_k / mu_plugin_i (inverse of the
+    approximate measurement variance mu/xi); m_i is the weight sum, which
+    equals (J xi)_i when mu_plugin is the mu that built J. Flows with
+    nothing observed get m_i = 0 and y_i = NaN.
     """
+    n = np.atleast_1d(np.asarray(n, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     mu_plugin = np.atleast_1d(np.asarray(mu_plugin, dtype=float))
     if xi.shape != (mm.n_o,):
@@ -139,11 +131,13 @@ def fuse_gls(raw: RawMeasurements, mm: MeasurementModel, xi, mu_plugin):
         raise ValidationError("mu_plugin must have one entry per flow")
     if np.any(mu_plugin <= 0) or not np.all(np.isfinite(mu_plugin)):
         raise ValidationError("mu_plugin must be finite and > 0")
-    if raw.n.shape != (mm.n_g,):
-        raise ValidationError("raw measurements do not match the model")
-    present = raw.present
-    w = xi[mm.k_of] / mu_plugin[mm.l_of]
-    return _fuse(mm.l_of[present], w[present], raw.z[present], mm.n_r)
+    if n.shape != (mm.n_g,):
+        raise ValidationError("packet counts do not match the model")
+    if np.any(n < 0) or not np.all(np.isfinite(n)):
+        raise ValidationError("packet counts must be finite and >= 0")
+    present = xi[mm.k_of] > 0.0
+    rate, flow = xi[mm.k_of][present], mm.l_of[present]
+    return _fuse(flow, rate / mu_plugin[flow], n[present] / rate, mm.n_r)
 
 
 def _fuse(flow, w, z, n_r):
@@ -177,22 +171,23 @@ def load_trace(path: str) -> Trace:
     if n_r < 1 or header != ["t"] + [f"flow_{i + 1}" for i in range(n_r)]:
         raise ValidationError(
             f"{name}: line 1: header must be t,flow_1,...,flow_nr")
-    x = []
+    lines, x = [], []
     for line, (t, *vals) in rows:
         try:
-            t, vals = int(t), [float(c) for c in vals]
+            t, vals = int(t), list(map(float, vals))
         except ValueError:
             raise ValidationError(f"{name}: line {line}: bad number") from None
         if t != len(x) + 1:
             raise ValidationError(
                 f"{name}: line {line}: periods must run 1..T in order")
-        if not all(0.0 <= v < math.inf and abs(v - round(v)) <= _INT_TOL
-                   for v in vals):
-            raise ValidationError(
-                f"{name}: line {line}: volumes must be integer packet counts >= 0")
+        lines.append(line)
         x.append(vals)
     if not x:
         raise ValidationError(f"{name}: no data rows")
     x = np.array(x)
+    if _count_fault(x):  # checked whole; only a bad file is searched by row
+        line = next(ln for ln, row in zip(lines, x) if _count_fault(row))
+        raise ValidationError(f"{name}: line {line}: "
+                              "volumes must be integer packet counts >= 0")
     x.flags.writeable = False  # so Trace stores it uncopied
     return Trace(x=x, source="file-replay")

@@ -44,9 +44,9 @@ from collections import deque
 
 import numpy as np
 
-from flowdesign import (CanonicalSocp, FilterState, RoutingError, SocpCone,
-                        design_problem, fuse_gls, harness, predict_update,
-                        remap_mu, sample_packets, solve_myopic, solve_naive,
+from flowdesign import (CanonicalSocp, RoutingError, SocpCone, design_problem,
+                        fuse_gls, harness, predict_update, remap_mu,
+                        sample_packets, solve_myopic, solve_naive,
                         solve_steady_state_E)
 
 
@@ -455,11 +455,11 @@ def per_period_simulation(cfg):
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
     for r, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
-        state = FilterState(info=np.zeros(fm.n_r), mean=fm.mu.copy())
+        info, mean = np.zeros(fm.n_r), fm.mu.copy()
         for t in range(1, T + 1):
             mu_hat = fm.mu
             if cfg.mu_mode == "plugin":
-                mu_hat = np.maximum(state.mean, harness._MU_FLOOR)
+                mu_hat = np.maximum(mean, harness._MU_FLOOR)
             if (t - 1) % B == 0:
                 scheme = cfg.scheme
                 if t == 1 and cfg.warmup_scheme == "naive":
@@ -473,13 +473,13 @@ def per_period_simulation(cfg):
                 elif scheme == "steady_state":
                     xi = solve_steady_state_E(q, fm, tol_theta=cfg.tol_theta).xi
                 else:
-                    xi = solve_myopic(q, fm, state.info).xi
+                    xi = solve_myopic(q, fm, info).xi
                 if r == 0:
                     rates[(t - 1) // B] = xi
-            raw = sample_packets(trace.x[t - 1], mm, xi, rng)
-            y, m = fuse_gls(raw, mm, xi, mu_hat)
-            state = predict_update(state, fm, m, y)
-            sq_sum[t - 1] += (state.mean - trace.x[t - 1]) ** 2
+            n = sample_packets(trace.x[t - 1], mm, xi, rng)
+            y, m = fuse_gls(n, mm, xi, mu_hat)
+            info, mean = predict_update(info, mean, fm, m, y)
+            sq_sum[t - 1] += (mean - trace.x[t - 1]) ** 2
     return harness._series(cfg, sq_sum / cfg.replications, block_starts,
                            rates, {})
 

@@ -182,10 +182,13 @@ def test_acceptance_5_gls_diagonality_and_fusion():
         worst_diag = max(worst_diag,
                          float(np.max(np.abs(np.diag(M) - mm.J @ xi))))
         x = np.rint(mm.mu * rng.uniform(0.5, 1.5, mm.n_r))
-        raw = sample_packets(x, mm, xi, rng)
-        y, m = fuse_gls(raw, mm, xi, mm.mu)
-        weights = np.where(raw.present, xi[mm.k_of] / mm.mu[mm.l_of], 0.0)
-        y_o, diag_o, _ = dense_gls(mm.L, weights, np.nan_to_num(raw.z))
+        n = sample_packets(x, mm, xi, rng)
+        y, m = fuse_gls(n, mm, xi, mm.mu)
+        rate = xi[mm.k_of]
+        present = rate > 0
+        weights = np.where(present, rate / mm.mu[mm.l_of], 0.0)
+        z = np.divide(n, rate, out=np.zeros(mm.n_g), where=present)
+        y_o, diag_o, _ = dense_gls(mm.L, weights, z)
         obs = m > 0
         assert np.array_equal(np.isnan(y), ~obs)
         if np.any(obs):
@@ -211,9 +214,9 @@ def test_acceptance_6_sampling_noise_model():
     x = np.array([1e4])
     rng = np.random.default_rng(660)
     z = np.empty(10_000)
+    g = np.flatnonzero(xi[mm.k_of] > 0)[0]  # the one present measurement
     for r in range(10_000):
-        raw = sample_packets(x, mm, xi, rng)
-        z[r] = raw.z[np.flatnonzero(raw.present)[0]]
+        z[r] = sample_packets(x, mm, xi, rng)[g] / xi[mm.k_of[g]]
     target = 1e4 * (1 - 0.01) / 0.01
     var = float(z.var(ddof=1))
     rel = abs(var - target) / target

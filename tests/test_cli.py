@@ -283,6 +283,39 @@ def test_experiments_reject_classical(bundle, tmp_path, capsys):
             "steady_state") in err
 
 
+def test_simulate_rejects_a_fractional_trace_floor(tmp_path, capsys):
+    # the walk clamps at trace_floor, so 0.5 must fail as a config error
+    # naming its key, not later inside Trace (exit 1)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("topology_kind = line\nn_nodes = 3\nsigma_rel = 2.0\n"
+                   "horizon = 50\ntrace_floor = 0.5\n")
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (
+        "error: config field 'trace_floor': must be integer packet counts\n")
+    assert not (tmp_path / "x").exists()
+
+
+def test_unobservable_flow_is_warned_and_still_exits_0(bundle, tmp_path, capsys):
+    # a flow from n1 to n1 crosses no observation point
+    flows = os.path.join(bundle, "flows.csv")
+    with open(flows) as fh:
+        lines = fh.read().splitlines()
+    lines.insert(2, "n1,n1,100,1000")
+    with open(flows, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    warning = "warning: flow 1 is unobservable (all-zero J row)\n"
+    assert main(["validate", "--topology", bundle]) == 0
+    out = capsys.readouterr()
+    assert out.out.startswith(warning) and out.err == ""
+    assert "4 flows" in out.out
+    assert main(["design", "--topology", bundle, "--out", str(tmp_path / "d")]) == 0
+    out = capsys.readouterr()
+    assert out.err == warning
+    assert out.out.startswith("steady_state: theta = 0 over ")
+    assert (tmp_path / "d" / "theta.txt").read_text() == "0\n"
+
+
 def test_validate_accepts_tiny_means(tmp_path, capsys):
     # flow means of 1e-4 packets give J entries near 1e4; an absolute
     # 1e-12 check of J xi used to reject this valid bundle
@@ -339,6 +372,7 @@ def test_non_utf8_trace_exits_1(bundle, tmp_path):
 def test_bad_trace_volume_names_its_line(bundle, tmp_path, capsys, volume):
     rows = [f"{t},1000,1000,1000" for t in range(1, 11)]
     rows[1] = f"2,1000,{volume},1000"
+    rows[3] = f"4,{volume},1000,1000"  # the message names the first bad row
     trace = tmp_path / "walk.csv"
     trace.write_text("\n".join(["t,flow_1,flow_2,flow_3"] + rows) + "\n")
     cfg = write_cfg(tmp_path, bundle, trace_file=str(trace))

@@ -308,6 +308,73 @@ def test_steady_state_zero_optimum_survives_roundoff_theta(monkeypatch, leak):
     assert res.diagnostics["bisection_iterations"] == 3
 
 
+def _grid4():
+    mm = build_measurement_model(synth_topology(
+        "grid", rows=4, cols=4, budget=0.02, seed=1))
+    return design_problem(mm), flow_model(mm)
+
+
+def _numerical_on_call(monkeypatch, bad_call):
+    """Patch design.solve_lp so that its call number ``bad_call`` (from 1)
+    ends ``numerical``, as a stalled simplex reports it."""
+    calls = []
+
+    def solve(lp, start=None):
+        calls.append(lp)
+        sol = solve_lp(lp, start=start)
+        if len(calls) == bad_call:
+            sol = dataclasses.replace(sol, status="numerical", x=None,
+                                      objective=None, basis=None,
+                                      max_violation=1.5e-6)
+        return sol
+
+    monkeypatch.setattr(design, "solve_lp", solve)
+    return calls
+
+
+def _assert_in_bracket(res):
+    lo, hi = res.diagnostics["theta_bracket"]
+    assert 0.0 <= lo == res.theta <= hi
+
+
+def test_steady_state_keeps_the_bracket_when_a_later_cut_lp_fails(monkeypatch):
+    p, fm = _grid4()
+    full = solve_steady_state_E(p, fm)
+    assert full.diagnostics["bisection_iterations"] > 2
+    calls = _numerical_on_call(monkeypatch, 2)
+    res = solve_steady_state_E(p, fm)
+    assert len(calls) == 2
+    assert res.diagnostics["warnings"] == ["cut LP 2 ended numerical; bracket kept"]
+    assert res.diagnostics["bisection_iterations"] == 2
+    _assert_in_bracket(res)
+    # the bracket is round 1's, so it still holds the full solve's theta
+    lo, hi = res.diagnostics["theta_bracket"]
+    assert lo <= full.theta <= hi
+
+
+def test_steady_state_warns_when_the_round_cap_leaves_a_gap(monkeypatch):
+    p, fm = _grid4()
+    monkeypatch.setattr(design, "_CUT_MAX_ROUNDS", 2)
+    res = solve_steady_state_E(p, fm)
+    assert res.diagnostics["bisection_iterations"] == 2
+    (warning,) = res.diagnostics["warnings"]
+    lo, hi = res.diagnostics["theta_bracket"]
+    assert warning == f"gap {hi - lo!r} still open after 2 cut LPs"
+    assert hi - lo > 1e-9 * hi
+    _assert_in_bracket(res)
+
+
+@pytest.mark.parametrize("solve", [solve_classical_E,
+                                   lambda p: solve_steady_state_E(p, pair_fm())])
+def test_numerical_first_lp_raises_naming_its_status(monkeypatch, solve):
+    _numerical_on_call(monkeypatch, 1)
+    with pytest.raises(FlowDesignError, match=(
+            r": LP ended with status numerical \(max violation 1\.500e-06\)$")
+            ) as exc:
+        solve(pair_problem())
+    assert not isinstance(exc.value, InfeasibleError)
+
+
 def test_steady_state_tol_validation():
     with pytest.raises(ValidationError):
         solve_steady_state_E(pair_problem(), pair_fm(), tol_theta=0.0)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from flowdesign import (
-    FilterState,
     FlowModel,
     ValidationError,
     predict_update,
@@ -14,9 +13,9 @@ from oracles import riccati_bisect, riccati_iterate
 
 
 def diffuse(n_r):
-    """Zero-information prior; the first observed update overwrites the
-    NaN mean."""
-    return FilterState(info=np.zeros(n_r), mean=np.full(n_r, np.nan))
+    """Zero-information prior as (info, mean); the first observed update
+    overwrites the NaN mean."""
+    return np.zeros(n_r), np.full(n_r, np.nan)
 
 
 def fm2():
@@ -28,65 +27,84 @@ def fm2():
 
 def test_diffuse_absorbs_first_observation():
     fm = FlowModel(sigma2=[1.0], mu=[10.0])
-    s1 = predict_update(diffuse(1), fm, m=[5.0], y=[42.0])
-    assert s1.info[0] == 5.0
-    assert s1.mean[0] == 42.0
+    info, mean = predict_update(*diffuse(1), fm, m=[5.0], y=[42.0])
+    assert info[0] == 5.0
+    assert mean[0] == 42.0
 
 
 def test_two_step_hand_value():
     # info after the second unit-information update with sigma2 = 1:
     # 1/(1+1) + 1 = 1.5; mean is the information-weighted blend.
     fm = FlowModel(sigma2=[1.0], mu=[10.0])
-    s = predict_update(diffuse(1), fm, m=[1.0], y=[0.0])
-    s = predict_update(s, fm, m=[1.0], y=[3.0])
-    assert s.info[0] == pytest.approx(1.5, rel=1e-12)
-    assert s.mean[0] == pytest.approx((0.5 / 1.5) * 0.0 + (1.0 / 1.5) * 3.0, rel=1e-12)
+    info, mean = predict_update(*diffuse(1), fm, m=[1.0], y=[0.0])
+    info, mean = predict_update(info, mean, fm, m=[1.0], y=[3.0])
+    assert info[0] == pytest.approx(1.5, rel=1e-12)
+    assert mean[0] == pytest.approx((0.5 / 1.5) * 0.0 + (1.0 / 1.5) * 3.0, rel=1e-12)
 
 
 def test_pure_prediction_keeps_mean_shrinks_info():
     fm = fm2()
-    s = FilterState(info=[4.0, 2.0], mean=[7.0, -1.0])
-    s2 = predict_update(s, fm, m=[0.0, 0.0])
-    assert np.array_equal(s2.mean, s.mean)
-    assert s2.info[0] == pytest.approx(4.0 / (1 + 0.25 * 4.0))
-    assert s2.info[1] == pytest.approx(2.0 / (1 + 1.0 * 2.0))
+    info, mean = np.array([4.0, 2.0]), np.array([7.0, -1.0])
+    info2, mean2 = predict_update(info, mean, fm, m=[0.0, 0.0])
+    assert np.array_equal(mean2, mean)
+    assert info2[0] == pytest.approx(4.0 / (1 + 0.25 * 4.0))
+    assert info2[1] == pytest.approx(2.0 / (1 + 1.0 * 2.0))
 
 
 def test_mixed_observed_unobserved():
     fm = fm2()
-    s = FilterState(info=[4.0, 2.0], mean=[7.0, -1.0])
-    s2 = predict_update(s, fm, m=[3.0, 0.0], y=[10.0, np.nan])
+    info, mean = predict_update([4.0, 2.0], [7.0, -1.0], fm, m=[3.0, 0.0],
+                                y=[10.0, np.nan])
     prior = 4.0 / (1 + 0.25 * 4.0)
-    assert s2.info[0] == pytest.approx(prior + 3.0)
+    assert info[0] == pytest.approx(prior + 3.0)
     gain = 3.0 / (prior + 3.0)
-    assert s2.mean[0] == pytest.approx(7.0 + gain * (10.0 - 7.0))
-    assert s2.mean[1] == -1.0
+    assert mean[0] == pytest.approx(7.0 + gain * (10.0 - 7.0))
+    assert mean[1] == -1.0
+
+
+@pytest.mark.parametrize("m", [[0.0, 0.0], [3.0, 0.0]])
+def test_predict_update_returns_new_arrays(m):
+    # the caller's arrays are neither written nor handed back, so a later
+    # write to them cannot reach the returned posterior
+    fm = fm2()
+    info, mean = np.array([4.0, 2.0]), np.array([7.0, -1.0])
+    info2, mean2 = predict_update(info, mean, fm, m=m, y=[10.0, np.nan])
+    assert info.tolist() == [4.0, 2.0] and mean.tolist() == [7.0, -1.0]
+    info[:] = -5.0
+    mean[:] = np.nan
+    assert np.all(info2 > 0) and np.all(np.isfinite(mean2))
 
 
 def test_predict_update_validation():
     fm = fm2()
     s = diffuse(2)
     with pytest.raises(ValidationError):
-        predict_update(s, fm, m=[1.0, 1.0])  # missing y
+        predict_update(*s, fm, m=[1.0, 1.0])  # missing y
     with pytest.raises(ValidationError):
-        predict_update(s, fm, m=[-1.0, 0.0], y=[0.0, 0.0])
+        predict_update(*s, fm, m=[-1.0, 0.0], y=[0.0, 0.0])
     with pytest.raises(ValidationError):
-        predict_update(s, fm, m=[1.0], y=[0.0])
+        predict_update(*s, fm, m=[1.0], y=[0.0])
     with pytest.raises(ValidationError):
-        predict_update(s, fm, m=[1.0, 0.0], y=[np.nan, 0.0])
+        predict_update(*s, fm, m=[1.0, 0.0], y=[np.nan, 0.0])
     with pytest.raises(ValidationError, match="one entry per flow"):
-        predict_update(s, fm, m=[1.0, 0.0], y=[0.0])
+        predict_update(*s, fm, m=[1.0, 0.0], y=[0.0])
+    with pytest.raises(ValidationError, match="disagree on n_r"):
+        predict_update(*diffuse(3), fm, m=[0.0, 0.0])
 
 
-def test_filter_state_validation():
-    with pytest.raises(ValidationError):
-        FilterState(info=[-1.0], mean=[0.0])
-    with pytest.raises(ValidationError):
-        FilterState(info=[1.0], mean=[np.nan])
+def test_predict_update_checks_the_posterior():
+    fm = FlowModel(sigma2=[1.0], mu=[10.0])
+    with pytest.raises(ValidationError, match="information must be finite and >= 0"):
+        predict_update([-1.0], [0.0], fm, m=[0.0])
+    with pytest.raises(ValidationError, match="mean must be finite wherever info > 0"):
+        predict_update([1.0], [np.nan], fm, m=[0.0])
     with pytest.raises(ValidationError, match="equal length"):
-        FilterState(info=[1.0, 1.0], mean=[0.0])
+        predict_update([1.0, 1.0], [0.0], fm, m=[0.0])
+    with pytest.raises(ValidationError, match="equal length"):
+        predict_update([[1.0]], [[0.0]], fm, m=[0.0])  # one posterior, 1-D
     # NaN mean is fine while diffuse
-    FilterState(info=[0.0], mean=[np.nan])
+    info, mean = predict_update([0.0], [np.nan], fm, m=[0.0])
+    assert info[0] == 0.0 and np.isnan(mean[0])
 
 
 def test_predicted_info_zero_is_fixed():
@@ -197,6 +215,6 @@ def test_predict_update_reproduces_recursion_trajectory():
     rng = np.random.default_rng(3)
     for _ in range(25):
         y = rng.normal(size=2)
-        state = predict_update(state, fm, m, y=y)
+        state = predict_update(*state, fm, m, y=y)
         info = info / (1.0 + fm.sigma2 * info) + m
-        assert np.allclose(state.info, info, rtol=1e-14)
+        assert np.allclose(state[0], info, rtol=1e-14)

@@ -142,6 +142,7 @@ def test_config_requires_one_topology_source(tmp_path):
     {"trace_floor": -1.0},
     {"trace_floor": float("nan")},
     {"trace_floor": float("inf")},
+    {"trace_floor": 0.5},  # the walk clamps at it, so it is a packet count
     {"median_window_start": 0},
     {"median_window_start": 500},
     {"tol_theta": float("nan")},

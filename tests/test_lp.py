@@ -133,6 +133,40 @@ def test_unusable_warm_start_falls_back_to_cold(hint, target):
     assert warm.x.tobytes() == cold.x.tobytes()
 
 
+def _assert_solved_cold(prog, hint):
+    cold = solve_lp(prog)
+    warm = solve_lp(prog, start=hint)
+    assert (warm.status, warm.iterations, warm.perturbed) == (
+        cold.status, cold.iterations, cold.perturbed)
+    assert warm.iterations > 0
+    assert warm.x.tobytes() == cold.x.tobytes()
+    assert np.array_equal(warm.basis, cold.basis)
+
+
+def test_feasible_but_suboptimal_hint_is_solved_cold():
+    # design_lp's optimal vertex (25, 0.5, 0.5) stays feasible under the
+    # new objective, whose optimum is (10, 1, 0): only the dual half of
+    # the certificate (reduced costs and dual signs) can reject the hint
+    hint = solve_lp(design_lp())
+    prog = replace(design_lp(), c=[1.0, 40.0, 0.0])
+    assert np.array_equal(solve_lp(prog).x, [10.0, 1.0, 0.0])
+    _assert_solved_cold(prog, hint)
+
+
+@pytest.mark.parametrize("column", ["structural", "slack"])
+def test_hint_with_a_repeated_basis_entry_is_solved_cold(column):
+    # a repeated structural column makes B singular; a repeated slack
+    # leaves more tight rows than basic columns, so B is not square
+    sol = solve_lp(design_lp())
+    basis = sol.basis.copy()
+    n = design_lp().c.size
+    pick = np.flatnonzero(basis < n if column == "structural" else basis >= n)
+    assert pick.size >= 2
+    basis[pick[1]] = basis[pick[0]]
+    for start in (replace(sol, basis=basis), replace(sol, basis=basis, _rows=None)):
+        _assert_solved_cold(design_lp(), start)
+
+
 def _solve_as_without_record(prog, start):
     """solve_lp(prog, start=start), asserted equal bit for bit to the
     solve from the same hint without start's reuse record."""

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from flowdesign import (
-    FilterState,
     Flow,
     FlowModel,
-    RawMeasurements,
     Trace,
     TopologySpec,
     ValidationError,
@@ -61,6 +59,16 @@ def test_trace_floor_clamps():
     fm = FlowModel(sigma2=[1e6], mu=[10.0])
     tr = gen_random_walk_trace(fm, T=200, seed=0, floor=1.0)
     assert np.min(tr.x) >= 1.0
+
+
+@pytest.mark.parametrize("floor,rule", [(0.5, "integer packet counts"),
+                                        (-1.0, "finite and >= 0"),
+                                        (np.nan, "finite and >= 0")])
+def test_trace_floor_must_be_a_packet_count(floor, rule):
+    # a walk clamped at 0.5 would only fail later, in Trace, naming no floor
+    fm = FlowModel(sigma2=[4.0 * 1e4], mu=[100.0])
+    with pytest.raises(ValidationError, match=f"^floor must be {rule}$"):
+        gen_random_walk_trace(fm, T=50, seed=1, floor=floor)
 
 
 def test_trace_increment_variance():
@@ -120,19 +128,19 @@ def test_trace_constructors_store_their_array_uncopied(make, tmp_path, monkeypat
 def test_full_rate_sampling_is_exact():
     mm = two_flow_mm()
     x = np.array([120.0, 60.0])
-    raw = sample_packets(x, mm, np.ones(mm.n_o), np.random.default_rng(0))
-    assert np.all(raw.present)
-    assert np.allclose(raw.z, x[mm.l_of])
-    assert np.array_equal(raw.n, np.rint(x)[mm.l_of].astype(int))
+    n = sample_packets(x, mm, np.ones(mm.n_o), np.random.default_rng(0))
+    assert n.dtype == np.int64 and n.shape == (mm.n_g,)
+    assert np.array_equal(n, np.rint(x)[mm.l_of].astype(int))
 
 
 def test_zero_rate_measurements_absent():
     mm = two_flow_mm()
-    raw = sample_packets([120.0, 60.0], mm, np.zeros(mm.n_o),
-                         np.random.default_rng(0))
-    assert not raw.present.any()
-    assert np.all(np.isnan(raw.z))
-    assert np.all(raw.n == 0)
+    xi = np.zeros(mm.n_o)
+    n = sample_packets([120.0, 60.0], mm, xi, np.random.default_rng(0))
+    assert np.all(n == 0)
+    # nothing is present, so fusion sees no measurement at all
+    y, m = fuse_gls(n, mm, xi, mm.mu)
+    assert np.all(m == 0.0) and np.all(np.isnan(y))
 
 
 def test_sampling_unbiased_and_variance():
@@ -143,7 +151,7 @@ def test_sampling_unbiased_and_variance():
     reps = 3000
     zs = np.empty((reps, mm.n_g))
     for r in range(reps):
-        zs[r] = sample_packets(x, mm, xi, rng).z
+        zs[r] = sample_packets(x, mm, xi, rng) / xi[mm.k_of]
     true = x[mm.l_of]
     var_true = true * (1 - 0.05) / 0.05
     se_mean = np.sqrt(var_true / reps)
@@ -159,7 +167,7 @@ def test_sampling_determinism_by_seed():
                        np.random.default_rng(9))
     b = sample_packets([100.0, 50.0], mm, np.full(mm.n_o, 0.3),
                        np.random.default_rng(9))
-    assert np.array_equal(a.n, b.n)
+    assert np.array_equal(a, b)
 
 
 def test_block_sampling_equals_one_period_calls():
@@ -172,16 +180,12 @@ def test_block_sampling_equals_one_period_calls():
     block_rng = np.random.default_rng(17)
     step_rng = np.random.default_rng(17)
     block = sample_packets(x, mm, xi, block_rng)
-    steps = [sample_packets(row, mm, xi, step_rng) for row in x]
-    for name in ("n", "z"):
-        rows = np.stack([getattr(raw, name) for raw in steps])
-        assert getattr(block, name).shape == rows.shape == (4, mm.n_g)
-        assert getattr(block, name).dtype == rows.dtype
-        assert getattr(block, name).tobytes() == rows.tobytes()
+    rows = np.stack([sample_packets(row, mm, xi, step_rng) for row in x])
+    assert block.shape == rows.shape == (4, mm.n_g)
+    assert block.dtype == rows.dtype == np.int64
+    assert block.tobytes() == rows.tobytes()
     assert block_rng.bit_generator.state == step_rng.bit_generator.state
-    assert np.array_equal(block.present, ~absent)
-    assert np.all(block.n[:, absent] == 0)
-    assert np.all(np.isnan(block.z[:, absent]))
+    assert np.all(block[:, absent] == 0)
 
 
 def test_sampling_validation():
@@ -212,12 +216,19 @@ def test_sampling_validation():
 # ------------------------------------------------------------------ fusion
 
 
+def estimates(n, mm, xi):
+    """z = n / xi_k for the present measurements, 0 for the absent ones
+    (the dense oracle's input)."""
+    rate = xi[mm.k_of]
+    return np.divide(n, rate, out=np.zeros(mm.n_g), where=rate > 0)
+
+
 def test_fusion_equal_weights_is_average():
     mm = two_flow_mm()
     xi = np.full(mm.n_o, 0.02)
-    raw = sample_packets([10_000.0, 5_000.0], mm, xi, np.random.default_rng(1))
-    y, m = fuse_gls(raw, mm, xi, mm.mu)
-    z0 = raw.z[mm.l_of == 0]
+    n = sample_packets([10_000.0, 5_000.0], mm, xi, np.random.default_rng(1))
+    y, m = fuse_gls(n, mm, xi, mm.mu)
+    z0 = estimates(n, mm, xi)[mm.l_of == 0]
     assert y[0] == pytest.approx(z0.mean(), rel=1e-12)
     assert m[0] == pytest.approx(2 * 0.02 / 100.0, rel=1e-12)
     assert m[1] == pytest.approx(0.02 / 50.0, rel=1e-12)
@@ -231,12 +242,13 @@ def test_fusion_weighted_mean_and_dense_oracle():
     k0, k1 = mm.k_of[mm.l_of == 0]  # flow 0's OPs in path order
     xi[k0] = 0.02
     xi[k1] = 0.01
-    raw = sample_packets([10_000.0, 5_000.0], mm, xi, np.random.default_rng(5))
-    y, m = fuse_gls(raw, mm, xi, mm.mu)
-    z = raw.z[mm.l_of == 0]
-    assert y[0] == pytest.approx((2 * z[0] + z[1]) / 3, rel=1e-12)
+    n = sample_packets([10_000.0, 5_000.0], mm, xi, np.random.default_rng(5))
+    y, m = fuse_gls(n, mm, xi, mm.mu)
+    z = estimates(n, mm, xi)
+    z0 = z[mm.l_of == 0]
+    assert y[0] == pytest.approx((2 * z0[0] + z0[1]) / 3, rel=1e-12)
     w = xi[mm.k_of] / mm.mu[mm.l_of]
-    y_ref, diag_ref, _ = dense_gls(mm.L, w, np.nan_to_num(raw.z))
+    y_ref, diag_ref, _ = dense_gls(mm.L, w, z)
     assert np.allclose(y, y_ref, rtol=1e-12)
     assert np.allclose(m, diag_ref, rtol=1e-12)
     assert np.allclose(m, mm.J @ xi, rtol=1e-12)
@@ -247,26 +259,32 @@ def test_fusion_partial_presence():
     xi = np.zeros(mm.n_o)
     _k0, k1 = mm.k_of[mm.l_of == 0]
     xi[k1] = 0.05  # flow 0's second point only; flow 1's single point stays dark
-    raw = sample_packets([10_000.0, 5_000.0], mm, xi, np.random.default_rng(2))
-    y, m = fuse_gls(raw, mm, xi, mm.mu)
+    n = sample_packets([10_000.0, 5_000.0], mm, xi, np.random.default_rng(2))
+    y, m = fuse_gls(n, mm, xi, mm.mu)
     assert m[0] == pytest.approx(0.05 / 100.0)
-    assert np.isfinite(y[0])
+    assert y[0] == n[(mm.l_of == 0) & (mm.k_of == k1)][0] / 0.05
     assert m[1] == 0.0 and np.isnan(y[1])
 
 
 def test_fusion_validation():
     mm = two_flow_mm()
     xi = np.full(mm.n_o, 0.1)
-    raw = sample_packets([100.0, 50.0], mm, xi, np.random.default_rng(0))
+    n = sample_packets([100.0, 50.0], mm, xi, np.random.default_rng(0))
     with pytest.raises(ValidationError):
-        fuse_gls(raw, mm, xi, [100.0])
+        fuse_gls(n, mm, xi, [100.0])
     with pytest.raises(ValidationError):
-        fuse_gls(raw, mm, xi, [100.0, 0.0])
+        fuse_gls(n, mm, xi, [100.0, 0.0])
     with pytest.raises(ValidationError):
-        fuse_gls(raw, mm, xi[:-1], mm.mu)
+        fuse_gls(n, mm, xi[:-1], mm.mu)
     with pytest.raises(ValidationError, match="do not match the model"):
-        fuse_gls(RawMeasurements(n=raw.n[:-1], z=raw.z[:-1], present=raw.present[:-1]),
-                 mm, xi, mm.mu)
+        fuse_gls(n[:-1], mm, xi, mm.mu)
+    with pytest.raises(ValidationError, match="do not match the model"):
+        fuse_gls(np.stack([n, n]), mm, xi, mm.mu)  # one period only
+    for bad in (-1.0, np.inf, np.nan):
+        counts = n.astype(float)
+        counts[0] = bad
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            fuse_gls(counts, mm, xi, mm.mu)
 
 
 def test_end_to_end_mse_approaches_steady_state():
@@ -297,12 +315,12 @@ def test_end_to_end_mse_approaches_steady_state():
     root = np.random.default_rng(77)
     for _ in range(reps):
         rng = np.random.default_rng(root.integers(2**63))
-        state = FilterState(info=np.zeros(mm.n_r), mean=mm.mu.copy())
+        info, mean = np.zeros(mm.n_r), mm.mu.copy()
         for t_idx in range(T):
-            raw = sample_packets(trace.x[t_idx], mm, xi, rng)
-            y, m = fuse_gls(raw, mm, xi, mm.mu)
-            state = predict_update(state, fm, m, y=y)
-            sq[t_idx] += (state.mean - trace.x[t_idx]) ** 2
+            n = sample_packets(trace.x[t_idx], mm, xi, rng)
+            y, m = fuse_gls(n, mm, xi, mm.mu)
+            info, mean = predict_update(info, mean, fm, m, y=y)
+            sq[t_idx] += (mean - trace.x[t_idx]) ** 2
     mse = sq[warm:].mean(axis=0) / reps
     assert np.all(np.abs(mse - target) < 0.2 * target), (mse, target)
 
