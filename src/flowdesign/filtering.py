@@ -94,7 +94,7 @@ def steady_state_info(m, sigma2):
     sigma2 = np.asarray(sigma2, dtype=float)
     if np.any(sigma2 <= 0) or not np.all(np.isfinite(sigma2)):
         raise ValidationError("sigma2 must be finite and > 0 (static parameters have no steady state)")
-    if np.any(m < 0):
+    if not np.all(m >= 0):  # NaN fails too; inf passes
         raise ValidationError("information must be >= 0")
     out = 0.5 * m + np.sqrt(0.25 * m * m + m / sigma2)
     if out.ndim == 0:

@@ -20,9 +20,8 @@ only in the sign of zeros differ only in the sign of zeros. Every
 division by a tableau entry (the pivot row in _pivot, the ratio test in
 _bland) has a divisor of magnitude above _PIVOT_TOL, so the pivots are
 the same; a new division by a tableau entry must keep that true (x/+0
-and x/-0 are infinities of opposite sign). A zero basic value reaches x as
-z + lower, which is +0.0 for either sign when lower is +0.0, as in
-every design LP.
+and x/-0 are infinities of opposite sign). A zero basic value reaches x
+plus +0.0, which is +0.0 for either sign.
 
 The tableau is stored column-major, the usual layout of simplex codes
 (Bixby 2002), so the columns a pivot updates are contiguous runs of
@@ -32,9 +31,9 @@ multiplication commutes, so every entry keeps its bits, zero signs
 included. Phase 1's row and column drops must keep that order.
 
 Implied caps are presolved away (Brearley, Mitra & Williams 1975;
-Andersen & Andersen 1995): the row z_j <= span_j is dropped when an
+Andersen & Andersen 1995): the row x_j <= upper_j is dropped when an
 inequality row with coefficients >= 0 over the free columns and b_i >= 0
-bounds z_j by b_i / A_ij < span_j / 2. That row has no artificial, so in
+bounds x_j by b_i / A_ij < upper_j / 2. That row has no artificial, so in
 every tableau the cap's slack stays basic well above zero: it never
 leaves, its unit column never enters, and no other row is updated from
 the cap row. Bland's rule therefore pivots exactly as with the cap; only
@@ -60,7 +59,7 @@ rows and their scales, ``free`` and the kept caps, _violation's row
 scales, and, for the basis last offered as a hint on those rows,
 B = A[T,S] and the dual half of its certificate (u and its reduced-cost
 and dual test). A solve started from that solution reuses the record
-when c, A_ub, A_eq, lower and upper have the bits it was built from,
+when c, A_ub, A_eq and upper have the bits it was built from,
 and b_ub too on the rows that are >= 0 over the free columns, the only
 rows the kept-cap test reads. The record keeps those bytes, since
 unlike == they tell -0.0 from 0.0; a LinearProgram's arrays are
@@ -71,8 +70,8 @@ accepted period costs b / scale, one solve with B and the primal
 checks.
 
 Convention: maximize c'x subject to A_ub x <= b_ub, A_eq x = b_eq and
-lower <= x <= upper. Lower bounds must be finite (variables are shifted
-onto z = x - lower >= 0 internally); upper bounds may be +inf.
+0 <= x <= upper, the bound form of every design LP. Upper bounds must be
+>= 0 and may be +inf; a variable with upper == 0 is fixed at 0.
 """
 
 from __future__ import annotations
@@ -106,7 +105,6 @@ class LinearProgram:
     b_ub: np.ndarray | None = None
     A_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
-    lower: np.ndarray | None = None  # default 0
     upper: np.ndarray | None = None  # default +inf
 
     def __post_init__(self):
@@ -124,22 +122,22 @@ class LinearProgram:
             raise ValidationError("b_ub must be finite with one entry per A_ub row")
         if b_eq.shape != (A_eq.shape[0],) or not np.all(np.isfinite(b_eq)):
             raise ValidationError("b_eq must be finite with one entry per A_eq row")
-        lower = np.zeros(n) if self.lower is None else np.atleast_1d(
-            np.asarray(self.lower, dtype=float))
         upper = np.full(n, np.inf) if self.upper is None else np.atleast_1d(
             np.asarray(self.upper, dtype=float))
-        if lower.shape != (n,) or upper.shape != (n,):
+        if upper.shape != (n,):
             raise ValidationError("bounds must have one entry per variable")
-        if not np.all(np.isfinite(lower)):
-            raise ValidationError("lower bounds must be finite (shift unbounded variables)")
         if np.any(np.isnan(upper)):
             raise ValidationError("upper bounds must not be NaN")
-        if np.any(upper < lower):
-            raise ValidationError("upper bound below lower bound")
+        if np.any(upper < 0):
+            raise ValidationError("upper bounds must be >= 0")
         for name, val in (("c", c), ("A_ub", A_ub), ("b_ub", b_ub),
-                          ("A_eq", A_eq), ("b_eq", b_eq),
-                          ("lower", lower), ("upper", upper)):
+                          ("A_eq", A_eq), ("b_eq", b_eq), ("upper", upper)):
             object.__setattr__(self, name, frozen(val))
+
+    @property
+    def lower(self) -> np.ndarray:
+        """Read-only zeros, one per variable: only the benchmark reads them."""
+        return np.broadcast_to(0.0, (self.n,))
 
     @property
     def n(self) -> int:
@@ -150,7 +148,7 @@ def _matrix_key(lp: LinearProgram) -> tuple:
     """The shapes and bits of what the matrix work reads, b_ub aside;
     unlike ==, bits tell -0.0 from 0.0."""
     return tuple((a.shape, a.tobytes())
-                 for a in (lp.c, lp.A_ub, lp.A_eq, lp.lower, lp.upper))
+                 for a in (lp.c, lp.A_ub, lp.A_eq, lp.upper))
 
 
 @dataclass(eq=False)
@@ -161,7 +159,7 @@ class _Rows:
     key: tuple               # _matrix_key of the LP
     nonneg: np.ndarray       # A_ub rows >= 0 over the free columns, whose
     b_nonneg: bytes          # b_ub the kept-cap test reads, so it is keyed too
-    free: np.ndarray         # columns with upper > lower
+    free: np.ndarray         # columns with upper > 0
     span_kept: np.ndarray    # the kept caps' right-hand sides
     pos: np.ndarray          # each row's position among all rows, caps included
     A: np.ndarray            # equilibrated rows: ub, kept caps, eq
@@ -169,7 +167,6 @@ class _Rows:
     is_eq: np.ndarray
     s_ub: np.ndarray         # _violation's row scales
     s_eq: np.ndarray
-    finite: np.ndarray       # finite upper bounds
     cert: tuple | None = None
 
     def matches(self, lp: LinearProgram) -> bool:
@@ -245,22 +242,20 @@ def _bland(T, basis, n_cols, cap):
 
 
 def _assemble(lp: LinearProgram) -> _Rows:
-    """The rows of the shifted problem in z = x - lower >= 0, equilibrated.
+    """The rows of the problem over the free columns, equilibrated.
 
-    Variables pinned by upper == lower are eliminated up front (they sit
-    at the bound exactly and only feed the tableau degenerate rows);
-    ``free`` maps the reduced columns back to original indices. Rows are
+    Variables pinned by upper == 0 are eliminated up front (they sit at
+    zero exactly and only feed the tableau degenerate rows); ``free``
+    maps the reduced columns back to original indices. Rows are
     the inequalities, then the finite upper bounds that no inequality
     implies (module docstring), then the equalities. Each row is scaled
     by its largest coefficient: rows of very different magnitude (rate
     caps ~1 next to information rows ~1/mu) otherwise force pivots on
     entries barely above the pivot tolerance.
     """
-    span = lp.upper - lp.lower
-    free = np.flatnonzero(span > 0)
-    span = span[free]
-    A_ub = lp.A_ub[:, free]
-    b_ub = lp.b_ub - lp.A_ub @ lp.lower
+    free = np.flatnonzero(lp.upper > 0)
+    span = lp.upper[free]
+    A_ub, b_ub = lp.A_ub[:, free], lp.b_ub
     caps = np.flatnonzero(np.isfinite(span))
     nonneg = np.all(A_ub >= 0, axis=1)
     bounding = nonneg & (b_ub >= 0)
@@ -277,22 +272,20 @@ def _assemble(lp: LinearProgram) -> _Rows:
     n_ub = b_ub.size
     return _Rows(
         key=_matrix_key(lp), nonneg=nonneg,
-        b_nonneg=lp.b_ub[nonneg].tobytes(), free=free, span_kept=span[kept],
+        b_nonneg=b_ub[nonneg].tobytes(), free=free, span_kept=span[kept],
         pos=np.concatenate([np.arange(n_ub), n_ub + kept,
                             n_ub + caps.size + np.arange(lp.A_eq.shape[0])]),
         A=A, scale=scale,
         is_eq=np.arange(A.shape[0]) >= A.shape[0] - lp.A_eq.shape[0],
         s_ub=np.maximum(np.max(np.abs(lp.A_ub), axis=1), 1.0),
-        s_eq=np.maximum(np.max(np.abs(lp.A_eq), axis=1), 1.0),
-        finite=np.isfinite(lp.upper))
+        s_eq=np.maximum(np.max(np.abs(lp.A_eq), axis=1), 1.0))
 
 
 def _rhs(lp: LinearProgram, rows: _Rows, perturb: bool = False) -> np.ndarray:
     """The right-hand side of ``rows`` for ``lp``, equilibrated. The
     perturbation shifts each row by its position among all rows, caps
     included."""
-    b = np.concatenate([lp.b_ub - lp.A_ub @ lp.lower, rows.span_kept,
-                        lp.b_eq - lp.A_eq @ lp.lower])
+    b = np.concatenate([lp.b_ub, rows.span_kept, lp.b_eq])
     if perturb:
         # tiny deterministic shift that breaks rhs degeneracy while staying
         # far inside _CHECK_TOL
@@ -427,13 +420,13 @@ def _violation(lp: LinearProgram, x: np.ndarray, rows: _Rows) -> float:
     coefficient (never below 1). The scaling matches the equilibrated
     metric the tableau works in, so the feasibility the two phases
     certify and the violation reported here agree on what "tight" means;
-    bounds have unit coefficients and are left raw."""
-    finite = rows.finite
+    bounds have unit coefficients and are left raw (x - inf is -inf,
+    which never counts)."""
     return float(max(
         np.max((lp.A_ub @ x - lp.b_ub) / rows.s_ub, initial=0.0),
         np.max(np.abs(lp.A_eq @ x - lp.b_eq) / rows.s_eq, initial=0.0),
-        np.max(lp.lower - x, initial=0.0),
-        np.max(x[finite] - lp.upper[finite], initial=0.0)))
+        np.max(-x, initial=0.0),
+        np.max(x - lp.upper, initial=0.0)))
 
 
 def solve_lp(lp: LinearProgram, max_iter: int | None = None,
@@ -481,13 +474,16 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None,
 
 def _finish(lp, rows, z_free, iters, perturbed, basis) -> LpSolution:
     """LpSolution for an optimal z over the free columns."""
-    z = np.zeros(lp.n)
-    z[rows.free] = z_free
+    x = np.zeros(lp.n)
+    x[rows.free] = z_free
     # basic variables drift by roundoff; snap sub-tolerance excursions
     # back to the box so epsilon-negative rates never leave this module
-    clipped = np.clip(z, 0.0, lp.upper - lp.lower)
-    z = np.where(np.abs(clipped - z) <= _FEAS_TOL, clipped, z)
-    x = z + lp.lower
+    clipped = np.clip(x, 0.0, lp.upper)
+    x = np.where(np.abs(clipped - x) <= _FEAS_TOL, clipped, x)
+    # a basic value can be -0.0, and numpy does not specify the zero sign
+    # np.clip returns; adding +0.0 makes every zero +0.0, so no rate
+    # reaches xi.csv or rates.csv as -0
+    x += 0.0
     viol = _violation(lp, x, rows)
     ok = viol <= _CHECK_TOL
     return LpSolution("optimal" if ok else "numerical", x, float(lp.c @ x),
@@ -495,7 +491,7 @@ def _finish(lp, rows, z_free, iters, perturbed, basis) -> LpSolution:
 
 
 def check_feasible(n: int, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
-                   lower=None, upper=None) -> LpSolution:
+                   upper=None) -> LpSolution:
     """Feasibility probe for a constraint system over ``n`` variables.
 
     Phase 1 only in effect: solves with a zero objective, so ``status``
@@ -503,5 +499,5 @@ def check_feasible(n: int, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     'infeasible' otherwise.
     """
     lp = LinearProgram(c=np.zeros(n), A_ub=A_ub, b_ub=b_ub,
-                       A_eq=A_eq, b_eq=b_eq, lower=lower, upper=upper)
+                       A_eq=A_eq, b_eq=b_eq, upper=upper)
     return solve_lp(lp)

@@ -75,6 +75,8 @@ def gen_random_walk_trace(fm: FlowModel, T: int, seed: int = 0,
     """
     if T < 1:
         raise ValidationError("T must be >= 1")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     if fault := _count_fault(floor):
         raise ValidationError(f"floor must be {fault}")
     rng = np.random.default_rng(seed)
@@ -133,8 +135,8 @@ def fuse_gls(n, mm: MeasurementModel, xi, mu_plugin):
         raise ValidationError("mu_plugin must be finite and > 0")
     if n.shape != (mm.n_g,):
         raise ValidationError("packet counts do not match the model")
-    if np.any(n < 0) or not np.all(np.isfinite(n)):
-        raise ValidationError("packet counts must be finite and >= 0")
+    if fault := _count_fault(n):
+        raise ValidationError(f"packet counts must be {fault}")
     present = xi[mm.k_of] > 0.0
     rate, flow = xi[mm.k_of][present], mm.l_of[present]
     return _fuse(flow, rate / mu_plugin[flow], n[present] / rate, mm.n_r)

@@ -185,6 +185,11 @@ def test_steady_state_rejects_bad_sigma2():
         steady_state_info(1.0, -0.5)
     with pytest.raises(ValidationError):
         steady_state_info(-1.0, 0.5)
+    with pytest.raises(ValidationError, match="^information must be >= 0$"):
+        steady_state_info(np.nan, 1.0)
+    with pytest.raises(ValidationError, match="^information must be >= 0$"):
+        steady_state_info(np.array([1.0, np.nan]), 1.0)
+    assert steady_state_info(np.inf, 1.0) == np.inf
 
 
 def test_broadcasting_shapes():

@@ -23,9 +23,32 @@ def design_lp():
         c=[1.0, 0.0, 0.0],
         A_ub=[[1.0, -40.0, -10.0], [1.0, -10.0, -40.0], [0.0, 1.0, 1.0]],
         b_ub=[0.0, 0.0, 1.0],
-        lower=[0.0, 0.0, 0.0],
         upper=[np.inf, 1.0, 1.0],
     )
+
+
+def _shift(lower, **kw):
+    """Keywords of the LP over lower <= x <= upper moved onto z = x - lower
+    in [0, upper - lower]: b - A @ lower and upper - lower are the
+    expressions the solver evaluated itself when it took lower bounds, so
+    it sees the same bits and the recorded pivot counts still hold."""
+    lower = np.asarray(lower, dtype=float)
+    out = dict(kw, upper=np.asarray(kw["upper"], dtype=float) - lower)
+    for A, b in (("A_ub", "b_ub"), ("A_eq", "b_eq")):
+        if A in kw:
+            out[b] = (np.atleast_1d(np.asarray(kw[b], dtype=float))
+                      - np.asarray(kw[A], dtype=float) @ lower)
+    return out
+
+
+def _solve_shifted(lower, **kw):
+    """solve_lp of the LP over lower <= x <= upper through _shift, with x
+    and the objective moved back onto the original variables."""
+    sol = solve_lp(LinearProgram(**_shift(lower, **kw)))
+    if sol.x is None:
+        return sol
+    x = sol.x + np.asarray(lower, dtype=float)
+    return replace(sol, x=x, objective=float(np.asarray(kw["c"], dtype=float) @ x))
 
 
 def test_design_example():
@@ -55,25 +78,23 @@ def test_redundant_equality_rows_are_dropped():
 
 
 def test_fixed_variable_eliminated():
-    lp = LinearProgram(c=[1.0, 1.0], A_ub=[[1.0, 1.0]], b_ub=[1.0],
-                       lower=[0.0, 0.3], upper=[1.0, 0.3])
-    sol = solve_lp(lp)
+    sol = _solve_shifted([0.0, 0.3], c=[1.0, 1.0], A_ub=[[1.0, 1.0]], b_ub=[1.0],
+                         upper=[1.0, 0.3])
     assert sol.ok
     assert sol.x[1] == 0.3
     assert sol.objective == pytest.approx(1.0)
 
 
 def test_entirely_fixed_problem():
-    lp = LinearProgram(c=[2.0], lower=[0.4], upper=[0.4])
-    sol = solve_lp(lp)
+    sol = _solve_shifted([0.4], c=[2.0], upper=[0.4])
     assert sol.ok and sol.x[0] == 0.4
     assert sol.objective == pytest.approx(0.8)
 
 
 def test_infeasible_bounds_vs_row():
-    lp = LinearProgram(c=[0.0, 0.0], A_ub=[[1.0, 1.0]], b_ub=[1.0],
-                       lower=[0.8, 0.8], upper=[1.0, 1.0])
-    assert solve_lp(lp).status == "infeasible"
+    sol = _solve_shifted([0.8, 0.8], c=[0.0, 0.0], A_ub=[[1.0, 1.0]], b_ub=[1.0],
+                         upper=[1.0, 1.0])
+    assert sol.status == "infeasible"
 
 
 def test_unbounded():
@@ -223,8 +244,8 @@ def test_determinism_bit_identical():
         dict(c=[np.nan]),
         dict(c=[1.0], A_ub=[[1.0, 2.0]], b_ub=[1.0]),
         dict(c=[1.0], A_ub=[[1.0]], b_ub=[1.0, 2.0]),
-        dict(c=[1.0], lower=[2.0], upper=[1.0]),
-        dict(c=[1.0], lower=[-np.inf]),
+        dict(c=[1.0], upper=[-np.inf]),
+        dict(c=[1.0, 1.0], upper=[1.0, -0.5]),
         dict(c=[1.0], upper=[np.nan]),
         dict(c=[1.0], A_ub=[[np.inf]], b_ub=[1.0]),
         dict(c=[1.0], A_eq=[[1.0]], b_eq=[1.0, 2.0]),
@@ -239,12 +260,22 @@ def test_validation(kwargs):
 @pytest.mark.parametrize("kwargs,message", [
     (dict(upper=[np.nan]), "upper bounds must not be NaN"),
     (dict(upper=[1.0, 1.0]), "bounds must have one entry per variable"),
-    (dict(lower=[0.0, 0.0]), "bounds must have one entry per variable"),
-    (dict(lower=[-np.inf]), "lower bounds must be finite"),
+    (dict(upper=[-1.0]), "upper bounds must be >= 0"),
 ])
 def test_validation_names_the_bound(kwargs, message):
     with pytest.raises(ValidationError, match=f"^{message}"):
         LinearProgram(c=[1.0], **kwargs)
+
+
+def test_lower_is_not_an_option():
+    # every variable's lower bound is 0; the lower property is read-only
+    # zeros, kept for the benchmark's tableau-size estimate
+    with pytest.raises(TypeError):
+        LinearProgram(c=[1.0], lower=[0.0])
+    lower = LinearProgram(c=[1.0, 2.0, 3.0]).lower
+    assert lower.shape == (3,) and np.all(lower == 0.0)
+    with pytest.raises(ValueError):
+        lower[0] = 1.0
 
 
 # ------------------------------------------------------------ pivot sequence
@@ -307,18 +338,15 @@ _LP_CORPUS = {
         c=[1.0, 0.0, 0.5], A_ub=[[1.0, 0.0, 1.0]], b_ub=[1.5],
         A_eq=[[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [1.0, 1.0, 0.0]],
         b_eq=[1.0, 2.0, 1.0], upper=[1.0, 1.0, 1.0])),
-    "pinned": lambda: solve_lp(LinearProgram(
-        c=[1.0, 1.0, -1.0], A_ub=[[1.0, 1.0, 1.0]], b_ub=[1.0],
-        A_eq=[[1.0, 0.0, -1.0]], b_eq=[0.1],
-        lower=[0.0, 0.3, 0.2], upper=[1.0, 0.3, 0.2])),
-    "all_fixed": lambda: solve_lp(LinearProgram(
-        c=[2.0, -1.0], A_ub=[[1.0, 1.0]], b_ub=[1.0],
-        lower=[0.4, 0.1], upper=[0.4, 0.1])),
+    "pinned": lambda: _solve_shifted(
+        [0.0, 0.3, 0.2], c=[1.0, 1.0, -1.0], A_ub=[[1.0, 1.0, 1.0]], b_ub=[1.0],
+        A_eq=[[1.0, 0.0, -1.0]], b_eq=[0.1], upper=[1.0, 0.3, 0.2]),
+    "all_fixed": lambda: _solve_shifted(
+        [0.4, 0.1], c=[2.0, -1.0], A_ub=[[1.0, 1.0]], b_ub=[1.0], upper=[0.4, 0.1]),
     "unbounded": lambda: solve_lp(LinearProgram(
         c=[1.0, 1.0], A_ub=[[1.0, -1.0]], b_ub=[1.0])),
-    "infeasible": lambda: solve_lp(LinearProgram(
-        c=[0.0, 0.0], A_ub=[[1.0, 1.0]], b_ub=[1.0],
-        lower=[0.8, 0.8], upper=[1.0, 1.0])),
+    "infeasible": lambda: _solve_shifted(
+        [0.8, 0.8], c=[0.0, 0.0], A_ub=[[1.0, 1.0]], b_ub=[1.0], upper=[1.0, 1.0]),
     "infeasible_eq": lambda: solve_lp(LinearProgram(
         c=[1.0, 1.0], A_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[0.5, 0.8],
         upper=[1.0, 1.0])),
@@ -478,16 +506,15 @@ def test_pivot_is_layout_independent(name, monkeypatch):
 
 def _implied_caps_to_inf(prog):
     """``prog`` with inf in place of every cap that an inequality row with
-    coefficients >= 0 over the free columns and shifted rhs >= 0 bounds
-    below half the span, found row by row; and the number replaced."""
-    span = prog.upper - prog.lower
-    free = span > 0
-    b = prog.b_ub - prog.A_ub @ prog.lower
+    coefficients >= 0 over the free columns and rhs >= 0 bounds below half
+    the cap, found row by row; and the number replaced."""
+    free = prog.upper > 0
+    b = prog.b_ub
     rows = [i for i in range(b.size)
             if np.all(prog.A_ub[i, free] >= 0) and b[i] >= 0]
     upper = prog.upper.copy()
-    for j in np.flatnonzero(free & np.isfinite(span)):
-        if any(prog.A_ub[i, j] > 0 and b[i] / prog.A_ub[i, j] < span[j] / 2
+    for j in np.flatnonzero(free & np.isfinite(prog.upper)):
+        if any(prog.A_ub[i, j] > 0 and b[i] / prog.A_ub[i, j] < prog.upper[j] / 2
                for i in rows):
             upper[j] = np.inf
     n_implied = int(np.sum(np.isinf(upper) & ~np.isinf(prog.upper)))
@@ -507,7 +534,7 @@ def _assert_presolve_invisible(prog):
     if a.basis is not None:
         assert np.array_equal(a.basis, b.basis)
         # the basis spans the rows actually solved: implied caps are gone
-        n_caps = np.count_nonzero(np.isfinite(prog.upper) & (prog.upper > prog.lower))
+        n_caps = np.count_nonzero(np.isfinite(prog.upper) & (prog.upper > 0))
         assert a.basis.size == (prog.A_ub.shape[0] + prog.A_eq.shape[0]
                                 + n_caps - n_implied)
     return n_implied
@@ -540,8 +567,9 @@ def test_presolve_matches_grid_lp_without_implied_caps(size, mode, cut, monkeypa
     (dict(A_ub=[[2.0, 0.0]], b_ub=[1.0]), 2),
     # an equality row does not imply
     (dict(A_eq=[[1.0, 1.0]], b_eq=[0.1]), 2),
-    # shifted rhs 0.1 - 0.2 < 0: the row cannot imply (and is infeasible)
-    (dict(A_ub=[[1.0, 1.0]], b_ub=[0.1], lower=[0.2, 0.0]), 2),
+    # rhs 0.1 - 0.2 < 0 (x_0 >= 0.2 shifted out): the row cannot imply
+    # (and is infeasible)
+    (_shift([0.2, 0.0], A_ub=[[1.0, 1.0]], b_ub=[0.1], upper=[1.0, 1.0]), 2),
     # the positive control: 0.49 < 0.5 drops both caps, 0.98 / 2 only z_0's
     (dict(A_ub=[[1.0, 1.0]], b_ub=[0.49]), 0),
     (dict(A_ub=[[2.0, 1.0]], b_ub=[0.98]), 1),
@@ -580,8 +608,7 @@ def _random_instance(rng):
     A_eq = rng.choice(grid, size=(n_eq, n)) if n_eq else None
     b_eq = rng.choice(np.arange(0, 5) / 2.0, size=n_eq) if n_eq else None
     upper = np.full(n, float(rng.choice([0.5, 1.0, 2.0])))
-    return dict(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                lower=np.zeros(n), upper=upper)
+    return dict(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, upper=upper)
 
 
 def test_random_lps_against_vertex_oracle_and_scipy():
@@ -590,13 +617,13 @@ def test_random_lps_against_vertex_oracle_and_scipy():
     for _ in range(150):
         kw = _random_instance(rng)
         sol = solve_lp(LinearProgram(**kw))
-        status, _, best = vertex_lp_max(**{k: v for k, v in kw.items()})
+        status, _, best = vertex_lp_max(**kw)
         assert sol.status in ("optimal", "infeasible")
         assert sol.status == status, kw
         res = scipy_opt.linprog(
             -kw["c"], A_ub=kw["A_ub"], b_ub=kw["b_ub"],
             A_eq=kw["A_eq"], b_eq=kw["b_eq"],
-            bounds=list(zip(kw["lower"], kw["upper"])), method="highs",
+            bounds=[(0.0, u) for u in kw["upper"]], method="highs",
         )
         if sol.status == "optimal":
             n_feasible += 1
@@ -625,7 +652,6 @@ def _design_family_kw(slopes, J, r, owner, b, eq, cap):
                 b_ub=np.concatenate([r, b[~eq]]),
                 A_eq=A_eq if eq.any() else None,
                 b_eq=b[eq] if eq.any() else None,
-                lower=np.zeros(1 + n_o),
                 upper=np.concatenate([[np.inf], np.full(n_o, cap)]))
 
 
@@ -697,14 +723,14 @@ _ZERO_OPTIMUM = _design_family_kw(
 
 def _same_matrix(a, b) -> bool:
     """Whether LPs a and b share what solve_lp reuses: c, A_ub, A_eq,
-    lower and upper bit for bit, and b_ub on the rows >= 0 over the free
+    and upper bit for bit, and b_ub on the rows >= 0 over the free
     columns, which the kept-cap test reads."""
     def bits(x):
         return x.shape, x.tobytes()
     if any(bits(getattr(a, f)) != bits(getattr(b, f))
-           for f in ("c", "A_ub", "A_eq", "lower", "upper")):
+           for f in ("c", "A_ub", "A_eq", "upper")):
         return False
-    rows = np.all(b.A_ub[:, b.upper > b.lower] >= 0, axis=1)
+    rows = np.all(b.A_ub[:, b.upper > 0] >= 0, axis=1)
     return bits(a.b_ub[rows]) == bits(b.b_ub[rows])
 
 
@@ -762,7 +788,7 @@ def test_design_family_lps_against_highs(chain):
     res = scipy_opt.linprog(
         -kw["c"], A_ub=A_ub / s[:, None], b_ub=b_ub / s,
         A_eq=kw["A_eq"], b_eq=kw["b_eq"],
-        bounds=list(zip(kw["lower"], kw["upper"])), method="highs",
+        bounds=[(0.0, u) for u in kw["upper"]], method="highs",
         options={"primal_feasibility_tolerance": 1e-10,
                  "dual_feasibility_tolerance": 1e-10})
     assert res.status in (0, 2), res.message

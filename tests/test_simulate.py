@@ -85,6 +85,8 @@ def test_trace_validation():
     fm = FlowModel(sigma2=[1.0], mu=[10.0])
     with pytest.raises(ValidationError):
         gen_random_walk_trace(fm, T=0)
+    with pytest.raises(ValidationError, match="^seed must be >= 0$"):
+        gen_random_walk_trace(fm, T=5, seed=-1)
     with pytest.raises(ValidationError):
         Trace(x=np.array([[1.0, -2.0]]), source="file-replay")
     with pytest.raises(ValidationError):
@@ -285,6 +287,10 @@ def test_fusion_validation():
         counts[0] = bad
         with pytest.raises(ValidationError, match="finite and >= 0"):
             fuse_gls(counts, mm, xi, mm.mu)
+    counts = n.astype(float)
+    counts[0] = 1.5  # the one packet-count rule that sample_packets applies
+    with pytest.raises(ValidationError, match="^packet counts must be integer packet counts$"):
+        fuse_gls(counts, mm, xi, mm.mu)
 
 
 def test_end_to_end_mse_approaches_steady_state():
