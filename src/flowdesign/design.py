@@ -187,52 +187,42 @@ def solve_steady_state_E(p: DesignProblem, fm: FlowModel,
     theta* = 0 up to roundoff; if so, the bracket closes at once. Each
     LP after the first is warm-started from the previous one's optimal
     basis; only the theta column and the offsets change between rounds.
-    ``diagnostics["bisection_iterations"]`` counts the LP rounds; it
-    keeps the name of the bisection this replaced because the benchmark
-    tracer (perfbench/tracing.py) reads it.
+    ``diagnostics["bisection_iterations"]`` counts the LPs, the classical
+    one included, and ``lp_pivots`` and ``lp_perturbed`` total their
+    pivots and perturbation flags. The count keeps the name of the
+    bisection this replaced because the benchmark tracer
+    (perfbench/tracing.py) reads it.
     """
     if fm.n_r != p.n_r:
         raise ValidationError("flow model and problem disagree on n_r")
     if not (np.isfinite(tol_theta) and tol_theta > 0):
         raise ValidationError("tol_theta must be finite and positive")
-    diagnostics: dict = {"warnings": []}
+    warnings: list = []
     c = 1.0 / fm.sigma2
     zero_rows = np.where(np.max(p.J, axis=1) <= 0.0)[0]
+    sols: list = []  # every LP in order; each is warm-started from the last
 
-    slopes, offsets = 1.0, c   # asymptote cut: h_i(theta) >= theta - c_i
-    lo, hi = 0.0, np.inf
-    xi_best = None
-    rounds = pivots = 0
-    perturbed = False
-    sol = None
-    while True:
-        sol = _theta_lp(p, slopes, offsets, sol)
-        rounds += 1
-        pivots += sol.iterations
-        perturbed = perturbed or sol.perturbed
-        if xi_best is not None and sol.status != "optimal":
-            # a cut LP is never infeasible or unbounded in exact arithmetic
-            # (theta = 0 fits any budget-feasible xi); keep the last bracket
-            diagnostics["warnings"].append(
-                f"cut LP {rounds} ended {sol.status}; bracket kept")
-            break
-        _require_optimal(sol, "steady_state",
-                         "information unbounded for every flow; add caps",
-                         "budget system is infeasible at theta=0 "
-                         "(over-constrained equalities?)")
+    def solve(slopes, offsets) -> LpSolution:
+        sols.append(_theta_lp(p, slopes, offsets, sols[-1] if sols else None))
+        return sols[-1]
+
+    def witness(sol: LpSolution):
+        """The LP's design and its minimum steady-state information."""
         xi = model.check_design_output(p, sol.x[1:])
-        theta_w = float(np.min(steady_state_info(p.J @ xi, fm.sigma2)))
-        if xi_best is None or theta_w > lo:
-            lo, xi_best = theta_w, xi
-        hi = min(hi, float(sol.x[0]))
-        if zero_rows.size:
-            diagnostics["warnings"].append(
-                f"flows {zero_rows.tolist()} are unobservable; theta* = 0")
-            hi = 0.0
-            break
-        if hi - lo <= tol_theta * hi:
-            break
-        if rounds == 2 and lo == 0.0:
+        return xi, float(np.min(steady_state_info(p.J @ xi, fm.sigma2)))
+
+    sol = solve(1.0, c)  # asymptote cut: h_i(theta) >= theta - c_i
+    _require_optimal(sol, "steady_state",
+                     "information unbounded for every flow; add caps",
+                     "budget system is infeasible at theta=0 "
+                     "(over-constrained equalities?)")
+    xi_best, lo = witness(sol)
+    hi = float(sol.x[0])
+    if zero_rows.size:
+        warnings.append(f"flows {zero_rows.tolist()} are unobservable; theta* = 0")
+        hi = 0.0
+    while hi - lo > tol_theta * hi:
+        if len(sols) == 2 and lo == 0.0:
             # theta* = 0 exactly when the classical optimum min_i (J xi)_i
             # is 0 (say, all budgets 0); the cuts would only halve hi.
             # A warm start can certify theta ~1e-22 there, and a starved
@@ -240,34 +230,38 @@ def solve_steady_state_E(p: DesignProblem, fm: FlowModel,
             # within _ZERO_ULPS of the size of J xi's terms. The bracket
             # then closes on the witness and on the most steady-state
             # information a flow with m_i <= theta_c can reach
-            sol = _theta_lp(p, 1.0, np.zeros(p.n_r), sol)
-            rounds += 1
-            pivots += sol.iterations
-            perturbed = perturbed or sol.perturbed
+            sol = solve(1.0, np.zeros(p.n_r))
             if sol.ok:
-                xi = model.check_design_output(p, sol.x[1:])
+                xi, theta_w = witness(sol)
                 theta_c = float(sol.x[0])
                 if theta_c <= _ZERO_ULPS * np.spacing(np.max(p.J) * np.max(xi)):
-                    lo = float(np.min(steady_state_info(p.J @ xi, fm.sigma2)))
-                    hi = float(np.max(steady_state_info(max(theta_c, 0.0),
-                                                        fm.sigma2)))
-                    hi, xi_best = max(hi, lo), xi
+                    top = float(np.max(steady_state_info(max(theta_c, 0.0),
+                                                         fm.sigma2)))
+                    lo, hi, xi_best = theta_w, max(top, theta_w), xi
                     break
-        if rounds == _CUT_MAX_ROUNDS:
-            diagnostics["warnings"].append(
-                f"gap {hi - lo!r} still open after {rounds} cut LPs")
+        if len(sols) >= _CUT_MAX_ROUNDS:
+            warnings.append(f"gap {hi - lo!r} still open after {len(sols)} cut LPs")
             break
         t = hi
-        slopes = t * (t + 2.0 * c) / (t + c) ** 2
-        offsets = c * t * t / (t + c) ** 2
+        sol = solve(t * (t + 2.0 * c) / (t + c) ** 2, c * t * t / (t + c) ** 2)
+        if not sol.ok:
+            # a cut LP is never infeasible or unbounded in exact arithmetic
+            # (theta = 0 fits any budget-feasible xi); keep the last bracket
+            warnings.append(f"cut LP {len(sols)} ended {sol.status}; bracket kept")
+            break
+        xi, theta_w = witness(sol)
+        if theta_w > lo:
+            lo, xi_best = theta_w, xi
+        hi = min(hi, float(sol.x[0]))
 
     m = p.J @ xi_best
     info = steady_state_info(m, fm.sigma2)
     theta = float(np.min(info))
     _check_certificate(theta, m, fm.sigma2, (lo, hi))
-    diagnostics.update(bisection_iterations=rounds, lp_pivots=pivots,
-                       lp_perturbed=perturbed, theta_bracket=(lo, hi),
-                       tol_theta=tol_theta)
+    diagnostics = {"warnings": warnings, "bisection_iterations": len(sols),
+                   "lp_pivots": sum(s.iterations for s in sols),
+                   "lp_perturbed": any(s.perturbed for s in sols),
+                   "theta_bracket": (lo, hi), "tol_theta": tol_theta}
     return DesignResult(xi=xi_best, theta=theta, scheme="steady_state",
                         info=info, diagnostics=diagnostics)
 

@@ -27,6 +27,7 @@ lines ended by "\n") with floats from model.floats_text.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, fields
 from itertools import chain
@@ -95,6 +96,11 @@ class ExperimentConfig:
     flows_dump: bool = False
 
     def __post_init__(self):
+        for name, convert in _CONFIG_KEYS.items():
+            value = getattr(self, name)
+            if convert is int and value is not None and (
+                    isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise ConfigError(name, "must be an integer")
         runnable = [s for s in SCHEMES if s != "classical"]  # design-only
         for name, allowed in (("scheme", runnable), ("mu_mode", _MU_MODES),
                               ("constraint_mode", CONSTRAINT_MODES),
@@ -204,7 +210,6 @@ def _series(cfg: ExperimentConfig, per_flow: np.ndarray,
     start = cfg.median_window_start
     if start is None:
         start = math.floor(0.2 * T) + 1
-    start = min(start, T)
     max_mse = per_flow.max(axis=1)
     return MetricsSeries(
         t=np.arange(1, T + 1), max_mse=max_mse, per_flow_mse=per_flow,

@@ -364,6 +364,44 @@ def test_steady_state_warns_when_the_round_cap_leaves_a_gap(monkeypatch):
     _assert_in_bracket(res)
 
 
+def _record_solutions(monkeypatch):
+    """Wrap the current design.solve_lp and collect what each call returns."""
+    sols = []
+    inner = design.solve_lp
+
+    def solve(lp, start=None):
+        sols.append(inner(lp, start=start))
+        return sols[-1]
+
+    monkeypatch.setattr(design, "solve_lp", solve)
+    return sols
+
+
+@pytest.mark.parametrize("case,n_lps", [
+    ("inequality", 5), ("equality_with_zeroing", 5),
+    ("zero_budget", 3),     # cut, cut, then the classical probe
+    ("numerical_cut", 2),   # the second LP ends numerical
+])
+def test_steady_state_diagnostics_count_every_lp(monkeypatch, case, n_lps):
+    # the benchmark tracer reads bisection_iterations and lp_pivots
+    if case == "zero_budget":
+        p = DesignProblem(J=[[40.0, 10.0], [10.0, 40.0]], R=[[1.0, 1.0]], b=[0.0])
+        fm = pair_fm(1.0, 1.0)
+    else:
+        mm = build_measurement_model(synth_topology(
+            "grid", rows=4, cols=4, budget=0.02, seed=1))
+        mode = "inequality" if case == "numerical_cut" else case
+        p, fm = design_problem(mm, constraint_mode=mode), flow_model(mm)
+    if case == "numerical_cut":
+        _numerical_on_call(monkeypatch, 2)
+    sols = _record_solutions(monkeypatch)
+    d = solve_steady_state_E(p, fm).diagnostics
+    assert d["bisection_iterations"] == len(sols) == n_lps
+    assert d["lp_pivots"] == sum(s.iterations for s in sols) > 0
+    assert d["lp_perturbed"] is any(s.perturbed for s in sols)
+    assert sols[-1].ok == (case != "numerical_cut")
+
+
 @pytest.mark.parametrize("solve", [solve_classical_E,
                                    lambda p: solve_steady_state_E(p, pair_fm())])
 def test_numerical_first_lp_raises_naming_its_status(monkeypatch, solve):

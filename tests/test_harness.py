@@ -148,6 +148,14 @@ def test_config_requires_one_topology_source(tmp_path):
     {"tol_theta": float("nan")},
     {"tol_theta": float("inf")},
     {"topology_kind": "hypercube"},
+    {"block_size": 1.5},
+    {"horizon": 10.0},
+    {"horizon": True},
+    {"median_window_start": 2.5},
+    {"replications": 2.5},
+    {"seed": 1.5},
+    {"trace_seed": 1.5},
+    {"n_nodes": 5.0},
 ])
 def test_config_validation(kw):
     with pytest.raises(ConfigError) as exc:

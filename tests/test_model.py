@@ -88,6 +88,7 @@ def test_rates_are_bounded_below_by_zero():
     (dict(R=[[np.inf]]), "R must be finite"),
     (dict(b=[np.nan]), "b must be finite"),
     (dict(upper=[-1.0]), "upper bounds must be >= 0"),
+    (dict(upper=[1.0, 1.0]), "bounds must have one entry per design variable"),
 ])
 def test_design_problem_names_the_field(kwargs, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
