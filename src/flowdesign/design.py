@@ -26,7 +26,7 @@ Every solver re-substitutes its output into the constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,6 +59,13 @@ class DesignResult:
     lp_solution: LpSolution | None = None
 
 
+@dataclass(frozen=True)
+class _ThetaProgram(LinearProgram):
+    """A theta LP and the shapes and bits of the slopes and problem
+    arrays _theta_lp built it from."""
+    source: tuple = ()
+
+
 def _theta_lp(p: DesignProblem, slopes, offsets: np.ndarray,
               start: LpSolution | None = None):
     """Solve max theta s.t. slopes*theta - J xi <= offsets, budgets, bounds.
@@ -67,7 +74,23 @@ def _theta_lp(p: DesignProblem, slopes, offsets: np.ndarray,
     form's x' = (theta, xi'). Slope 1 gives the classical and myopic
     rows; the steady-state cuts pass per-flow tangent slopes. ``start``
     is an earlier solution of this family, offered as a warm start.
+
+    When ``start``'s program was built here from the same slopes and
+    problem arrays, bit for bit (the previous myopic period's, say),
+    only the offsets, b_ub's first n_r entries, differ: with_b_ub swaps
+    them in and checks them, and shares every other array and the
+    matrix key, so solve_lp reuses start's record. The program has the
+    bits of a fresh build, so the solve and its output bytes are the
+    same.
     """
+    slopes = np.asarray(slopes, dtype=float)
+    source = tuple((a.shape, a.tobytes()) for a in (
+        slopes, p.J, p.R, p.b, p.upper, p.row_is_equality))
+    prev = None if start is None or start._rows is None else start._rows.lp
+    if isinstance(prev, _ThetaProgram) and prev.source == source:
+        rhs = np.concatenate([offsets, prev.b_ub[p.n_r:]])
+        rhs.flags.writeable = False  # built here, so with_b_ub keeps it uncopied
+        return solve_lp(prev.with_b_ub(rhs), start=start)
     n = 1 + p.n_o
     c = np.zeros(n)
     c[0] = 1.0
@@ -84,8 +107,8 @@ def _theta_lp(p: DesignProblem, slopes, offsets: np.ndarray,
     upper = np.concatenate([[np.inf], p.upper])
     for a in (c, A_ub, rhs, A_eq, b_eq, upper):
         a.flags.writeable = False  # built here, so LinearProgram keeps them uncopied
-    return solve_lp(LinearProgram(c=c, A_ub=A_ub, b_ub=rhs, A_eq=A_eq, b_eq=b_eq,
-                                  upper=upper), start=start)
+    return solve_lp(_ThetaProgram(c=c, A_ub=A_ub, b_ub=rhs, A_eq=A_eq, b_eq=b_eq,
+                                  upper=upper, source=source), start=start)
 
 
 def _require_optimal(sol, scheme: str, unbounded: str,
@@ -131,7 +154,10 @@ def solve_myopic(p: DesignProblem, fm: FlowModel, prior_info,
     this reduces exactly to the classical design. ``start``, the previous
     period's design on the same problem, warm-starts the LP from its
     optimal basis: successive periods move only the offsets a, so that
-    basis usually stays optimal and is certified with no pivot.
+    basis usually stays optimal and is certified with no pivot. They
+    also share the LP's matrix, so the period reuses start's program
+    with the new offsets swapped in, and its record (see _theta_lp);
+    the output has the bits of a period built from scratch.
 
     The LP is often degenerate: only the smallest entry of a + J xi is
     maximized, so many xi can share the optimum. The returned (and
@@ -200,11 +226,17 @@ def solve_steady_state_E(p: DesignProblem, fm: FlowModel,
     warnings: list = []
     c = 1.0 / fm.sigma2
     zero_rows = np.where(np.max(p.J, axis=1) <= 0.0)[0]
-    sols: list = []  # every LP in order; each is warm-started from the last
+    # every LP in order, each warm-started from the last. Only the last
+    # keeps its reuse record (program, matrix bytes and rows; see lp): a
+    # superseded LP is read only for its pivots and perturbation flag
+    sols: list = []
 
     def solve(slopes, offsets) -> LpSolution:
-        sols.append(_theta_lp(p, slopes, offsets, sols[-1] if sols else None))
-        return sols[-1]
+        sol = _theta_lp(p, slopes, offsets, sols[-1] if sols else None)
+        if sols:
+            sols[-1] = replace(sols[-1], _rows=None)
+        sols.append(sol)
+        return sol
 
     def witness(sol: LpSolution):
         """The LP's design and its minimum steady-state information."""

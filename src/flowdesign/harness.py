@@ -155,10 +155,15 @@ def _config_converters():
 
 
 _CONFIG_KEYS = _config_converters()
+# the synthetic generator's inputs: with topology_dir they would go unread
+_SYNTH_KEYS = ("topology_seed", "n_nodes", "rows", "cols", "n_links", "n_flows",
+               "flow_fraction", "mu_scale", "sigma_rel", "budget")
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    """Flat `key = value` file, `#` comments, one key per line."""
+    """Flat `key = value` file, `#` comments, one key per line. A
+    synthetic generator key next to topology_dir is a ConfigError: the
+    bundle, not the key, would decide the topology."""
     if not os.path.exists(path):
         raise ConfigError("config", f"file {path!r} not found")
     try:
@@ -183,7 +188,12 @@ def parse_config(path: str) -> ExperimentConfig:
             values[key] = _CONFIG_KEYS[key](val)
         except ValueError as exc:
             raise ConfigError(key, str(exc)) from None
-    return ExperimentConfig(**values)
+    cfg = ExperimentConfig(**values)
+    if cfg.topology_dir is not None:  # the bundle fixes what these would generate
+        for key in _SYNTH_KEYS:
+            if key in values:
+                raise ConfigError(key, "applies only with topology_kind")
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -268,8 +278,12 @@ def run_idealized(cfg: ExperimentConfig) -> MetricsSeries:
     recursion info = predicted_info(info) + J xi over the periods. Myopic
     re-solves its LP every period from the accumulated information,
     warm-started from the previous period's optimal basis (only the
-    offsets move, so most periods need no pivot); naive and steady_state
-    solve once, at t = 1, and keep that design.
+    offsets move, so most periods need no pivot). Its LP is built and
+    validated once: a later period swaps its offsets into the previous
+    period's program and reuses that matrix's assembled rows, so every
+    rate and MSE has the bits of periods solved from programs built
+    afresh. Naive and steady_state solve once, at t = 1, and keep that
+    design.
 
     block_size and warmup_scheme are ignored: with the true means known
     there is nothing to wait for, so the fixed schemes hold from t = 1

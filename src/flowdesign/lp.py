@@ -53,17 +53,21 @@ cold two-phase solve, so a hint never changes which answers are
 possible, only how many pivots they take.
 
 Reuse: myopic periods move only the theta rows' right-hand side, so
-their LPs share one matrix. Every LpSolution carries a private record
-of the work that reads the matrix alone: the assembled, equilibrated
-rows and their scales, ``free`` and the kept caps, _violation's row
-scales, and, for the basis last offered as a hint on those rows,
-B = A[T,S] and the dual half of its certificate (u and its reduced-cost
-and dual test). A solve started from that solution reuses the record
-when c, A_ub, A_eq and upper have the bits it was built from,
-and b_ub too on the rows that are >= 0 over the free columns, the only
-rows the kept-cap test reads. The record keeps those bytes, since
-unlike == they tell -0.0 from 0.0; a LinearProgram's arrays are
-read-only, so the bytes cannot go stale after the solve. Each
+their LPs share one matrix, and a period's program is the previous
+one's with a new b_ub (LinearProgram.with_b_ub), sharing its other
+arrays and its _matrix_key. Every LpSolution carries a private record
+of the work that reads the matrix alone: the program it was assembled
+from, the assembled, equilibrated rows and their scales, ``free`` and
+the kept caps, _violation's row scales, and, for the basis last offered
+as a hint on those rows, B = A[T,S] and the dual half of its
+certificate (u and its reduced-cost and dual test). A solve started
+from that solution reuses the record when c, A_ub, A_eq and upper have
+the bits it was built from, and b_ub too on the rows that are >= 0
+over the free columns, the only rows the kept-cap test reads. The
+record keeps those bytes, since unlike == they tell -0.0 from 0.0; a
+program serialises them once, and a derived program shares them, so
+the comparison meets the same bytes objects. A LinearProgram's arrays
+are read-only, so the bytes cannot go stale after the solve. Each
 reused array is then the same function of the same bits, so pivots,
 bases and output bytes are those of a solve without the record, and an
 accepted period costs b / scale, one solve with B and the primal
@@ -76,6 +80,7 @@ Convention: maximize c'x subject to A_ub x <= b_ub, A_eq x = b_eq and
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,6 +103,13 @@ def _matrix(a, n, name):
     return a
 
 
+def _rhs_vector(b, m, name, rows):
+    b = np.zeros(0) if b is None else np.atleast_1d(np.asarray(b, dtype=float))
+    if b.shape != (m,) or not np.isfinite(b).all():
+        raise ValidationError(f"{name} must be finite with one entry per {rows} row")
+    return b
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     c: np.ndarray
@@ -106,6 +118,8 @@ class LinearProgram:
     A_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
     upper: np.ndarray | None = None  # default +inf
+    # _matrix_key, serialised on first use and shared by with_b_ub
+    _key: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
@@ -114,14 +128,8 @@ class LinearProgram:
         n = c.size
         A_ub = _matrix(self.A_ub, n, "A_ub")
         A_eq = _matrix(self.A_eq, n, "A_eq")
-        b_ub = np.zeros(0) if self.b_ub is None else np.atleast_1d(
-            np.asarray(self.b_ub, dtype=float))
-        b_eq = np.zeros(0) if self.b_eq is None else np.atleast_1d(
-            np.asarray(self.b_eq, dtype=float))
-        if b_ub.shape != (A_ub.shape[0],) or not np.all(np.isfinite(b_ub)):
-            raise ValidationError("b_ub must be finite with one entry per A_ub row")
-        if b_eq.shape != (A_eq.shape[0],) or not np.all(np.isfinite(b_eq)):
-            raise ValidationError("b_eq must be finite with one entry per A_eq row")
+        b_ub = _rhs_vector(self.b_ub, A_ub.shape[0], "b_ub", "A_ub")
+        b_eq = _rhs_vector(self.b_eq, A_eq.shape[0], "b_eq", "A_eq")
         upper = np.full(n, np.inf) if self.upper is None else np.atleast_1d(
             np.asarray(self.upper, dtype=float))
         if upper.shape != (n,):
@@ -133,6 +141,16 @@ class LinearProgram:
         for name, val in (("c", c), ("A_ub", A_ub), ("b_ub", b_ub),
                           ("A_eq", A_eq), ("b_eq", b_eq), ("upper", upper)):
             object.__setattr__(self, name, frozen(val))
+
+    def with_b_ub(self, b_ub) -> LinearProgram:
+        """This program with ``b_ub`` in place of its own, checked as the
+        constructor checks it. The other arrays, validated and read-only
+        already, and the matrix key are shared, not copied or re-checked."""
+        b_ub = frozen(_rhs_vector(b_ub, self.A_ub.shape[0], "b_ub", "A_ub"))
+        _matrix_key(self)  # serialised before the copy, so the copy shares it
+        lp = copy.copy(self)
+        object.__setattr__(lp, "b_ub", b_ub)
+        return lp
 
     @property
     def lower(self) -> np.ndarray:
@@ -146,9 +164,11 @@ class LinearProgram:
 
 def _matrix_key(lp: LinearProgram) -> tuple:
     """The shapes and bits of what the matrix work reads, b_ub aside;
-    unlike ==, bits tell -0.0 from 0.0."""
-    return tuple((a.shape, a.tobytes())
-                 for a in (lp.c, lp.A_ub, lp.A_eq, lp.upper))
+    unlike ==, bits tell -0.0 from 0.0. Serialised once per program."""
+    if lp._key is None:
+        object.__setattr__(lp, "_key", tuple(
+            (a.shape, a.tobytes()) for a in (lp.c, lp.A_ub, lp.A_eq, lp.upper)))
+    return lp._key
 
 
 @dataclass(eq=False)
@@ -156,7 +176,8 @@ class _Rows:
     """The work of solve_lp that reads only the LP's matrix (module
     docstring). ``cert`` holds, for the basis last offered as a hint on
     these rows, that basis's bytes and the dual half of its certificate."""
-    key: tuple               # _matrix_key of the LP
+    key: tuple               # _matrix_key of lp, taken when it was assembled
+    lp: LinearProgram        # the program assembled; with_b_ub derives others
     nonneg: np.ndarray       # A_ub rows >= 0 over the free columns, whose
     b_nonneg: bytes          # b_ub the kept-cap test reads, so it is keyed too
     free: np.ndarray         # columns with upper > 0
@@ -271,7 +292,7 @@ def _assemble(lp: LinearProgram) -> _Rows:
     A.flags.writeable = False  # shared by every solve that reuses it
     n_ub = b_ub.size
     return _Rows(
-        key=_matrix_key(lp), nonneg=nonneg,
+        key=_matrix_key(lp), lp=lp, nonneg=nonneg,
         b_nonneg=b_ub[nonneg].tobytes(), free=free, span_kept=span[kept],
         pos=np.concatenate([np.arange(n_ub), n_ub + kept,
                             n_ub + caps.size + np.arange(lp.A_eq.shape[0])]),

@@ -18,6 +18,9 @@ different route, so agreement is meaningful:
   theta, with scipy HiGHS feasibility probes.
 * highs_classical_theta: the classical design optimum as one scipy
   HiGHS LP.
+* fresh_theta_lp: design._theta_lp with every call building and
+  validating its LinearProgram from the problem, where the library
+  swaps new offsets into a program built from the same arrays.
 * dense_gls: the full matrix GLS solve (L' W L) y = L' W z.
 * path_incidence: per-flow observation points and the router
   traversal matrix, walked edge by edge along the routed paths.
@@ -44,8 +47,9 @@ from collections import deque
 
 import numpy as np
 
-from flowdesign import (CanonicalSocp, RoutingError, SocpCone, design_problem,
-                        fuse_gls, harness, predict_update, remap_mu,
+from flowdesign import (CanonicalSocp, LinearProgram, RoutingError, SocpCone,
+                        design, design_problem, fuse_gls, harness,
+                        predict_update, remap_mu,
                         sample_packets, solve_myopic, solve_naive,
                         solve_steady_state_E)
 
@@ -343,6 +347,28 @@ def highs_classical_theta(J, R, b, upper, row_is_equality=None):
 
 # ---------------------------------------------------------------------------
 # dense GLS
+
+
+def fresh_theta_lp(p, slopes, offsets, start=None):
+    """max theta s.t. slopes*theta - J xi <= offsets, budgets, bounds, as
+    design._theta_lp solves it, with a program built and validated from
+    ``p`` on every call. ``start`` is still offered to design.solve_lp,
+    which compares the matrix bytes with start's record itself."""
+    n = 1 + p.n_o
+    c = np.zeros(n)
+    c[0] = 1.0
+    eq = p.row_is_equality
+    R_ub, b_ub, R_eq, b_eq = p.R[~eq], p.b[~eq], p.R[eq], p.b[eq]
+    A_ub = np.zeros((p.n_r + R_ub.shape[0], n))
+    A_ub[:p.n_r, 0] = slopes
+    A_ub[:p.n_r, 1:] = -p.J
+    A_ub[p.n_r:, 1:] = R_ub
+    A_eq = np.zeros((R_eq.shape[0], n))
+    A_eq[:, 1:] = R_eq
+    prog = LinearProgram(c=c, A_ub=A_ub, b_ub=np.concatenate([offsets, b_ub]),
+                         A_eq=A_eq, b_eq=b_eq,
+                         upper=np.concatenate([[np.inf], p.upper]))
+    return design.solve_lp(prog, start=start)
 
 
 def dense_gls(L, weights, z):

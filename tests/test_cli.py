@@ -183,6 +183,22 @@ def test_bad_synthetic_topology_exits_2(tmp_path, capsys, text, flags, field):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("topology_seed", "3"), ("n_nodes", "5"), ("rows", "4"), ("cols", "4"),
+    ("n_links", "4"), ("n_flows", "2"), ("flow_fraction", "2"),
+    ("mu_scale", "500"), ("sigma_rel", "0.1"), ("budget", "-1"),
+])
+def test_synth_key_next_to_topology_dir_exits_2(bundle, tmp_path, capsys, key, value):
+    # the bundle fixes the topology, so the key would silently go unread
+    argv = ["simulate", "--config", write_cfg(tmp_path, bundle, **{key: value}),
+            "--out", str(tmp_path / "x")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"config field '{key}': applies only with topology_kind" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("key,value,dest", [
     ("mu_scale", "-1", "mu_scale"),
     ("mu_scale", "nan", "mu_scale"),

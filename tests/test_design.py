@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -30,8 +31,9 @@ from flowdesign import (
     synth_topology,
 )
 
+from flowdesign import ExperimentConfig, LinearProgram, lp as lp_module, run_idealized
 from oracles import (bisect_steady_state, cone_residuals, float_texts,
-                     grid_design_bounds, highs_classical_theta,
+                     fresh_theta_lp, grid_design_bounds, highs_classical_theta,
                      parse_socp_text)
 
 
@@ -165,6 +167,178 @@ def test_myopic_warm_chain_matches_cold_solves():
         warm += res.diagnostics["lp_iterations"] == 0
         info = res.info
     assert warm >= 10
+
+
+def _idealized_myopic(monkeypatch, size, mode, theta_lp):
+    """run_idealized myopic over T = 200 with ``theta_lp`` patched in for
+    design._theta_lp; returns the series, each period's LpSolution and
+    program, the count of validated programs and of matrix keys
+    serialised."""
+    sols, progs, validated, serialised = [], [], [], []
+    solve, post_init = design.solve_lp, LinearProgram.__post_init__
+    matrix_key = lp_module._matrix_key
+
+    def recording(prog, start=None):
+        progs.append(prog)
+        sols.append(solve(prog, start=start))
+        return sols[-1]
+
+    def validating(prog):
+        validated.append(prog)
+        post_init(prog)
+
+    def keyed(prog):
+        serialised.append(prog._key is None)
+        return matrix_key(prog)
+
+    with monkeypatch.context() as m:
+        m.setattr(design, "_theta_lp", theta_lp)
+        m.setattr(design, "solve_lp", recording)
+        m.setattr(LinearProgram, "__post_init__", validating)
+        m.setattr(lp_module, "_matrix_key", keyed)
+        ms = run_idealized(ExperimentConfig(
+            topology_kind="grid", rows=size, cols=size, budget=0.02,
+            topology_seed=1, scheme="myopic", mu_mode="true_mu", horizon=200,
+            constraint_mode=mode))
+    return ms, sols, progs, len(validated), sum(serialised)
+
+
+@pytest.mark.parametrize("mode", ["inequality", "equality_with_zeroing"])
+@pytest.mark.parametrize("size", [4, 5])
+def test_idealized_myopic_reuse_matches_fresh_builds(monkeypatch, size, mode):
+    ms, sols, progs, validated, serialised = _idealized_myopic(
+        monkeypatch, size, mode, design._theta_lp)
+    ref, ref_sols, _, ref_validated, _ = _idealized_myopic(
+        monkeypatch, size, mode, fresh_theta_lp)
+    assert np.array_equal(ms.per_flow_mse, ref.per_flow_mse)
+    assert np.array_equal(ms.rates, ref.rates)
+    assert len(sols) == len(ref_sols) == 200
+    for sol, want in zip(sols, ref_sols):
+        assert sol.iterations == want.iterations
+        assert np.array_equal(sol.basis, want.basis)
+        assert np.array_equal(sol.x, want.x)
+    # one program built and validated, one matrix key serialised; every
+    # later period swaps its offsets into the first period's program
+    assert (validated, ref_validated) == (1, 200)
+    assert serialised == 1
+    assert all(prog._key is progs[0]._key for prog in progs)
+    assert all(prog.A_ub is progs[0].A_ub for prog in progs)
+
+
+def _grid_myopic_start(size=4, mode="inequality"):
+    """A grid problem, its flow model and a myopic design 30 periods in."""
+    mm = build_measurement_model(synth_topology(
+        "grid", rows=size, cols=size, budget=0.02, seed=1))
+    p, fm = design_problem(mm, constraint_mode=mode), flow_model(mm)
+    info, res = np.zeros(p.n_r), None
+    for _ in range(30):
+        res = solve_myopic(p, fm, info, start=res)
+        info = res.info
+    return p, fm, res, predicted_info(info, fm.sigma2)
+
+
+def _moved(p, field):
+    """p with one entry of ``field`` one ulp away, or one budget row's
+    equality flag flipped."""
+    kw = {"J": p.J, "R": p.R, "b": p.b, "upper": p.upper,
+          "row_is_equality": p.row_is_equality}
+    a = kw[field].copy()
+    if field == "row_is_equality":
+        a[0] = not a[0]
+    else:
+        i = np.unravel_index(np.flatnonzero(a)[0], a.shape)
+        a[i] = np.nextafter(a[i], np.inf)
+    kw[field] = a
+    return DesignProblem(**kw)
+
+
+def _count_builds(monkeypatch):
+    built = []
+    post_init = LinearProgram.__post_init__
+
+    def counting(prog):
+        built.append(prog)
+        post_init(prog)
+
+    monkeypatch.setattr(LinearProgram, "__post_init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("field", ["J", "b", "upper", "row_is_equality"])
+def test_theta_lp_rebuilds_for_a_moved_problem(monkeypatch, field):
+    p, _, res, offsets = _grid_myopic_start()
+    q = _moved(p, field)
+    start = res.lp_solution
+    want = fresh_theta_lp(q, 1.0, offsets, start)
+    built = _count_builds(monkeypatch)
+    sol = design._theta_lp(q, 1.0, offsets, start)
+    assert len(built) == 1
+    prog = sol._rows.lp
+    assert prog is not start._rows.lp
+    assert (sol.status, sol.iterations) == (want.status, want.iterations)
+    assert sol.x.tobytes() == want.x.tobytes()
+    assert np.array_equal(sol.basis, want.basis)
+    ref = want._rows.lp
+    for name in ("c", "A_ub", "b_ub", "A_eq", "b_eq", "upper"):
+        assert getattr(prog, name).tobytes() == getattr(ref, name).tobytes()
+
+
+def test_theta_lp_reuses_a_program_of_equal_bits(monkeypatch):
+    # a rebuilt problem with copies of the arrays is the same problem
+    p, _, res, offsets = _grid_myopic_start()
+    q = DesignProblem(J=p.J.copy(), R=p.R.copy(), b=p.b.copy(),
+                      upper=p.upper.copy(), row_is_equality=p.row_is_equality.copy())
+    start = res.lp_solution
+    want = fresh_theta_lp(q, 1.0, offsets, start)
+    built = _count_builds(monkeypatch)
+    sol = design._theta_lp(q, 1.0, offsets, start)
+    assert built == []
+    prog, base = sol._rows.lp, start._rows.lp
+    assert sol._rows is start._rows and prog is base
+    assert sol.x.tobytes() == want.x.tobytes()
+    assert np.array_equal(sol.basis, want.basis)
+    assert sol.iterations == want.iterations
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "short"])
+def test_theta_lp_checks_swapped_offsets(monkeypatch, bad):
+    p, _, res, offsets = _grid_myopic_start()
+    offsets = offsets.copy()
+    if bad == "short":
+        offsets = offsets[1:]
+    else:
+        offsets[3] = float(bad)
+    with pytest.raises(ValidationError) as fresh:
+        fresh_theta_lp(p, 1.0, offsets)
+    built = _count_builds(monkeypatch)
+    with pytest.raises(ValidationError) as swapped:
+        design._theta_lp(p, 1.0, offsets, res.lp_solution)
+    assert built == []
+    assert str(swapped.value) == str(fresh.value)
+
+
+def test_theta_lp_swapped_program_is_read_only(monkeypatch):
+    p, _, res, offsets = _grid_myopic_start()
+    progs = []
+    solve = design.solve_lp
+
+    def recording(prog, start=None):
+        progs.append(prog)
+        return solve(prog, start=start)
+
+    monkeypatch.setattr(design, "solve_lp", recording)
+    writeable = offsets.copy()
+    design._theta_lp(p, 1.0, writeable, res.lp_solution)
+    (prog,) = progs
+    assert prog is not res.lp_solution._rows.lp
+    for name in ("c", "A_ub", "b_ub", "A_eq", "b_eq", "upper"):
+        a = getattr(prog, name)
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 1.0
+    # the offsets were copied in, not kept
+    writeable[0] += 1.0
+    assert prog.b_ub[0] == offsets[0]
 
 
 # ------------------------------------------------------------------ steady state
@@ -400,6 +574,29 @@ def test_steady_state_diagnostics_count_every_lp(monkeypatch, case, n_lps):
     assert d["lp_pivots"] == sum(s.iterations for s in sols) > 0
     assert d["lp_perturbed"] is any(s.perturbed for s in sols)
     assert sols[-1].ok == (case != "numerical_cut")
+
+
+@pytest.mark.parametrize("mode", ["inequality", "equality_with_zeroing"])
+def test_steady_state_keeps_only_the_last_lp_record(monkeypatch, mode):
+    # a superseded cut LP's record (rows, program, matrix key) is freed;
+    # only the last LP's, the next warm start, stays alive
+    mm = build_measurement_model(synth_topology(
+        "grid", rows=4, cols=4, budget=0.02, seed=1))
+    p, fm = design_problem(mm, constraint_mode=mode), flow_model(mm)
+    records = []
+    theta_lp = design._theta_lp
+
+    def recording(p, slopes, offsets, start=None):
+        alive = [r() for r in records if r() is not None]
+        assert alive == ([] if start is None else [start._rows])
+        sol = theta_lp(p, slopes, offsets, start)
+        records.append(weakref.ref(sol._rows))
+        return sol
+
+    monkeypatch.setattr(design, "_theta_lp", recording)
+    res = solve_steady_state_E(p, fm)
+    assert len(records) == res.diagnostics["bisection_iterations"] >= 4
+    assert all(r() is None for r in records)
 
 
 @pytest.mark.parametrize("solve", [solve_classical_E,

@@ -267,6 +267,35 @@ def test_validation_names_the_bound(kwargs, message):
         LinearProgram(c=[1.0], **kwargs)
 
 
+@pytest.mark.parametrize("b_ub", [[1.0, np.nan], [np.inf, 1.0], [1.0], [[1.0, 2.0]]])
+def test_with_b_ub_checks_as_the_constructor(b_ub):
+    base = LinearProgram(c=[1.0, 1.0], A_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[1.0, 1.0])
+    with pytest.raises(ValidationError) as fresh:
+        LinearProgram(c=base.c, A_ub=base.A_ub, b_ub=b_ub)
+    with pytest.raises(ValidationError) as swapped:
+        base.with_b_ub(b_ub)
+    assert str(swapped.value) == str(fresh.value)
+
+
+def test_with_b_ub_shares_all_but_b_ub():
+    base = design_lp()
+    b_ub = base.b_ub * 2.0
+    lp = base.with_b_ub(b_ub)
+    for name in ("c", "A_ub", "A_eq", "b_eq", "upper"):
+        assert getattr(lp, name) is getattr(base, name)
+    assert lp._key is base._key is not None
+    # a writeable argument is copied, so a later write cannot reach lp
+    assert lp.b_ub is not b_ub and not lp.b_ub.flags.writeable
+    b_ub[0] = -1.0
+    assert lp.b_ub.tobytes() == (base.b_ub * 2.0).tobytes()
+    assert base.b_ub.tobytes() == design_lp().b_ub.tobytes()
+    # the same answer as the program built from scratch
+    built = LinearProgram(c=base.c, A_ub=base.A_ub, b_ub=lp.b_ub,
+                          A_eq=base.A_eq, b_eq=base.b_eq, upper=base.upper)
+    a, b = solve_lp(lp), solve_lp(built)
+    assert (a.iterations, a.x.tobytes()) == (b.iterations, b.x.tobytes())
+
+
 def test_lower_is_not_an_option():
     # every variable's lower bound is 0; the lower property is read-only
     # zeros, kept for the benchmark's tableau-size estimate
