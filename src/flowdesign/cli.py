@@ -35,6 +35,8 @@ from .network import build_measurement_model, load_topology  # noqa: F401
 
 # synth_topology keyword -> synth flag dest
 _SYNTH_DESTS = {"n_nodes": "nodes", "n_links": "links", "n_flows": "flows"}
+# synth flags absent unless given, so synth_topology's defaults apply
+_SYNTH_OPTIONAL = ("flow_fraction", "mu_scale", "sigma_rel", "budget", "seed")
 
 
 def _seed(tok: str) -> int:
@@ -81,12 +83,12 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    given = {name: getattr(args, name) for name in _SYNTH_OPTIONAL
+             if hasattr(args, name)}
     try:
         spec = synth_topology(
             args.kind, n_nodes=args.nodes, rows=args.rows, cols=args.cols,
-            n_links=args.links, n_flows=args.flows,
-            flow_fraction=args.flow_fraction, mu_scale=args.mu_scale,
-            sigma_rel=args.sigma_rel, budget=args.budget, seed=args.seed)
+            n_links=args.links, n_flows=args.flows, **given)
     except ParameterError as exc:  # named by its keyword; report the flag's dest
         raise ConfigError(_SYNTH_DESTS.get(exc.param, exc.param), exc.detail) from None
     save_topology(spec, args.out)
@@ -143,10 +145,10 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--cols", type=int, default=None)
     g.add_argument("--links", type=int, default=None)
     g.add_argument("--flows", type=int, default=None)
-    for flag in ("flow_fraction", "mu_scale", "sigma_rel", "budget"):
-        g.add_argument("--" + flag.replace("_", "-"), type=float, dest=flag,
-                       default=getattr(ExperimentConfig, flag))
-    g.add_argument("--seed", type=_seed, default=0)
+    for flag in _SYNTH_OPTIONAL:
+        g.add_argument("--" + flag.replace("_", "-"), dest=flag,
+                       type=_seed if flag == "seed" else float,
+                       default=argparse.SUPPRESS)
     g.set_defaults(func=_cmd_synth)
 
     v = sub.add_parser("validate", help="check a topology bundle")

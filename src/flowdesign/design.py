@@ -61,9 +61,10 @@ class DesignResult:
 
 @dataclass(frozen=True)
 class _ThetaProgram(LinearProgram):
-    """A theta LP and the shapes and bits of the slopes and problem
-    arrays _theta_lp built it from."""
-    source: tuple = ()
+    """A theta LP, the problem _theta_lp built it from and the shape and
+    bits of its slopes."""
+    problem: DesignProblem | None = None
+    slopes: tuple = ()
 
 
 def _theta_lp(p: DesignProblem, slopes, offsets: np.ndarray,
@@ -75,19 +76,18 @@ def _theta_lp(p: DesignProblem, slopes, offsets: np.ndarray,
     rows; the steady-state cuts pass per-flow tangent slopes. ``start``
     is an earlier solution of this family, offered as a warm start.
 
-    When ``start``'s program was built here from the same slopes and
-    problem arrays, bit for bit (the previous myopic period's, say),
-    only the offsets, b_ub's first n_r entries, differ: with_b_ub swaps
-    them in and checks them, and shares every other array and the
-    matrix key, so solve_lp reuses start's record. The program has the
-    bits of a fresh build, so the solve and its output bytes are the
-    same.
+    When ``start``'s program was built here from the same DesignProblem
+    object and slopes of the same shape and bits (the previous myopic
+    period's, say), only the offsets, b_ub's first n_r entries, differ:
+    with_b_ub swaps them in and checks them, and shares every other
+    array, so solve_lp reuses start's record. A DesignProblem's arrays
+    are read-only, so the program has the bits of a fresh build, and the
+    solve and its output bytes are the same.
     """
     slopes = np.asarray(slopes, dtype=float)
-    source = tuple((a.shape, a.tobytes()) for a in (
-        slopes, p.J, p.R, p.b, p.upper, p.row_is_equality))
+    key = (slopes.shape, slopes.tobytes())
     prev = None if start is None or start._rows is None else start._rows.lp
-    if isinstance(prev, _ThetaProgram) and prev.source == source:
+    if isinstance(prev, _ThetaProgram) and prev.problem is p and prev.slopes == key:
         rhs = np.concatenate([offsets, prev.b_ub[p.n_r:]])
         rhs.flags.writeable = False  # built here, so with_b_ub keeps it uncopied
         return solve_lp(prev.with_b_ub(rhs), start=start)
@@ -108,7 +108,7 @@ def _theta_lp(p: DesignProblem, slopes, offsets: np.ndarray,
     for a in (c, A_ub, rhs, A_eq, b_eq, upper):
         a.flags.writeable = False  # built here, so LinearProgram keeps them uncopied
     return solve_lp(_ThetaProgram(c=c, A_ub=A_ub, b_ub=rhs, A_eq=A_eq, b_eq=b_eq,
-                                  upper=upper, source=source), start=start)
+                                  upper=upper, problem=p, slopes=key), start=start)
 
 
 def _require_optimal(sol, scheme: str, unbounded: str,
@@ -154,8 +154,8 @@ def solve_myopic(p: DesignProblem, fm: FlowModel, prior_info,
     this reduces exactly to the classical design. ``start``, the previous
     period's design on the same problem, warm-starts the LP from its
     optimal basis: successive periods move only the offsets a, so that
-    basis usually stays optimal and is certified with no pivot. They
-    also share the LP's matrix, so the period reuses start's program
+    basis usually stays optimal and is certified with no pivot. On the
+    same DesignProblem object the period also reuses start's program
     with the new offsets swapped in, and its record (see _theta_lp);
     the output has the bits of a period built from scratch.
 
@@ -227,8 +227,8 @@ def solve_steady_state_E(p: DesignProblem, fm: FlowModel,
     c = 1.0 / fm.sigma2
     zero_rows = np.where(np.max(p.J, axis=1) <= 0.0)[0]
     # every LP in order, each warm-started from the last. Only the last
-    # keeps its reuse record (program, matrix bytes and rows; see lp): a
-    # superseded LP is read only for its pivots and perturbation flag
+    # keeps its reuse record (program and rows; see lp): a superseded LP
+    # is read only for its pivots and perturbation flag
     sols: list = []
 
     def solve(slopes, offsets) -> LpSolution:

@@ -64,19 +64,20 @@ class ConfigError(FlowDesignError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    # topology: a CSV bundle directory, or a synthetic generator spec
+    # topology: a CSV bundle directory, or a synthetic generator spec whose
+    # unset keys take synth_topology's defaults
     topology_dir: str | None = None
     topology_kind: str | None = None
-    topology_seed: int = 0
+    topology_seed: int | None = None
     n_nodes: int | None = None
     rows: int | None = None
     cols: int | None = None
     n_links: int | None = None
     n_flows: int | None = None
-    flow_fraction: float = 0.25
-    mu_scale: float = 1000.0
-    sigma_rel: float = 0.05
-    budget: float = 0.01
+    flow_fraction: float | None = None
+    mu_scale: float | None = None
+    sigma_rel: float | None = None
+    budget: float | None = None
     # trace: replay file, or a seeded synthetic walk
     trace_file: str | None = None
     trace_seed: int = 1
@@ -118,7 +119,8 @@ class ExperimentConfig:
         if not (math.isfinite(self.tol_theta) and self.tol_theta > 0):
             raise ConfigError("tol_theta", "must be finite and > 0")
         for name in ("seed", "trace_seed", "topology_seed"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if value is not None and value < 0:
                 raise ConfigError(name, "must be >= 0")
         if fault := _count_fault(self.trace_floor):  # the walk clamps at it
             raise ConfigError("trace_floor", f"must be {fault}")
@@ -132,6 +134,10 @@ class ExperimentConfig:
                 1 <= self.median_window_start <= self.horizon):
             raise ConfigError("median_window_start",
                               "must lie in [1, horizon]")
+        if self.topology_dir is not None:  # the bundle fixes what these would generate
+            for key in _SYNTH_KEYS:
+                if getattr(self, key) is not None:
+                    raise ConfigError(key, "applies only with topology_kind")
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,
@@ -161,9 +167,7 @@ _SYNTH_KEYS = ("topology_seed", "n_nodes", "rows", "cols", "n_links", "n_flows",
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    """Flat `key = value` file, `#` comments, one key per line. A
-    synthetic generator key next to topology_dir is a ConfigError: the
-    bundle, not the key, would decide the topology."""
+    """Flat `key = value` file, `#` comments, one key per line."""
     if not os.path.exists(path):
         raise ConfigError("config", f"file {path!r} not found")
     try:
@@ -188,12 +192,7 @@ def parse_config(path: str) -> ExperimentConfig:
             values[key] = _CONFIG_KEYS[key](val)
         except ValueError as exc:
             raise ConfigError(key, str(exc)) from None
-    cfg = ExperimentConfig(**values)
-    if cfg.topology_dir is not None:  # the bundle fixes what these would generate
-        for key in _SYNTH_KEYS:
-            if key in values:
-                raise ConfigError(key, "applies only with topology_kind")
-    return cfg
+    return ExperimentConfig(**values)
 
 
 @dataclass(frozen=True)
@@ -234,13 +233,10 @@ def load_instance(cfg: ExperimentConfig):
     if cfg.topology_dir is not None:
         spec = load_topology(cfg.topology_dir)
     else:
+        given = {"seed" if key == "topology_seed" else key: getattr(cfg, key)
+                 for key in _SYNTH_KEYS if getattr(cfg, key) is not None}
         try:
-            spec = synth_topology(
-                cfg.topology_kind, n_nodes=cfg.n_nodes, rows=cfg.rows,
-                cols=cfg.cols, n_links=cfg.n_links, n_flows=cfg.n_flows,
-                flow_fraction=cfg.flow_fraction, mu_scale=cfg.mu_scale,
-                sigma_rel=cfg.sigma_rel, budget=cfg.budget,
-                seed=cfg.topology_seed)
+            spec = synth_topology(cfg.topology_kind, **given)
         except ParameterError as exc:  # its keyword is the config key
             raise ConfigError(exc.param, exc.detail) from None
     mm = build_measurement_model(spec)

@@ -55,23 +55,22 @@ possible, only how many pivots they take.
 Reuse: myopic periods move only the theta rows' right-hand side, so
 their LPs share one matrix, and a period's program is the previous
 one's with a new b_ub (LinearProgram.with_b_ub), sharing its other
-arrays and its _matrix_key. Every LpSolution carries a private record
-of the work that reads the matrix alone: the program it was assembled
-from, the assembled, equilibrated rows and their scales, ``free`` and
-the kept caps, _violation's row scales, and, for the basis last offered
-as a hint on those rows, B = A[T,S] and the dual half of its
-certificate (u and its reduced-cost and dual test). A solve started
-from that solution reuses the record when c, A_ub, A_eq and upper have
-the bits it was built from, and b_ub too on the rows that are >= 0
-over the free columns, the only rows the kept-cap test reads. The
-record keeps those bytes, since unlike == they tell -0.0 from 0.0; a
-program serialises them once, and a derived program shares them, so
-the comparison meets the same bytes objects. A LinearProgram's arrays
-are read-only, so the bytes cannot go stale after the solve. Each
-reused array is then the same function of the same bits, so pivots,
-bases and output bytes are those of a solve without the record, and an
-accepted period costs b / scale, one solve with B and the primal
-checks.
+arrays. Every LpSolution carries a private record of the work that
+reads the matrix alone: the program it was assembled from, the
+assembled, equilibrated rows and their scales, ``free`` and the kept
+caps, _violation's row scales, and, for the basis last offered as a
+hint on those rows, B = A[T,S] and the dual half of its certificate (u
+and its reduced-cost and dual test). A solve started from that
+solution reuses the record when its program holds the record
+program's c, A_ub, A_eq and upper objects themselves, and equal b_ub on
+the rows that are >= 0 over the free columns, the only rows the
+kept-cap test reads. A LinearProgram's arrays are read-only and own
+their data (model.frozen), so the same object keeps the same bits; the
+kept-cap test reads b_ub only through comparisons, which cannot tell
+-0.0 from 0.0. Each reused array is then the same function of the same
+bits, so pivots, bases and output bytes are those of a solve without
+the record, and an accepted period costs b / scale, one solve with B
+and the primal checks.
 
 Convention: maximize c'x subject to A_ub x <= b_ub, A_eq x = b_eq and
 0 <= x <= upper, the bound form of every design LP. Upper bounds must be
@@ -118,8 +117,6 @@ class LinearProgram:
     A_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
     upper: np.ndarray | None = None  # default +inf
-    # _matrix_key, serialised on first use and shared by with_b_ub
-    _key: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
@@ -145,9 +142,9 @@ class LinearProgram:
     def with_b_ub(self, b_ub) -> LinearProgram:
         """This program with ``b_ub`` in place of its own, checked as the
         constructor checks it. The other arrays, validated and read-only
-        already, and the matrix key are shared, not copied or re-checked."""
+        already, are shared, not copied or re-checked, so a solve started
+        from a solution of this program can reuse its record."""
         b_ub = frozen(_rhs_vector(b_ub, self.A_ub.shape[0], "b_ub", "A_ub"))
-        _matrix_key(self)  # serialised before the copy, so the copy shares it
         lp = copy.copy(self)
         object.__setattr__(lp, "b_ub", b_ub)
         return lp
@@ -162,24 +159,13 @@ class LinearProgram:
         return self.c.size
 
 
-def _matrix_key(lp: LinearProgram) -> tuple:
-    """The shapes and bits of what the matrix work reads, b_ub aside;
-    unlike ==, bits tell -0.0 from 0.0. Serialised once per program."""
-    if lp._key is None:
-        object.__setattr__(lp, "_key", tuple(
-            (a.shape, a.tobytes()) for a in (lp.c, lp.A_ub, lp.A_eq, lp.upper)))
-    return lp._key
-
-
 @dataclass(eq=False)
 class _Rows:
     """The work of solve_lp that reads only the LP's matrix (module
     docstring). ``cert`` holds, for the basis last offered as a hint on
     these rows, that basis's bytes and the dual half of its certificate."""
-    key: tuple               # _matrix_key of lp, taken when it was assembled
     lp: LinearProgram        # the program assembled; with_b_ub derives others
-    nonneg: np.ndarray       # A_ub rows >= 0 over the free columns, whose
-    b_nonneg: bytes          # b_ub the kept-cap test reads, so it is keyed too
+    nonneg: np.ndarray       # A_ub rows >= 0 over the free columns
     free: np.ndarray         # columns with upper > 0
     span_kept: np.ndarray    # the kept caps' right-hand sides
     pos: np.ndarray          # each row's position among all rows, caps included
@@ -191,8 +177,10 @@ class _Rows:
     cert: tuple | None = None
 
     def matches(self, lp: LinearProgram) -> bool:
-        return (self.key == _matrix_key(lp)
-                and self.b_nonneg == lp.b_ub[self.nonneg].tobytes())
+        old = self.lp
+        return (lp.c is old.c and lp.A_ub is old.A_ub and lp.A_eq is old.A_eq
+                and lp.upper is old.upper
+                and np.array_equal(lp.b_ub[self.nonneg], old.b_ub[self.nonneg]))
 
 
 @dataclass(frozen=True)
@@ -207,7 +195,7 @@ class LpSolution:
     # None unless optimal with no redundant rows dropped. A warm-start hint.
     basis: np.ndarray | None = None
     # what the solve derived from the LP's matrix alone, reused by a later
-    # solve of a bit-identical matrix started from this solution
+    # solve of a program sharing that matrix, started from this solution
     _rows: _Rows | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -292,8 +280,7 @@ def _assemble(lp: LinearProgram) -> _Rows:
     A.flags.writeable = False  # shared by every solve that reuses it
     n_ub = b_ub.size
     return _Rows(
-        key=_matrix_key(lp), lp=lp, nonneg=nonneg,
-        b_nonneg=b_ub[nonneg].tobytes(), free=free, span_kept=span[kept],
+        lp=lp, nonneg=nonneg, free=free, span_kept=span[kept],
         pos=np.concatenate([np.arange(n_ub), n_ub + kept,
                             n_ub + caps.size + np.arange(lp.A_eq.shape[0])]),
         A=A, scale=scale,
@@ -455,13 +442,13 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None,
     """Solve the program. Never raises for well-posed inputs; inspect status.
 
     ``start``, a solution of an earlier LP of the same shape, offers its
-    basis as a warm start, and its matrix work when the matrix is the
-    same bit for bit (see the module docstring); a rejected hint costs
-    one small solve and changes nothing else. If the pivot cap is hit
-    (degenerate cycling despite Bland's rule can only happen through
-    roundoff), the solve is retried once with a tiny deterministic
-    perturbation of the right-hand sides and the result is flagged
-    ``perturbed``.
+    basis as a warm start, and its matrix work when ``lp`` shares the
+    matrix arrays of start's program (see the module docstring); a
+    rejected hint costs one small solve and changes nothing else. If the
+    pivot cap is hit (degenerate cycling despite Bland's rule can only
+    happen through roundoff), the solve is retried once with a tiny
+    deterministic perturbation of the right-hand sides and the result is
+    flagged ``perturbed``.
     """
     rows = None if start is None else start._rows
     if rows is None or not rows.matches(lp):

@@ -352,8 +352,9 @@ def highs_classical_theta(J, R, b, upper, row_is_equality=None):
 def fresh_theta_lp(p, slopes, offsets, start=None):
     """max theta s.t. slopes*theta - J xi <= offsets, budgets, bounds, as
     design._theta_lp solves it, with a program built and validated from
-    ``p`` on every call. ``start`` is still offered to design.solve_lp,
-    which compares the matrix bytes with start's record itself."""
+    ``p`` on every call. ``start`` is still offered to design.solve_lp as
+    a warm start; a fresh program never shares start's arrays, so its
+    rows are assembled anew."""
     n = 1 + p.n_o
     c = np.zeros(n)
     c[0] = 1.0

@@ -22,7 +22,6 @@ from flowdesign import (
     build_measurement_model,
     design_problem,
     export_canonical_socp,
-    flow_model,
     fuse_gls,
     run_idealized,
     sample_packets,
@@ -32,6 +31,7 @@ from flowdesign import (
     steady_state_info,
     synth_topology,
 )
+from flowdesign.harness import load_instance
 
 from conftest import record_acceptance
 from oracles import (cone_residuals, dense_gls, grid_design_bounds,
@@ -267,20 +267,8 @@ def test_acceptance_7_dominance_and_convergence(tmp_path):
         base = dict(mu_mode="true_mu", horizon=400, **kw)
         runs = {s: run_idealized(ExperimentConfig(scheme=s, **base))
                 for s in ("naive", "steady_state", "myopic")}
-        spec_kw = {k: v for k, v in kw.items()}
-        if "topology_dir" in spec_kw:
-            from flowdesign import load_topology
-            spec = load_topology(spec_kw["topology_dir"])
-        else:
-            cfg = ExperimentConfig(**base)
-            spec = synth_topology(
-                cfg.topology_kind, n_nodes=cfg.n_nodes, rows=cfg.rows,
-                cols=cfg.cols, n_links=cfg.n_links, n_flows=cfg.n_flows,
-                flow_fraction=cfg.flow_fraction, mu_scale=cfg.mu_scale,
-                sigma_rel=cfg.sigma_rel, budget=cfg.budget,
-                seed=cfg.topology_seed)
-        mm = build_measurement_model(spec)
-        s2 = flow_model(mm).sigma2
+        mm, fm, _, _ = load_instance(ExperimentConfig(**base))
+        s2 = fm.sigma2
 
         def lim_mse(rates):
             return float(1.0 / np.min(steady_state_info(mm.J @ rates, s2)))

@@ -31,7 +31,7 @@ from flowdesign import (
     synth_topology,
 )
 
-from flowdesign import ExperimentConfig, LinearProgram, lp as lp_module, run_idealized
+from flowdesign import ExperimentConfig, LinearProgram, run_idealized
 from oracles import (bisect_steady_state, cone_residuals, float_texts,
                      fresh_theta_lp, grid_design_bounds, highs_classical_theta,
                      parse_socp_text)
@@ -172,11 +172,9 @@ def test_myopic_warm_chain_matches_cold_solves():
 def _idealized_myopic(monkeypatch, size, mode, theta_lp):
     """run_idealized myopic over T = 200 with ``theta_lp`` patched in for
     design._theta_lp; returns the series, each period's LpSolution and
-    program, the count of validated programs and of matrix keys
-    serialised."""
-    sols, progs, validated, serialised = [], [], [], []
+    program, and the count of validated programs."""
+    sols, progs, validated = [], [], []
     solve, post_init = design.solve_lp, LinearProgram.__post_init__
-    matrix_key = lp_module._matrix_key
 
     def recording(prog, start=None):
         progs.append(prog)
@@ -187,28 +185,23 @@ def _idealized_myopic(monkeypatch, size, mode, theta_lp):
         validated.append(prog)
         post_init(prog)
 
-    def keyed(prog):
-        serialised.append(prog._key is None)
-        return matrix_key(prog)
-
     with monkeypatch.context() as m:
         m.setattr(design, "_theta_lp", theta_lp)
         m.setattr(design, "solve_lp", recording)
         m.setattr(LinearProgram, "__post_init__", validating)
-        m.setattr(lp_module, "_matrix_key", keyed)
         ms = run_idealized(ExperimentConfig(
             topology_kind="grid", rows=size, cols=size, budget=0.02,
             topology_seed=1, scheme="myopic", mu_mode="true_mu", horizon=200,
             constraint_mode=mode))
-    return ms, sols, progs, len(validated), sum(serialised)
+    return ms, sols, progs, len(validated)
 
 
 @pytest.mark.parametrize("mode", ["inequality", "equality_with_zeroing"])
 @pytest.mark.parametrize("size", [4, 5])
 def test_idealized_myopic_reuse_matches_fresh_builds(monkeypatch, size, mode):
-    ms, sols, progs, validated, serialised = _idealized_myopic(
+    ms, sols, progs, validated = _idealized_myopic(
         monkeypatch, size, mode, design._theta_lp)
-    ref, ref_sols, _, ref_validated, _ = _idealized_myopic(
+    ref, ref_sols, _, ref_validated = _idealized_myopic(
         monkeypatch, size, mode, fresh_theta_lp)
     assert np.array_equal(ms.per_flow_mse, ref.per_flow_mse)
     assert np.array_equal(ms.rates, ref.rates)
@@ -217,11 +210,9 @@ def test_idealized_myopic_reuse_matches_fresh_builds(monkeypatch, size, mode):
         assert sol.iterations == want.iterations
         assert np.array_equal(sol.basis, want.basis)
         assert np.array_equal(sol.x, want.x)
-    # one program built and validated, one matrix key serialised; every
-    # later period swaps its offsets into the first period's program
+    # one program built and validated; every later period swaps its
+    # offsets into the first period's program
     assert (validated, ref_validated) == (1, 200)
-    assert serialised == 1
-    assert all(prog._key is progs[0]._key for prog in progs)
     assert all(prog.A_ub is progs[0].A_ub for prog in progs)
 
 
@@ -239,9 +230,12 @@ def _grid_myopic_start(size=4, mode="inequality"):
 
 def _moved(p, field):
     """p with one entry of ``field`` one ulp away, or one budget row's
-    equality flag flipped."""
+    equality flag flipped; for "copied", p rebuilt from copies of its
+    arrays, bit for bit the same."""
     kw = {"J": p.J, "R": p.R, "b": p.b, "upper": p.upper,
           "row_is_equality": p.row_is_equality}
+    if field == "copied":
+        return DesignProblem(**{k: a.copy() for k, a in kw.items()})
     a = kw[field].copy()
     if field == "row_is_equality":
         a[0] = not a[0]
@@ -264,8 +258,9 @@ def _count_builds(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("field", ["J", "b", "upper", "row_is_equality"])
+@pytest.mark.parametrize("field", ["J", "b", "upper", "row_is_equality", "copied"])
 def test_theta_lp_rebuilds_for_a_moved_problem(monkeypatch, field):
+    # reuse is decided by the problem object, so equal copies rebuild too
     p, _, res, offsets = _grid_myopic_start()
     q = _moved(p, field)
     start = res.lp_solution
@@ -281,23 +276,6 @@ def test_theta_lp_rebuilds_for_a_moved_problem(monkeypatch, field):
     ref = want._rows.lp
     for name in ("c", "A_ub", "b_ub", "A_eq", "b_eq", "upper"):
         assert getattr(prog, name).tobytes() == getattr(ref, name).tobytes()
-
-
-def test_theta_lp_reuses_a_program_of_equal_bits(monkeypatch):
-    # a rebuilt problem with copies of the arrays is the same problem
-    p, _, res, offsets = _grid_myopic_start()
-    q = DesignProblem(J=p.J.copy(), R=p.R.copy(), b=p.b.copy(),
-                      upper=p.upper.copy(), row_is_equality=p.row_is_equality.copy())
-    start = res.lp_solution
-    want = fresh_theta_lp(q, 1.0, offsets, start)
-    built = _count_builds(monkeypatch)
-    sol = design._theta_lp(q, 1.0, offsets, start)
-    assert built == []
-    prog, base = sol._rows.lp, start._rows.lp
-    assert sol._rows is start._rows and prog is base
-    assert sol.x.tobytes() == want.x.tobytes()
-    assert np.array_equal(sol.basis, want.basis)
-    assert sol.iterations == want.iterations
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "short"])

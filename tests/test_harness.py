@@ -44,13 +44,8 @@ def synth_cfg(**kw):
 
 def rebuild_problem(cfg):
     # same construction path the runners use, for checking their outputs
-    spec = synth_topology(cfg.topology_kind, n_nodes=cfg.n_nodes,
-                          rows=cfg.rows, cols=cfg.cols, n_links=cfg.n_links,
-                          n_flows=cfg.n_flows, flow_fraction=cfg.flow_fraction,
-                          mu_scale=cfg.mu_scale, sigma_rel=cfg.sigma_rel,
-                          budget=cfg.budget, seed=cfg.topology_seed)
-    mm = build_measurement_model(spec)
-    return mm, design_problem(mm, cap=cfg.cap, constraint_mode=cfg.constraint_mode)
+    mm, _, p, _ = harness.load_instance(cfg)
+    return mm, p
 
 
 # ------------------------------------------------------------------ config
@@ -82,6 +77,38 @@ def test_parse_config_full_file(tmp_path):
     assert cfg.median_window_start == 50
     # untouched keys keep their defaults
     assert cfg.cap == 1.0 and cfg.trace_seed == 1
+
+
+_SYNTH_VALUES = {"topology_seed": 3, "n_nodes": 5, "rows": 4, "cols": 4,
+                 "n_links": 4, "n_flows": 2, "flow_fraction": 0.5,
+                 "mu_scale": 500.0, "sigma_rel": 0.1, "budget": -1.0}
+
+
+@pytest.mark.parametrize("key", sorted(_SYNTH_VALUES))
+def test_config_rejects_synth_key_next_to_topology_dir(tmp_path, key):
+    # built in Python as from a file: the bundle would leave the key unread
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(topology_dir=str(tmp_path), **{key: _SYNTH_VALUES[key]})
+    assert exc.value.field == key
+    assert str(exc.value) == f"config field '{key}': applies only with topology_kind"
+
+
+def test_load_instance_passes_only_set_synth_keys(monkeypatch):
+    # unset generator keys take synth_topology's own defaults
+    calls = []
+
+    def recording(kind, **kw):
+        calls.append((kind, kw))
+        return synth_topology(kind, **kw)
+
+    monkeypatch.setattr(harness, "synth_topology", recording)
+    mm, fm, p, _ = harness.load_instance(
+        ExperimentConfig(topology_kind="grid", rows=4, cols=4))
+    assert calls == [("grid", {"rows": 4, "cols": 4})]
+    want = build_measurement_model(synth_topology("grid", rows=4, cols=4))
+    assert mm.J.tobytes() == want.J.tobytes()
+    assert fm.sigma2.tobytes() == flow_model(want).sigma2.tobytes()
+    assert p.b.tobytes() == design_problem(want).b.tobytes()
 
 
 @pytest.mark.parametrize("end", ["\r\n", "\r"])

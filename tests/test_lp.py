@@ -283,7 +283,6 @@ def test_with_b_ub_shares_all_but_b_ub():
     lp = base.with_b_ub(b_ub)
     for name in ("c", "A_ub", "A_eq", "b_eq", "upper"):
         assert getattr(lp, name) is getattr(base, name)
-    assert lp._key is base._key is not None
     # a writeable argument is copied, so a later write cannot reach lp
     assert lp.b_ub is not b_ub and not lp.b_ub.flags.writeable
     b_ub[0] = -1.0
@@ -751,26 +750,22 @@ _ZERO_OPTIMUM = _design_family_kw(
 
 
 def _same_matrix(a, b) -> bool:
-    """Whether LPs a and b share what solve_lp reuses: c, A_ub, A_eq,
-    and upper bit for bit, and b_ub on the rows >= 0 over the free
-    columns, which the kept-cap test reads."""
-    def bits(x):
-        return x.shape, x.tobytes()
-    if any(bits(getattr(a, f)) != bits(getattr(b, f))
-           for f in ("c", "A_ub", "A_eq", "upper")):
+    """Whether LPs a and b share what solve_lp reuses: the c, A_ub, A_eq
+    and upper arrays themselves, and b_ub by value on the rows >= 0 over
+    the free columns, which the kept-cap test reads."""
+    if any(getattr(a, f) is not getattr(b, f) for f in ("c", "A_ub", "A_eq", "upper")):
         return False
     rows = np.all(b.A_ub[:, b.upper > 0] >= 0, axis=1)
-    return bits(a.b_ub[rows]) == bits(b.b_ub[rows])
+    return np.array_equal(a.b_ub[rows], b.b_ub[rows])
 
 
 def _chain_step(prev, step, start):
-    """The solve of LP ``step`` (keywords) from ``start``, a solution of
-    LP ``prev``: it equals the solve without start's reuse record, and
-    the record is reused exactly when the two LPs share their matrix."""
-    a, b = LinearProgram(**prev), LinearProgram(**step)
-    sol = _solve_as_without_record(b, start)
+    """The solve of LP ``step`` from ``start``, a solution of LP ``prev``:
+    it equals the solve without start's reuse record, and the record is
+    reused exactly when the two LPs share their matrix."""
+    sol = _solve_as_without_record(step, start)
     reused = start._rows is not None and sol._rows is start._rows
-    assert reused == (start._rows is not None and _same_matrix(a, b))
+    assert reused == (start._rows is not None and _same_matrix(prev, step))
     return sol
 
 
@@ -799,6 +794,17 @@ _COLD_TO_NEW_BASIS = (
     np.array([4.4662372454483159e-06, 1.3516166603112729e-05]),
     np.array([0.007695808941247228]))
 
+# a zero budget, which implies both caps, turns -0.0 in the budget step:
+# the kept-cap test cannot tell the two, so the step reuses the record
+_BUDGET_ZERO_SIGN = (
+    _design_family_kw(slopes=np.array([1.0, 1.0]),
+                      J=np.array([[0.0, 5e-4], [4e-4, 0.0]]),
+                      r=np.array([1e-6, 2e-6]), owner=np.array([0, 1]),
+                      b=np.array([0.0, 0.02]), eq=np.array([False, False]),
+                      cap=1.0),
+    np.array([2e-6, 1e-6]), np.array([0.5, 0.8]), np.array([3e-6, 1e-6]),
+    np.array([-0.0, 0.02]))
+
 
 @settings(max_examples=200, deadline=None)
 @given(_design_family_chain())
@@ -806,9 +812,11 @@ _COLD_TO_NEW_BASIS = (
           np.full(4, -4e-06), np.array([0.03125, 0.005])))
 @example(_IMPLIED_CAP_TURNS_KEPT)
 @example(_COLD_TO_NEW_BASIS)
+@example(_BUDGET_ZERO_SIGN)
 def test_design_family_lps_against_highs(chain):
     kw, r, slopes, r2, b2 = chain
-    sol = solve_lp(LinearProgram(**kw))
+    base = LinearProgram(**kw)
+    sol = solve_lp(base)
     # HiGHS's feasibility tolerance is absolute, so hand it rows scaled
     # to unit coefficients, as the simplex does internally
     A_ub, b_ub = kw["A_ub"], kw["b_ub"]
@@ -825,33 +833,36 @@ def test_design_family_lps_against_highs(chain):
     if res.status == 0:
         assert sol.objective == pytest.approx(-res.fun, rel=1e-7)
     # warm starts from sol on the next LP of a chain, then from that warm
-    # solution on a step after it
+    # solution on a step after it. Steps that keep the matrix derive their
+    # program with with_b_ub, as the design loops do, so they share its
+    # arrays and may reuse the record
     n_r, n_ub = r.size, kw["b_ub"].size - r.size
-    moved_rhs = dict(kw, b_ub=np.concatenate([r, kw["b_ub"][n_r:]]))
     A_ub = kw["A_ub"].copy()
     A_ub[:n_r, 0] = slopes
-    for moved in (moved_rhs, dict(kw, A_ub=A_ub)):
-        cold = solve_lp(LinearProgram(**moved))
-        warm = _chain_step(kw, moved, sol)
+    for moved in (base.with_b_ub(np.concatenate([r, base.b_ub[n_r:]])),
+                  LinearProgram(**dict(kw, A_ub=A_ub))):
+        cold = solve_lp(moved)
+        warm = _chain_step(base, moved, sol)
         assert warm.status == cold.status
         if cold.ok:
             # at theta* = 0 no relative test can hold: theta is then the
             # roundoff of cancelling terms r_i/s_i and (J xi)_i/s_i of the
             # equilibrated theta rows, so floor the check at ulps of those
             # (targeted zero-optimum chains reached 39 ulps, cold side)
-            rows = moved["A_ub"][:n_r]
-            terms = ((np.abs(moved["b_ub"][:n_r]) + np.abs(rows[:, 1:]) @ cold.x[1:])
+            rows = moved.A_ub[:n_r]
+            terms = ((np.abs(moved.b_ub[:n_r]) + np.abs(rows[:, 1:]) @ cold.x[1:])
                      / np.max(np.abs(rows), axis=1))
             assert warm.objective == pytest.approx(
                 cold.objective, rel=1e-9, abs=64 * np.spacing(np.max(terms)))
         for step in (
                 # a myopic period: the offsets move
-                dict(moved, b_ub=np.concatenate([r2, moved["b_ub"][n_r:]])),
+                moved.with_b_ub(np.concatenate([r2, moved.b_ub[n_r:]])),
                 # the budgets move, which under cap 0.012 can turn an
-                # implied cap into a kept one or back
-                dict(moved, b_ub=np.concatenate([moved["b_ub"][:n_r], b2[:n_ub]]),
-                     b_eq=b2[n_ub:]),
+                # implied cap into a kept one or back; replace re-checks
+                # the program but keeps its read-only arrays
+                replace(moved.with_b_ub(np.concatenate([moved.b_ub[:n_r], b2[:n_ub]])),
+                        b_eq=b2[n_ub:]),
                 # every -0.0 of -J turns +0.0
-                dict(moved, A_ub=moved["A_ub"] + 0.0)):
+                replace(moved, A_ub=moved.A_ub + 0.0)):
             # warm may have left sol's basis by a cold re-solve
             _chain_step(moved, step, warm)
