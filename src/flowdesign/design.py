@@ -48,7 +48,7 @@ class InfeasibleError(FlowDesignError):
     """The constraint system admits no design."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignResult:
     xi: np.ndarray
     theta: float
@@ -59,7 +59,7 @@ class DesignResult:
     lp_solution: LpSolution | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _ThetaProgram(LinearProgram):
     """A theta LP, the problem _theta_lp built it from and the shape and
     bits of its slopes."""
@@ -360,7 +360,7 @@ def solve_scheme(scheme: str, p: DesignProblem, fm: FlowModel, prior_info=None,
 # min f'x  s.t.  ||P_i x + q_i|| <= r_i'x + s_i,  x' = (theta, xi')
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SocpCone:
     P: np.ndarray   # (rows, n); all-zero rows for plain linear constraints
     q: np.ndarray   # (rows,)
@@ -368,7 +368,7 @@ class SocpCone:
     s: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalSocp:
     f: np.ndarray
     cones: tuple

@@ -70,7 +70,7 @@ def predict_update(info, mean, fm: FlowModel, m, y=None):
 
 def _update(info, mean, sigma2, m, y):
     """predict_update's arithmetic on bare arrays: the new (info, mean).
-    ``info`` and ``mean`` may stack rows, (R, n_r), over one ``m``."""
+    Every argument may stack rows, (R, n_r); an (n_r,) one serves all."""
     info_new = predicted_info(info, sigma2) + m
     observed = m > 0
     if not observed.any():

@@ -13,8 +13,9 @@ from design.solve_scheme:
   mu_mode=plugin), sample, fuse, filter, and report squared errors
   averaged over replications. Replications advance block by block in
   lockstep on one (R, n_r) filter state; the packet draws of W of them
-  (one per usable core) run at once, on the caller and W - 1 threads.
-  plugin fuses each period, true_mu once per block; the outputs are
+  (one per usable core) run at once, on the caller and W - 1 threads,
+  and each is fused there. The mu modes differ only in the designs and
+  in the mean that the information m divides by; the outputs are
   byte-identical for every W.
 
 Config files are flat `key = value` text; see _CONFIG_KEYS for the
@@ -41,8 +42,8 @@ from .model import (FlowDesignError, FlowModel, ValidationError, floats_text,
 from .network import (CONSTRAINT_MODES, TOPOLOGY_KINDS, ParameterError,
                       build_measurement_model, design_problem, flow_model,
                       load_topology, remap_mu, synth_topology)
-from .simulate import (Trace, _count_fault, _fuse, gen_random_walk_trace,
-                       load_trace, sample_packets)
+from .simulate import (Trace, _count_fault, _flow_sums, _fuse,
+                       gen_random_walk_trace, load_trace, sample_packets)
 # unused here, but perfbench/tracing.py patches these bindings (TRACED);
 # fuse_gls/predict_update are the one-period forms of _fuse/_update
 from .design import solve_myopic, solve_naive, solve_steady_state_E  # noqa: F401
@@ -195,7 +196,7 @@ def parse_config(path: str) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricsSeries:
     """Per-period max MSE plus the rates behind it and a window median."""
 
@@ -302,8 +303,9 @@ def run_idealized(cfg: ExperimentConfig) -> MetricsSeries:
         if res is None or myopic:
             res = solve_scheme(cfg.scheme, p, fm, info, cfg.tol_theta, start=res)
             rates[t] = res.xi
-            m = p.J @ res.xi
-        info = predicted_info(info, fm.sigma2) + m  # myopic: res.info, bit for bit
+            m = None if myopic else p.J @ res.xi  # fixed schemes: one m
+        # myopic's res.info is predicted_info(info) + J xi, bit for bit
+        info = res.info if myopic else predicted_info(info, fm.sigma2) + m
         per_flow[t] = _mse_from_info(info)
     if myopic:
         meta["theta_final"] = float(np.min(info))
@@ -314,12 +316,11 @@ def run_idealized(cfg: ExperimentConfig) -> MetricsSeries:
     return _series(cfg, per_flow, block_starts, rates, meta)
 
 
-def _draw(x, mm, xi, rng, present):
+def _draw(x, mm, xi, rng, rate_sum):
     """One replication's block draw: sample_packets on the (B, n_r)
-    volumes ``x``, kept only as the (B, n) estimates z = n / xi_k of the
-    ``present`` measurements, so the counts are freed here."""
-    n, rate = sample_packets(x, mm, xi, rng), xi[mm.k_of]
-    return n / rate if present.all() else n[:, present] / rate[present]
+    volumes ``x``, kept only as the (B, n_r) fused observations
+    y = sum n / rate_sum per flow, so the counts are freed here."""
+    return _fuse(sample_packets(x, mm, xi, rng), mm, rate_sum)
 
 
 def _draw_group(pool, arg_lists):
@@ -353,13 +354,15 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
     a thread pool.
 
     Under plugin each replication designs its own rates from its filter
-    means clamped at 1 (the logged rates are replication 0's) and fuses
-    each period with weights from them. Under true_mu, m = J xi does not
-    depend on the draw: one design from mu serves every replication
-    (steady_state's is solved once per run), each block is fused in one
-    call, and one update per period steps all R rows. The block-end
-    state is validated, and squared errors are added in replication
-    order, so every output is byte-identical for every W.
+    means clamped at 1 (the logged rates are replication 0's). Under
+    true_mu one design from mu serves every replication (steady_state's
+    is solved once per run). Either way each draw is fused where it was
+    drawn, into y = sum n / sum xi_k per flow, which no mean enters, and
+    one update per period steps all R rows with the information
+    m = sum xi_k / mu_hat, where mu_hat is mu under true_mu and the
+    clamped filter means under plugin. The block-end state is validated,
+    and squared errors are added in replication order, so every output
+    is byte-identical for every W.
     """
     mm, fm, p, warnings = load_instance(cfg)
     trace = _get_trace(cfg, fm)
@@ -373,7 +376,6 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
     info = np.zeros((R, fm.n_r))
     mean = np.tile(fm.mu, (R, 1))
     W = _draw_threads(R)
-    groups = [range(g0, min(g0 + W, R)) for g0 in range(0, R, W)]
 
     sq_sum = np.zeros((T, fm.n_r))
     rates = np.zeros((block_starts.size, mm.n_o))
@@ -404,27 +406,16 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
                     for r in range(R)] if plugin
                    else [design(scheme, fm.mu, info[0])] * R)
             rates[bi] = xis[0]
-            present = [xi[mm.k_of] > 0.0 for xi in xis]
+            rate_sum = np.stack([_flow_sums(xi[mm.k_of], mm) for xi in xis])
             out = np.empty((R,) + x.shape)  # fused y, then posterior means
-            for group in groups:
-                zs = _draw_group(pool, [(x, mm, xis[r], rngs[r], present[r])
-                                        for r in group])
-                for r in group:
-                    z = zs.pop(0)  # pop, so each draw is freed once fused
-                    flow = mm.l_of[present[r]]
-                    rate = xis[r][mm.k_of][present[r]]
-                    if not plugin:
-                        out[r], m = _fuse(flow, rate / fm.mu[flow], z, fm.n_r)
-                        continue
-                    for b, z_b in enumerate(z):
-                        w = rate / np.maximum(mean[r], _MU_FLOOR)[flow]
-                        y, m = _fuse(flow, w, z_b, fm.n_r)
-                        info[r], mean[r] = _update(info[r], mean[r], fm.sigma2, m, y)
-                        out[r, b] = mean[r]
-            if not plugin:  # m is every replication's: one update per period
-                for b in range(x.shape[0]):
-                    info, mean = _update(info, mean, fm.sigma2, m, out[:, b])
-                    out[:, b] = mean  # the posterior means replace the inputs
+            args = [(x, mm, xi, rng, s) for xi, rng, s in zip(xis, rngs, rate_sum)]
+            for g0 in range(0, R, W):  # W replications drawn at once
+                out[g0:g0 + W] = _draw_group(pool, args[g0:g0 + W])
+            for b in range(x.shape[0]):  # one update per period steps all R rows
+                mu_hat = np.maximum(mean, _MU_FLOOR) if plugin else fm.mu
+                info, mean = _update(info, mean, fm.sigma2, rate_sum / mu_hat,
+                                     out[:, b])
+                out[:, b] = mean  # the posterior means replace the inputs
             _check_posterior(info, mean)
             for r in range(R):
                 sq_sum[t0:t0 + B] += (out[r] - x) ** 2

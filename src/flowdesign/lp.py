@@ -109,7 +109,7 @@ def _rhs_vector(b, m, name, rows):
     return b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
     c: np.ndarray
     A_ub: np.ndarray | None = None
@@ -183,7 +183,7 @@ class _Rows:
                 and np.array_equal(lp.b_ub[self.nonneg], old.b_ub[self.nonneg]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
     status: str              # optimal | infeasible | unbounded | numerical
     x: np.ndarray | None
@@ -196,7 +196,7 @@ class LpSolution:
     basis: np.ndarray | None = None
     # what the solve derived from the LP's matrix alone, reused by a later
     # solve of a program sharing that matrix, started from this solution
-    _rows: _Rows | None = field(default=None, repr=False, compare=False)
+    _rows: _Rows | None = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:

@@ -92,7 +92,8 @@ def floats_text(values, texts: dict) -> list:
 
 def frozen(a: np.ndarray) -> np.ndarray:
     """``a`` if it is read-only and owns its data, else a read-only copy:
-    no one else can write the array a value object stores."""
+    no one else can write the array a value object stores. Those
+    dataclasses are eq=False: a generated __eq__ on arrays would raise."""
     if a.flags.writeable or a.base is not None:
         a = a.copy()
         a.flags.writeable = False
@@ -106,7 +107,7 @@ def _vector(x, name: str) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowModel:
     """Random-walk parameters of the tracked flows.
 
@@ -136,7 +137,7 @@ class FlowModel:
         return self.sigma2.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignProblem:
     """Everything a design solver needs.
 

@@ -180,7 +180,7 @@ def route_flows(t: TopologySpec):
     return tuple(paths)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementModel:
     """Assembled linear model for one topology and routing.
 

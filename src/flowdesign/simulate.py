@@ -7,13 +7,15 @@ estimate with Var(Z|X) = X(1-xi)/xi, which is the familiar X/xi for
 small rates. Fusion of a flow's measurements uses inverse-variance
 weights with the plug-in approximation Var(z) ~ mu/xi, and because no
 two flows share a measurement row the GLS solve collapses to independent
-weighted means (weights xi_k/mu_i, information m_i equal to their sum).
-The steps pass plain arrays: sample_packets returns the int64 counts N,
-and fuse_gls forms Z = N/xi where xi > 0 and returns the per-flow (y, m).
+weighted means. Flow i's weights xi_k/mu_i share 1/mu_i, which cancels:
+over its measurements with xi_k > 0, y_i = sum N / sum xi_k, and the
+plug-in mean moves only the information m_i = sum xi_k / mu_i. Steps
+pass plain arrays: sample_packets returns the int64 counts N.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from itertools import chain
@@ -39,7 +41,7 @@ def _count_fault(x) -> str | None:
         return "integer packet counts" if ok else "finite and >= 0"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
     """True flow volumes, one row per period (t = 1..T). ``x`` is stored
     read-only (see model.frozen)."""
@@ -119,10 +121,11 @@ def fuse_gls(n, mm: MeasurementModel, xi, mu_plugin):
     """Collapse one period's sampled counts ``n``, (n_g,), into (y, m).
 
     Only the present measurements (rate xi_k > 0) count, each as the
-    estimate z = n / xi_k with weight xi_k / mu_plugin_i (inverse of the
-    approximate measurement variance mu/xi); m_i is the weight sum, which
-    equals (J xi)_i when mu_plugin is the mu that built J. Flows with
-    nothing observed get m_i = 0 and y_i = NaN.
+    estimate z = n / xi_k with weight xi_k / mu_plugin_i. The common
+    1 / mu_plugin_i cancels from flow i's weighted mean, y_i = sum n /
+    sum xi_k; the weight sum m_i = sum xi_k / mu_plugin_i is (J xi)_i up
+    to rounding when mu_plugin is the mu that built J. Flows with nothing
+    observed get m_i = 0 and y_i = NaN.
     """
     n = np.atleast_1d(np.asarray(n, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -137,22 +140,25 @@ def fuse_gls(n, mm: MeasurementModel, xi, mu_plugin):
         raise ValidationError("packet counts do not match the model")
     if fault := _count_fault(n):
         raise ValidationError(f"packet counts must be {fault}")
-    present = xi[mm.k_of] > 0.0
-    rate, flow = xi[mm.k_of][present], mm.l_of[present]
-    return _fuse(flow, rate / mu_plugin[flow], n[present] / rate, mm.n_r)
+    rate = xi[mm.k_of]
+    rate_sum = _flow_sums(rate, mm)
+    return _fuse(np.where(rate > 0.0, n, 0.0), mm, rate_sum), rate_sum / mu_plugin
 
 
-def _fuse(flow, w, z, n_r):
-    """fuse_gls's arithmetic on the present measurements alone: ``flow``,
-    ``w`` and ``z`` give each one's flow index, weight and estimate. A
-    (B, n) ``z`` is B periods under the same weights, fused by one
-    bincount over b * n_r + flow: row b of y matches a one-period call."""
-    m = np.bincount(flow, weights=w, minlength=n_r)
-    y = np.full(z.shape[:-1] + (n_r,), np.nan)
-    idx = (np.arange(y.size // n_r)[:, None] * n_r + flow).ravel()
-    wz = np.bincount(idx, weights=(w * z).ravel(), minlength=y.size)
-    np.divide(wz.reshape(y.shape), m, out=y, where=m > 0)
-    return y, m
+def _fuse(n, mm: MeasurementModel, rate_sum):
+    """fuse_gls's y: per-flow sum n / rate_sum, NaN where rate_sum is 0
+    (counts at rate 0 must be 0). A (B, n_g) ``n`` is B periods under the
+    same rates; row b of y matches a one-period call."""
+    return np.divide(_flow_sums(n, mm), rate_sum, where=rate_sum > 0,
+                     out=np.full(n.shape[:-1] + (mm.n_r,), np.nan))
+
+
+def _flow_sums(a, mm: MeasurementModel):
+    """Per-flow sums of a (..., n_g) array, shape (..., n_r): one
+    bincount over row * n_r + flow, which adds in measurement order."""
+    shape = a.shape[:-1] + (mm.n_r,)
+    idx = np.arange(math.prod(shape) // mm.n_r)[:, None] * mm.n_r + mm.l_of
+    return np.bincount(idx.ravel(), a.ravel(), math.prod(shape)).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

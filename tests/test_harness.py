@@ -506,11 +506,28 @@ def test_simulate_cli_exits_1_on_draw_failure(monkeypatch, tmp_path, capsys):
     assert threading.active_count() == before
 
 
+def test_plugin_simulation_steps_all_replications_in_one_update(monkeypatch):
+    # the fused blocks do not depend on the plug-in mean, so plugin
+    # filters like true_mu: one stacked update per period, not one per
+    # replication and period
+    real = harness._update
+    shapes = []
+
+    def update(info, *args):
+        shapes.append(info.shape)
+        return real(info, *args)
+
+    monkeypatch.setattr(harness, "_update", update)
+    run_simulation(synth_cfg(horizon=12, block_size=4, replications=3,
+                             n_flows=4, seed=3, mu_mode="plugin"))
+    assert shapes == [(3, 4)] * 12
+
+
 @pytest.mark.parametrize("bad", ["negative-info", "nan-info", "nan-mean"])
 @pytest.mark.parametrize("mu_mode", ["true_mu", "plugin"])
 def test_simulation_rejects_bad_block_end_state(monkeypatch, mu_mode, bad):
-    # update 4 ends block 1: replication 0's last period under plugin,
-    # the last period of every replication under true_mu
+    # update 4 ends block 1: in both mu modes one update per period
+    # steps every replication
     real = harness._update
     calls = [0]
 

@@ -3,16 +3,24 @@ import pytest
 
 from flowdesign import (
     DesignProblem,
+    ExperimentConfig,
     FlowModel,
     LinearProgram,
     ValidationError,
     build_measurement_model,
     check_design_output,
     design_problem,
+    export_canonical_socp,
+    flow_model,
+    gen_random_walk_trace,
     remap_mu,
+    run_idealized,
+    solve_lp,
+    solve_scheme,
     synth_topology,
     validate_problem,
 )
+from flowdesign import design
 
 
 def test_flow_model_basic():
@@ -189,3 +197,37 @@ def test_read_only_model_arrays_are_stored_without_a_copy():
                        for f in ("l_of", "k_of", "J", "R", "b", "mu", "sigma2"))
         p = design_problem(m)
         assert p.J is m.J and p.R is m.R
+
+
+def array_value_objects() -> dict:
+    """One object of each frozen dataclass that stores an array, built
+    afresh from the same inputs on every call."""
+    mm = build_measurement_model(synth_topology("grid", rows=3, cols=3, seed=1))
+    fm, p = flow_model(mm), design_problem(mm)
+    lp = LinearProgram(c=[1.0, 2.0], A_ub=[[1.0, 1.0]], b_ub=[1.0],
+                       upper=[1.0, 1.0])
+    socp = export_canonical_socp(p, fm)
+    cfg = ExperimentConfig(topology_kind="line", n_nodes=4, n_flows=2,
+                           mu_mode="true_mu", horizon=5)
+    return {
+        "LinearProgram": lp,
+        "_ThetaProgram": design._ThetaProgram(c=[1.0, 2.0], problem=p),
+        "LpSolution": solve_lp(lp),
+        "DesignProblem": p,
+        "FlowModel": fm,
+        "MeasurementModel": mm,
+        "Trace": gen_random_walk_trace(fm, T=3, seed=1),
+        "DesignResult": solve_scheme("naive", p, fm),
+        "SocpCone": socp.cones[0],
+        "CanonicalSocp": socp,
+        "MetricsSeries": run_idealized(cfg),
+    }
+
+
+@pytest.mark.parametrize("name", list(array_value_objects()))
+def test_array_value_types_compare_by_identity(name):
+    # a generated __eq__ would compare the arrays and raise
+    a, b = array_value_objects()[name], array_value_objects()[name]
+    assert type(a).__name__ == name
+    assert a == a
+    assert a != b

@@ -15,6 +15,7 @@ from flowdesign import (
     sample_packets,
     save_trace,
     steady_state_info,
+    synth_topology,
 )
 from flowdesign import simulate
 
@@ -266,6 +267,34 @@ def test_fusion_partial_presence():
     assert m[0] == pytest.approx(0.05 / 100.0)
     assert y[0] == n[(mm.l_of == 0) & (mm.k_of == k1)][0] / 0.05
     assert m[1] == 0.0 and np.isnan(y[1])
+
+
+def random_rates_and_counts(seed):
+    """A grid 3x3 model, rates with some zeros (flow 0 sees none), and one
+    period's counts."""
+    mm = build_measurement_model(synth_topology("grid", rows=3, cols=3, seed=1))
+    rng = np.random.default_rng(seed)
+    xi = rng.uniform(0.001, 0.3, mm.n_o) * (rng.random(mm.n_o) > 0.2)
+    xi[mm.k_of[mm.l_of == 0]] = 0.0
+    return mm, xi, sample_packets(np.rint(mm.mu * 37.0), mm, xi, rng)
+
+
+def test_fusion_mean_cancels_from_y():
+    # y = sum n / sum xi: the plug-in mean scales every weight of a flow
+    # alike, so two means give the same bits, not merely close values
+    mm, xi, n = random_rates_and_counts(7)
+    y_a, m_a = fuse_gls(n, mm, xi, mm.mu)
+    y_b, m_b = fuse_gls(n, mm, xi, mm.mu * np.linspace(0.3, 7.7, mm.n_r))
+    assert np.array_equal(y_a, y_b, equal_nan=True)
+    assert not np.array_equal(m_a, m_b)
+    assert np.isnan(y_a).any() and not np.isnan(y_a).all()
+
+
+def test_fusion_information_is_rate_sum_over_mean():
+    mm, xi, n = random_rates_and_counts(8)
+    mu = mm.mu * np.linspace(0.3, 7.7, mm.n_r)
+    _, m = fuse_gls(n, mm, xi, mu)
+    assert np.array_equal(m, np.bincount(mm.l_of, xi[mm.k_of]) / mu)
 
 
 def test_fusion_validation():
