@@ -306,9 +306,9 @@ def solve_naive(p: DesignProblem) -> DesignResult:
     A router with g > 0 traversed interfaces gives each the rate that
     spends b_j exactly (b_j/g when the budget row has unit coefficients);
     untraversed interfaces get 0, and a router with no traversed
-    interfaces simply spends nothing. Budget tightness is the scheme's
-    defining property, not a constraint, so equality flags on p are
-    ignored here.
+    interfaces simply spends nothing. The rates are checked against p:
+    design_problem flags a row as equality only for a router with a
+    traversed interface, whose equal split spends b_j exactly.
     """
     owned = p.R > 0
     crossed = np.any(p.J > 0, axis=0)
@@ -327,8 +327,7 @@ def solve_naive(p: DesignProblem) -> DesignResult:
             raise InfeasibleError(
                 f"naive: equal split of budget row {j} leaves its bounds")
         xi[sel] = rate
-    relaxed = DesignProblem(J=p.J, R=p.R, b=p.b, upper=p.upper)
-    xi = model.check_design_output(relaxed, xi)
+    xi = model.check_design_output(p, xi)
     info = p.J @ xi
     theta = float(np.min(info)) if info.size else 0.0
     return DesignResult(xi=xi, theta=theta, scheme="naive", info=info,

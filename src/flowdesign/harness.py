@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 
 import numpy as np
@@ -98,11 +98,13 @@ class ExperimentConfig:
     flows_dump: bool = False
 
     def __post_init__(self):
-        for name, convert in _CONFIG_KEYS.items():
-            value = getattr(self, name)
-            if convert is int and value is not None and (
-                    isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-                raise ConfigError(name, "must be an integer")
+        for f in fields(self):  # None only where it is the default
+            value = getattr(self, f.name)
+            kind, what = _KINDS[_CONFIG_KEYS[f.name]]
+            if (value is not None or f.default is not None) and (
+                    not isinstance(value, kind)
+                    or (isinstance(value, bool) and kind is not bool)):
+                raise ConfigError(f.name, f"must be {what}")
         runnable = [s for s in SCHEMES if s != "classical"]  # design-only
         for name, allowed in (("scheme", runnable), ("mu_mode", _MU_MODES),
                               ("constraint_mode", CONSTRAINT_MODES),
@@ -150,6 +152,13 @@ def _to_bool(tok: str) -> bool:
         return _BOOL_WORDS[tok.lower()]
     except KeyError:
         raise ValueError(f"not a boolean: {tok!r}") from None
+
+
+# per key converter: the type a value set in code must have (bools are
+# not numbers here), and how its message names it
+_KINDS = {int: (numbers.Integral, "an integer"),
+          float: (numbers.Real, "a real number"),
+          _to_bool: (bool, "a boolean"), str: (str, "a string")}
 
 
 def _config_converters():
@@ -353,8 +362,8 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
     time (W = usable cores, at most R): one on the caller and W - 1 on
     a thread pool.
 
-    Under plugin each replication designs its own rates from its filter
-    means clamped at 1 (the logged rates are replication 0's). Under
+    Under plugin each replication solves the run's problem with J from
+    its clamped filter means (the logged rates are replication 0's). Under
     true_mu one design from mu serves every replication (steady_state's
     is solved once per run). Either way each draw is fused where it was
     drawn, into y = sum n / sum xi_k per flow, which no mean enters, and
@@ -387,8 +396,8 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
         if res is None:
             q = p
             if plugin and scheme != "naive":  # naive does not depend on mu
-                q = design_problem(remap_mu(mm, mu_hat), cap=cfg.cap,
-                                   constraint_mode=cfg.constraint_mode)
+                # J's zeros do not move with mu, so p's bounds and rows hold
+                q = replace(p, J=remap_mu(mm, mu_hat).J)
             res = solve_scheme(scheme, q, fm, prior_info, cfg.tol_theta)
             if scheme == "naive" or (scheme == "steady_state" and not plugin):
                 fixed[scheme] = res

@@ -706,6 +706,15 @@ def test_naive_untraversed_router_spends_nothing():
     assert res.xi[1] == 0.0
 
 
+def test_naive_is_checked_against_equality_rows():
+    # router 1 has no traversed interface, so it spends nothing and
+    # cannot meet an equality row; design_problem never flags such a row
+    p = DesignProblem(J=[[1.0, 0.0]], R=[[1.0, 0.0], [0.0, 1.0]],
+                      b=[0.5, 0.5], row_is_equality=[False, True])
+    with pytest.raises(ValidationError, match="equality budget row"):
+        solve_naive(p)
+
+
 def test_naive_budget_exceeds_cap():
     p = DesignProblem(J=[[1.0, 1.0]], R=[[1.0, 1.0]], b=[3.0])
     with pytest.raises(InfeasibleError):

@@ -183,6 +183,17 @@ def test_config_requires_one_topology_source(tmp_path):
     {"seed": 1.5},
     {"trace_seed": 1.5},
     {"n_nodes": 5.0},
+    # every key is checked by its annotated type, not only the integers
+    {"budget": True},
+    {"flows_dump": "no"},
+    {"flows_dump": 1},
+    {"cap": "0.5"},
+    {"tol_theta": "1e-9"},
+    {"mu_scale": "10"},
+    {"trace_file": 5},
+    # None only where it is the default
+    {"cap": None},
+    {"seed": None},
 ])
 def test_config_validation(kw):
     with pytest.raises(ConfigError) as exc:
@@ -300,17 +311,18 @@ def test_simulation_solves_fixed_true_mu_designs_once(tmp_path, monkeypatch,
                                                       scheme, warmup):
     calls = collections.Counter()
 
-    def counting(name):
-        fn = getattr(design, name)
+    def counting(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
     # solve_scheme looks the solvers up in flowdesign.design at call time
     for name in ("solve_naive", "solve_steady_state_E", "solve_myopic"):
-        monkeypatch.setattr(design, name, counting(name))
+        counting(design, name)
+    counting(harness, "design_problem")
     cfg = synth_cfg(horizon=20, block_size=5, replications=3, seed=4,
                     scheme=scheme, warmup_scheme=warmup)
     ms = run_simulation(cfg)
@@ -319,7 +331,8 @@ def test_simulation_solves_fixed_true_mu_designs_once(tmp_path, monkeypatch,
     # myopic follows the filter's information, which every replication
     # shares under true_mu: one solve per block (4 blocks), not per replication
     expect = collections.Counter(
-        {solver[scheme]: 4 - (warmup == "naive") if scheme == "myopic" else 1})
+        {solver[scheme]: 4 - (warmup == "naive") if scheme == "myopic" else 1,
+         "design_problem": 1})
     if warmup == "naive":
         expect["solve_naive"] = 1
     assert calls == expect
@@ -331,9 +344,11 @@ def test_simulation_solves_fixed_true_mu_designs_once(tmp_path, monkeypatch,
                 == (tmp_path / "per_block" / name).read_bytes())
     # plug-in steady-state designs still follow the filter means, block by
     # block (3 replications x 4 blocks, less a naive warm-up block); the
-    # naive design does not depend on mu, so it is still solved once
+    # naive design does not depend on mu, so it is still solved once.
+    # Every design solves the run's one problem, with J replaced.
     calls.clear()
     run_simulation(replace(cfg, mu_mode="plugin"))
+    assert calls.pop("design_problem") == 1
     plugin_solves = {("steady_state", "naive"): 10,
                      ("steady_state", "scheme"): 12,
                      ("naive", "naive"): 1,
@@ -342,17 +357,62 @@ def test_simulation_solves_fixed_true_mu_designs_once(tmp_path, monkeypatch,
     assert sum(calls.values()) == plugin_solves
 
 
+@pytest.mark.parametrize("constraint_mode", ["inequality",
+                                             "equality_with_zeroing"])
+@pytest.mark.parametrize("scheme", ["myopic", "steady_state"])
+def test_plugin_designs_share_the_run_problem(monkeypatch, scheme,
+                                              constraint_mode):
+    # the run builds one problem; a plug-in design swaps only its J
+    runs, remapped, solved = [], [], []
+    real_load, real_remap, real_solve = (
+        harness.load_instance, harness.remap_mu, harness.solve_scheme)
+
+    def load(cfg):
+        runs.append(real_load(cfg))
+        return runs[-1]
+
+    def remap(mm, mu_hat):
+        remapped.append(np.array(mu_hat))
+        return real_remap(mm, mu_hat)
+
+    def solve(scheme, q, *args, **kwargs):
+        solved.append((scheme, q))
+        return real_solve(scheme, q, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "load_instance", load)
+    monkeypatch.setattr(harness, "remap_mu", remap)
+    monkeypatch.setattr(harness, "solve_scheme", solve)
+    run_simulation(synth_cfg(horizon=12, block_size=4, replications=2,
+                             seed=5, scheme=scheme, mu_mode="plugin",
+                             constraint_mode=constraint_mode))
+    ((mm, _, p, _),) = runs
+    plugin = [q for name, q in solved if name != "naive"]
+    assert [q for name, q in solved if name == "naive"] == [p]
+    assert len(plugin) == len(remapped) == 4  # 2 replications x 2 blocks
+    for q, mu_hat in zip(plugin, remapped):
+        assert q is not p
+        assert q.upper is p.upper and q.row_is_equality is p.row_is_equality
+        assert q.R is p.R and q.b is p.b
+        assert q.J.tobytes() == real_remap(mm, mu_hat).J.tobytes()
+
+
 @pytest.mark.parametrize("horizon,block_size", [(11, 4), (6, 1), (5, 8)],
                          ids=["partial-last-block", "B=1", "B>=T"])
 @pytest.mark.parametrize("warmup", ["naive", "scheme"])
-@pytest.mark.parametrize("mu_mode", ["true_mu", "plugin"])
+# inequality rows are the default mode, so only equality ids name it
+@pytest.mark.parametrize("mu_mode,constraint_mode", [
+    ("true_mu", "inequality"), ("plugin", "inequality"),
+    ("true_mu", "equality_with_zeroing"), ("plugin", "equality_with_zeroing"),
+], ids=["true_mu", "plugin", "true_mu-equality", "plugin-equality"])
 @pytest.mark.parametrize("scheme", ["naive", "myopic", "steady_state"])
-def test_simulation_matches_per_period_oracle(scheme, mu_mode, warmup,
+def test_simulation_matches_per_period_oracle(scheme, mu_mode,
+                                              constraint_mode, warmup,
                                               horizon, block_size):
     # small means and a fast walk, so some plug-in means fall below the floor
     cfg = synth_cfg(horizon=horizon, block_size=block_size, replications=2,
                     seed=6, scheme=scheme, mu_mode=mu_mode,
-                    warmup_scheme=warmup, mu_scale=10.0, sigma_rel=0.5)
+                    warmup_scheme=warmup, mu_scale=10.0, sigma_rel=0.5,
+                    constraint_mode=constraint_mode)
     ms = run_simulation(cfg)
     ref = per_period_simulation(cfg)
     assert np.array_equal(ms.per_flow_mse, ref.per_flow_mse)
