@@ -42,13 +42,14 @@ from .model import (FlowDesignError, FlowModel, ValidationError, floats_text,
 from .network import (CONSTRAINT_MODES, TOPOLOGY_KINDS, ParameterError,
                       build_measurement_model, design_problem, flow_model,
                       load_topology, remap_mu, synth_topology)
-from .simulate import (Trace, _count_fault, _flow_sums, _fuse,
-                       gen_random_walk_trace, load_trace, sample_packets)
+from .simulate import (Trace, _count_fault, _draw_plan, _flow_sums, _fuse,
+                       _sample_flow_sums, gen_random_walk_trace, load_trace)
 # unused here, but perfbench/tracing.py patches these bindings (TRACED);
-# fuse_gls/predict_update are the one-period forms of _fuse/_update
+# fuse_gls/predict_update are the one-period forms of _fuse/_update, and
+# sample_packets the per-measurement form of _sample_flow_sums
 from .design import solve_myopic, solve_naive, solve_steady_state_E  # noqa: F401
 from .filtering import predict_update  # noqa: F401
-from .simulate import fuse_gls  # noqa: F401
+from .simulate import fuse_gls, sample_packets  # noqa: F401
 
 _MU_MODES = ("true_mu", "plugin")
 _WARMUP = ("naive", "scheme")
@@ -325,11 +326,11 @@ def run_idealized(cfg: ExperimentConfig) -> MetricsSeries:
     return _series(cfg, per_flow, block_starts, rates, meta)
 
 
-def _draw(x, mm, xi, rng, rate_sum):
-    """One replication's block draw: sample_packets on the (B, n_r)
-    volumes ``x``, kept only as the (B, n_r) fused observations
-    y = sum n / rate_sum per flow, so the counts are freed here."""
-    return _fuse(sample_packets(x, mm, xi, rng), mm, rate_sum)
+def _draw(x, mm, xi, rng, rate_sum, plan):
+    """One replication's block draw on the (B, n_r) volumes ``x``: one
+    binomial per (flow, K, rate) group of ``plan`` and period, returned
+    as the (B, n_r) fused observations y = sum n / rate_sum per flow."""
+    return _fuse(_sample_flow_sums(x, mm, xi, rng, plan), rate_sum)
 
 
 def _draw_group(pool, arg_lists):
@@ -357,10 +358,14 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
     (t = 1, B+1, ...); block 1 follows warmup_scheme because no
     estimates exist yet, and the naive design is solved once per run.
     Replications advance in lockstep on one (R, n_r) filter state. A
-    block is one sample_packets call per replication on its (B, n_r)
-    slice of the trace (the same values as B one-period calls), W at a
-    time (W = usable cores, at most R): one on the caller and W - 1 on
-    a thread pool.
+    block is one draw per replication on its (B, n_r) slice of the
+    trace (the same values as B one-period draws), W at a time
+    (W = usable cores, at most R): one on the caller and W - 1 on a
+    thread pool. A draw takes one Binomial(K x, r) per flow and distinct
+    rate r on its path, K the flow's measurements at r: the law of their
+    summed counts, which is all the fusion reads. Each design result
+    carries its per-flow rate sums and this draw plan, built once with
+    it.
 
     Under plugin each replication solves the run's problem with J from
     its clamped filter means (the logged rates are replication 0's). Under
@@ -392,16 +397,18 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
     fixed = {}
 
     def design(scheme, mu_hat, prior_info):
-        res = fixed.get(scheme)
-        if res is None:
+        """(xi, per-flow rate sums, draw plan) of the block's design."""
+        got = fixed.get(scheme)
+        if got is None:
             q = p
             if plugin and scheme != "naive":  # naive does not depend on mu
                 # J's zeros do not move with mu, so p's bounds and rows hold
                 q = replace(p, J=remap_mu(mm, mu_hat).J)
-            res = solve_scheme(scheme, q, fm, prior_info, cfg.tol_theta)
+            xi = solve_scheme(scheme, q, fm, prior_info, cfg.tol_theta).xi
+            got = xi, _flow_sums(xi[mm.k_of], mm.l_of, mm.n_r), _draw_plan(mm, xi)
             if scheme == "naive" or (scheme == "steady_state" and not plugin):
-                fixed[scheme] = res
-        return res.xi
+                fixed[scheme] = got
+        return got
 
     # imported here so design and idealized runs do not load its logging
     from concurrent.futures import ThreadPoolExecutor
@@ -411,13 +418,14 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
             if t0 == 0 and cfg.warmup_scheme == "naive":
                 scheme = "naive"
             x = trace.x[t0:t0 + B]
-            xis = ([design(scheme, np.maximum(mean[r], _MU_FLOOR), info[r])
-                    for r in range(R)] if plugin
-                   else [design(scheme, fm.mu, info[0])] * R)
-            rates[bi] = xis[0]
-            rate_sum = np.stack([_flow_sums(xi[mm.k_of], mm) for xi in xis])
+            designs = ([design(scheme, np.maximum(mean[r], _MU_FLOOR), info[r])
+                        for r in range(R)] if plugin
+                       else [design(scheme, fm.mu, info[0])] * R)
+            rates[bi] = designs[0][0]
+            rate_sum = np.stack([s for _, s, _ in designs])
             out = np.empty((R,) + x.shape)  # fused y, then posterior means
-            args = [(x, mm, xi, rng, s) for xi, rng, s in zip(xis, rngs, rate_sum)]
+            args = [(x, mm, xi, rng, s, plan)
+                    for (xi, s, plan), rng in zip(designs, rngs)]
             for g0 in range(0, R, W):  # W replications drawn at once
                 out[g0:g0 + W] = _draw_group(pool, args[g0:g0 + W])
             for b in range(x.shape[0]):  # one update per period steps all R rows

@@ -11,6 +11,13 @@ weighted means. Flow i's weights xi_k/mu_i share 1/mu_i, which cancels:
 over its measurements with xi_k > 0, y_i = sum N / sum xi_k, and the
 plug-in mean moves only the information m_i = sum xi_k / mu_i. Steps
 pass plain arrays: sample_packets returns the int64 counts N.
+
+Because the fused y reads only each flow's sum of N, the closed loop
+draws that sum directly: the K measurements of flow i at one rate r
+sum to one Binomial(K x_i, r) draw, so _sample_flow_sums takes one
+draw per flow and distinct rate on its path (the groups of a
+_draw_plan) in place of one per measurement. The law is the same; the
+random stream is not.
 """
 
 from __future__ import annotations
@@ -26,19 +33,23 @@ from .model import FlowModel, ValidationError, frozen, read_csv, write_lines
 from .network import MeasurementModel
 
 _INT_TOL = 1e-6   # how far a volume may sit from an integer packet count
+_COUNT_MAX = 2.0 ** 53  # past it floats skip integers; 1e19 would wrap in int64
+_OVER = "at most 2**53"
 
 
 def _count_fault(x) -> str | None:
     """What keeps ``x`` from holding packet counts, or None. The one count
-    rule: finite, >= 0 and within _INT_TOL of an integer."""
+    rule: finite, >= 0, at most _COUNT_MAX and within _INT_TOL of an
+    integer."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails too
         off = np.rint(x)  # distance to an integer, in one scratch array
         off -= x
-        bad = x[~(np.abs(off, out=off) <= _INT_TOL) | (x < 0)]
+        bad = x[~(np.abs(off, out=off) <= _INT_TOL) | (x < 0) | (x > _COUNT_MAX)]
     if bad.size:
-        ok = np.all(np.isfinite(bad) & (bad >= 0))
-        return "integer packet counts" if ok else "finite and >= 0"
+        if not np.all(np.isfinite(bad) & (bad >= 0)):
+            return "finite and >= 0"
+        return _OVER if np.any(bad > _COUNT_MAX) else "integer packet counts"
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,6 +103,22 @@ def gen_random_walk_trace(fm: FlowModel, T: int, seed: int = 0,
     return Trace(x=out, source="synthetic-random-walk")
 
 
+def _draw_input(x_t, mm: MeasurementModel, xi):
+    """The checked inputs of a packet draw: the int64 counts of ``x_t``,
+    one period (n_r,) or a block (B, n_r), and the float rates ``xi``."""
+    x_t = np.atleast_1d(np.asarray(x_t, dtype=float))
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if x_t.ndim > 2 or x_t.shape[-1] != mm.n_r or x_t.size == 0:
+        raise ValidationError("x_t must have one entry per flow in each period")
+    if xi.shape != (mm.n_o,):
+        raise ValidationError("xi must have one entry per observation point")
+    if np.any(xi < 0) or np.any(xi > 1) or not np.all(np.isfinite(xi)):
+        raise ValidationError("sampling rates must lie in [0, 1]")
+    if fault := _count_fault(x_t):
+        raise ValidationError(f"volumes must be {fault}")
+    return np.rint(x_t).astype(np.int64), xi
+
+
 def sample_packets(x_t, mm: MeasurementModel, xi, rng) -> np.ndarray:
     """Binomially thin each flow at each observation point it crosses.
 
@@ -103,18 +130,33 @@ def sample_packets(x_t, mm: MeasurementModel, xi, rng) -> np.ndarray:
     measurements take no draw (the generator returns 0 for p = 0 without
     consuming its stream).
     """
-    x_t = np.atleast_1d(np.asarray(x_t, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if x_t.ndim > 2 or x_t.shape[-1] != mm.n_r or x_t.size == 0:
-        raise ValidationError("x_t must have one entry per flow in each period")
-    if xi.shape != (mm.n_o,):
-        raise ValidationError("xi must have one entry per observation point")
-    if np.any(xi < 0) or np.any(xi > 1) or not np.all(np.isfinite(xi)):
-        raise ValidationError("sampling rates must lie in [0, 1]")
-    if fault := _count_fault(x_t):
-        raise ValidationError(f"volumes must be {fault}")
-    counts = np.rint(x_t).astype(np.int64)
+    counts, xi = _draw_input(x_t, mm, xi)
     return rng.binomial(counts[..., mm.l_of], xi[mm.k_of])
+
+
+def _draw_plan(mm: MeasurementModel, xi):
+    """The groups of the measurements with xi_k > 0 that share a flow and
+    a rate, as arrays (flow, K, rate): K of flow's measurements sample at
+    rate. Groups run by flow, then by rising rate."""
+    rates, level = np.unique(xi, return_inverse=True)
+    key = mm.l_of * rates.size + level[mm.k_of]
+    key, mult = np.unique(key[xi[mm.k_of] > 0], return_counts=True)
+    return key // rates.size, mult, rates[key % rates.size]
+
+
+def _sample_flow_sums(x_t, mm: MeasurementModel, xi, rng, plan):
+    """Each flow's sampled packets, summed over its observation points:
+    shape (n_r,) or (B, n_r) like ``x_t``, float64. ``plan`` is
+    _draw_plan(mm, xi); each of its groups (flow i, K, r) takes one
+    Binomial(K x_i, r) draw, which has the law of the sum of flow i's K
+    draws in sample_packets. Row b of a block equals what a one-period
+    call on row b would draw next from ``rng``."""
+    counts, _ = _draw_input(x_t, mm, xi)
+    flow, mult, rate = plan
+    volume = counts[..., flow]
+    if np.any(volume > np.iinfo(np.int64).max // mult):
+        raise ValidationError("volumes times measurements per rate exceed int64")
+    return _flow_sums(rng.binomial(volume * mult, rate), flow, mm.n_r)
 
 
 def fuse_gls(n, mm: MeasurementModel, xi, mu_plugin):
@@ -141,23 +183,25 @@ def fuse_gls(n, mm: MeasurementModel, xi, mu_plugin):
     if fault := _count_fault(n):
         raise ValidationError(f"packet counts must be {fault}")
     rate = xi[mm.k_of]
-    rate_sum = _flow_sums(rate, mm)
-    return _fuse(np.where(rate > 0.0, n, 0.0), mm, rate_sum), rate_sum / mu_plugin
+    rate_sum = _flow_sums(rate, mm.l_of, mm.n_r)
+    n_sum = _flow_sums(np.where(rate > 0.0, n, 0.0), mm.l_of, mm.n_r)
+    return _fuse(n_sum, rate_sum), rate_sum / mu_plugin
 
 
-def _fuse(n, mm: MeasurementModel, rate_sum):
-    """fuse_gls's y: per-flow sum n / rate_sum, NaN where rate_sum is 0
-    (counts at rate 0 must be 0). A (B, n_g) ``n`` is B periods under the
-    same rates; row b of y matches a one-period call."""
-    return np.divide(_flow_sums(n, mm), rate_sum, where=rate_sum > 0,
-                     out=np.full(n.shape[:-1] + (mm.n_r,), np.nan))
+def _fuse(n_sum, rate_sum):
+    """fuse_gls's y from each flow's summed counts: n_sum / rate_sum, NaN
+    where rate_sum is 0. A (B, n_r) ``n_sum`` is B periods under the same
+    rates; row b of y matches a one-period call."""
+    return np.divide(n_sum, rate_sum, where=rate_sum > 0,
+                     out=np.full(n_sum.shape, np.nan))
 
 
-def _flow_sums(a, mm: MeasurementModel):
-    """Per-flow sums of a (..., n_g) array, shape (..., n_r): one
-    bincount over row * n_r + flow, which adds in measurement order."""
-    shape = a.shape[:-1] + (mm.n_r,)
-    idx = np.arange(math.prod(shape) // mm.n_r)[:, None] * mm.n_r + mm.l_of
+def _flow_sums(a, flow, n_r: int):
+    """Per-flow sums of a (..., n) array whose entry j belongs to flow
+    ``flow[j]``, shape (..., n_r): one bincount over row * n_r + flow,
+    which adds in entry order."""
+    shape = a.shape[:-1] + (n_r,)
+    idx = np.arange(math.prod(shape) // n_r)[:, None] * n_r + flow
     return np.bincount(idx.ravel(), a.ravel(), math.prod(shape)).reshape(shape)
 
 
@@ -194,8 +238,10 @@ def load_trace(path: str) -> Trace:
         raise ValidationError(f"{name}: no data rows")
     x = np.array(x)
     if _count_fault(x):  # checked whole; only a bad file is searched by row
-        line = next(ln for ln, row in zip(lines, x) if _count_fault(row))
-        raise ValidationError(f"{name}: line {line}: "
-                              "volumes must be integer packet counts >= 0")
+        line, fault = next((ln, fault) for ln, row in zip(lines, x)
+                           if (fault := _count_fault(row)))
+        if fault != _OVER:
+            fault = "integer packet counts >= 0"
+        raise ValidationError(f"{name}: line {line}: volumes must be {fault}")
     x.flags.writeable = False  # so Trace stores it uncopied
     return Trace(x=x, source="file-replay")

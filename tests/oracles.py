@@ -26,8 +26,8 @@ different route, so agreement is meaningful:
   traversal matrix, walked edge by edge along the routed paths.
 * per_flow_routes: route_flows with its own reverse BFS for every flow.
 * per_period_simulation: run_simulation's closed loop one period at a
-  time, through the validating public functions, with every block's
-  design solved afresh.
+  time, through the validating public functions and the library's
+  grouped draw, with every block's design solved afresh.
 * float_texts: model.floats_text with every value formatted on its own,
   where the library formats each distinct bit pattern once per memo.
 * parse_socp_text: serialize_socp's text read back, for round trips.
@@ -49,9 +49,8 @@ import numpy as np
 
 from flowdesign import (CanonicalSocp, LinearProgram, RoutingError, SocpCone,
                         design, design_problem, fuse_gls, harness,
-                        predict_update, remap_mu,
-                        sample_packets, solve_myopic, solve_naive,
-                        solve_steady_state_E)
+                        predict_update, remap_mu, simulate, solve_myopic,
+                        solve_naive, solve_steady_state_E)
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +467,13 @@ def per_period_simulation(cfg):
     """run_simulation's MetricsSeries (without meta), one period at a time.
 
     Every block's design is solved afresh, on the problem remapped to
-    the plug-in means under mu_mode=plugin, and every period is sampled,
-    fused and filtered by one call each of sample_packets, fuse_gls and
-    predict_update. Under plugin the fusion mean is taken from the filter
-    each period, clamped at the harness floor.
+    the plug-in means under mu_mode=plugin, with its draw plan. Every
+    period is sampled by one grouped draw (simulate._sample_flow_sums on
+    the one period), then fused and filtered by one call each of
+    fuse_gls and predict_update: fuse_gls gets each flow's summed count
+    at the flow's first measurement of positive rate, which it adds back
+    to the same sum. Under plugin the fusion mean is taken from the
+    filter each period, clamped at the harness floor.
     """
     mm, fm, p, _ = harness.load_instance(cfg)
     trace = harness._get_trace(cfg, fm)
@@ -503,12 +505,24 @@ def per_period_simulation(cfg):
                     xi = solve_myopic(q, fm, info).xi
                 if r == 0:
                     rates[(t - 1) // B] = xi
-            n = sample_packets(trace.x[t - 1], mm, xi, rng)
+                plan = simulate._draw_plan(mm, xi)
+                first = _first_present(mm, xi)
+            n = np.zeros(mm.n_g)
+            n[first] = simulate._sample_flow_sums(trace.x[t - 1], mm, xi, rng,
+                                                  plan)[mm.l_of[first]]
             y, m = fuse_gls(n, mm, xi, mu_hat)
             info, mean = predict_update(info, mean, fm, m, y)
             sq_sum[t - 1] += (mean - trace.x[t - 1]) ** 2
     return harness._series(cfg, sq_sum / cfg.replications, block_starts,
                            rates, {})
+
+
+def _first_present(mm, xi):
+    """Each observed flow's first measurement with rate xi_k > 0, in
+    measurement order."""
+    present = np.flatnonzero(xi[mm.k_of] > 0)
+    _, first = np.unique(mm.l_of[present], return_index=True)
+    return present[first]
 
 
 # ---------------------------------------------------------------------------

@@ -397,6 +397,19 @@ def test_bad_trace_volume_names_its_line(bundle, tmp_path, capsys, volume):
         "error: walk.csv: line 3: volumes must be integer packet counts >= 0\n")
 
 
+def test_trace_volume_past_the_count_ceiling_exits_1(bundle, tmp_path):
+    # 1e19 is an integer >= 0, but it casts to a negative int64: the run
+    # must stop at the file, not in numpy's binomial with a traceback
+    rows = [f"{t},1000,1000,1000" for t in range(1, 11)]
+    rows[2] = "3,1000,1e19,1000"
+    trace = tmp_path / "walk.csv"
+    trace.write_text("\n".join(["t,flow_1,flow_2,flow_3"] + rows) + "\n")
+    cfg = write_cfg(tmp_path, bundle, trace_file=str(trace))
+    proc = run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "x"))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: walk.csv: line 4: volumes must be at most 2**53\n"
+
+
 _IMPORT_PROBE = """
 import sys
 before = set(sys.modules)

@@ -30,7 +30,7 @@ from flowdesign import (
     synth_topology,
     write_metrics,
 )
-from flowdesign import cli
+from flowdesign import cli, simulate
 
 from oracles import per_period_simulation, riccati_bisect
 
@@ -433,10 +433,16 @@ def test_stacked_true_mu_filter_matches_per_period_oracle(scheme,
     assert np.array_equal(ms.per_flow_mse, ref.per_flow_mse)
     assert np.array_equal(ms.rates, ref.rates)
     assert ms.median == ref.median
+    mm, _ = rebuild_problem(cfg)
+    # every block draws fewer binomials than n_g, and the naive warm-up
+    # merges present measurements (equal rates along a path), so the
+    # oracle compares the grouped draw where it groups
+    plans = [simulate._draw_plan(mm, xi) for xi in ms.rates]
+    assert all(flow.size < mm.n_g for flow, _, _ in plans)
+    assert plans[0][0].size < np.count_nonzero(ms.rates[0][mm.k_of])
     if scheme == "myopic":
         # some flows get no information in a block: their fused
         # observations are NaN and the stacked update only predicts them
-        mm, _ = rebuild_problem(cfg)
         assert np.any(ms.rates @ mm.J.T == 0)
 
 
@@ -448,15 +454,15 @@ def test_simulation_independent_of_draw_threads(monkeypatch, scheme, mu_mode):
                     scheme=scheme, mu_mode=mu_mode, mu_scale=10.0,
                     sigma_rel=0.5)
     ref = per_period_simulation(cfg)
-    real = harness.sample_packets
-    draws = []  # (on the main thread, live threads) per sample_packets call
+    real = harness._draw
+    draws = []  # (on the main thread, live threads) per block draw
 
     def sample(*args):
         draws.append((threading.current_thread() is threading.main_thread(),
                       threading.active_count()))
         return real(*args)
 
-    monkeypatch.setattr(harness, "sample_packets", sample)
+    monkeypatch.setattr(harness, "_draw", sample)
     before = threading.active_count()
     runs = []
     interval = sys.getswitchinterval()
@@ -498,10 +504,11 @@ def test_draw_threads_counts_usable_cores(monkeypatch, affinity, cpu_count,
     assert harness._draw_threads(replications) == w
 
 
-def _failing_sample_packets(monkeypatch, fails):
-    """Patch harness.sample_packets to raise ValidationError on the call
-    ``fails(call_number)`` picks; calls are numbered from 1."""
-    real = harness.sample_packets
+def _failing_draw(monkeypatch, fails):
+    """Patch harness._draw, the closed loop's block draw, to raise
+    ValidationError on the call ``fails(call_number)`` picks; calls are
+    numbered from 1."""
+    real = harness._draw
     lock = threading.Lock()
     count = [0]
 
@@ -513,7 +520,7 @@ def _failing_sample_packets(monkeypatch, fails):
             raise ValidationError(f"injected failure on draw {n}")
         return real(*args)
 
-    monkeypatch.setattr(harness, "sample_packets", sample)
+    monkeypatch.setattr(harness, "_draw", sample)
 
 
 @pytest.mark.parametrize("where,w", [("third-call", 1), ("third-call", 2),
@@ -522,9 +529,9 @@ def _failing_sample_packets(monkeypatch, fails):
 def test_simulation_draw_failure_reraises_and_joins(monkeypatch, where, w):
     monkeypatch.setattr(harness, "_draw_threads", lambda replications: w)
     if where == "third-call":
-        _failing_sample_packets(monkeypatch, lambda n: n == 3)
+        _failing_draw(monkeypatch, lambda n: n == 3)
     else:
-        _failing_sample_packets(
+        _failing_draw(
             monkeypatch,
             lambda n: threading.current_thread() is not threading.main_thread())
     before = threading.active_count()
@@ -539,9 +546,9 @@ def test_simulation_draw_failure_reraises_and_joins(monkeypatch, where, w):
 def test_true_mu_fused_draw_failure_reraises_and_joins(monkeypatch, where, w):
     monkeypatch.setattr(harness, "_draw_threads", lambda replications: w)
     if where == "third-call":
-        _failing_sample_packets(monkeypatch, lambda n: n == 3)
+        _failing_draw(monkeypatch, lambda n: n == 3)
     else:
-        _failing_sample_packets(
+        _failing_draw(
             monkeypatch,
             lambda n: threading.current_thread() is not threading.main_thread())
     before = threading.active_count()
@@ -553,7 +560,7 @@ def test_true_mu_fused_draw_failure_reraises_and_joins(monkeypatch, where, w):
 
 def test_simulate_cli_exits_1_on_draw_failure(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(harness, "_draw_threads", lambda replications: 2)
-    _failing_sample_packets(monkeypatch, lambda n: n == 3)
+    _failing_draw(monkeypatch, lambda n: n == 3)
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("topology_kind = line\nn_nodes = 5\nn_flows = 3\n"
                    "budget = 0.02\nhorizon = 12\nblock_size = 4\n"

@@ -64,7 +64,8 @@ def test_trace_floor_clamps():
 
 @pytest.mark.parametrize("floor,rule", [(0.5, "integer packet counts"),
                                         (-1.0, "finite and >= 0"),
-                                        (np.nan, "finite and >= 0")])
+                                        (np.nan, "finite and >= 0"),
+                                        (1e19, r"at most 2\*\*53")])
 def test_trace_floor_must_be_a_packet_count(floor, rule):
     # a walk clamped at 0.5 would only fail later, in Trace, naming no floor
     fm = FlowModel(sigma2=[4.0 * 1e4], mu=[100.0])
@@ -214,6 +215,133 @@ def test_sampling_validation():
             sample_packets([100.0, bad], mm, np.zeros(mm.n_o), rng)
     with pytest.raises(TypeError):
         sample_packets([100.0, 50.0], mm, np.zeros(mm.n_o))
+
+
+def test_counts_stop_at_two_to_the_53():
+    # past 2**53 floats skip integers, and 1e19 would cast to a negative
+    # int64; the one count rule stops both, and admits the ceiling itself
+    with pytest.raises(ValidationError, match=r"^trace volumes must be at most 2\*\*53$"):
+        Trace(x=np.array([[2.0 ** 53 + 2, 5.0]]), source="file-replay")
+    mm = two_flow_mm()
+    top = Trace(x=np.array([[2.0 ** 53, 5.0]]), source="file-replay")
+    n = sample_packets(top.x[0], mm, np.ones(mm.n_o), np.random.default_rng(0))
+    assert n.tolist() == [2 ** 53, 2 ** 53, 5]
+
+
+# ------------------------------------------------------------------ grouped draw
+
+
+_P_MIN = 1e-3  # a sound draw fails each fixed-seed test below with this chance
+
+
+def chain_mm(hops):
+    """One flow (mu 5) along a line of hops + 1 routers: it crosses hops
+    observation points, one per router after the first."""
+    nodes = tuple(f"n{i}" for i in range(hops + 1))
+    t = TopologySpec(nodes=nodes, edges=bidir(zip(nodes, nodes[1:])),
+                     flows=(Flow(nodes[0], nodes[-1], sigma2=1.0, mu=5.0),),
+                     budgets={n: 0.3 for n in nodes})
+    return build_measurement_model(t)
+
+
+def pooled_tail(counts, expected):
+    """``counts`` with every bin from the last one expecting >= 5 on
+    pooled into that bin."""
+    last = np.flatnonzero(expected >= 5)[-1]
+    return np.append(counts[:last], counts[last:].sum())
+
+
+def test_grouped_draw_follows_the_summed_binomial_law():
+    stats = pytest.importorskip("scipy.stats")
+    mm = chain_mm(3)
+    xi = np.full(mm.n_o, 0.3)
+    plan = simulate._draw_plan(mm, xi)
+    assert [a.tolist() for a in plan] == [[0], [3], [0.3]]  # one group, K = 3
+    periods = 20_000
+    x = np.full((periods, 1), 5.0)
+    grouped = simulate._sample_flow_sums(x, mm, xi, np.random.default_rng(11),
+                                         plan)[:, 0]
+    assert np.array_equal(grouped, np.rint(grouped))
+    # three Binomial(5, 0.3) draws sum to one Binomial(15, 0.3)
+    expected = periods * stats.binom.pmf(np.arange(16), 15, 0.3)
+    observed = np.bincount(grouped.astype(np.int64), minlength=16)
+    assert stats.chisquare(pooled_tail(observed, expected),
+                           pooled_tail(expected, expected)).pvalue > _P_MIN
+    # and the same law as the summed counts of sample_packets
+    summed = sample_packets(x, mm, xi, np.random.default_rng(12)).sum(axis=1)
+    table = np.array([pooled_tail(observed, expected),
+                      pooled_tail(np.bincount(summed, minlength=16), expected)])
+    assert stats.chi2_contingency(table).pvalue > _P_MIN
+
+
+def test_grouped_draw_plans_one_draw_per_flow_and_rate():
+    mm = chain_mm(4)
+    xi = np.zeros(mm.n_o)
+    xi[mm.k_of] = [0.3, 0.0, 0.3, 0.5]  # along the path; other points unused
+    flow, mult, rate = simulate._draw_plan(mm, xi)
+    # the rate-0 point takes no draw; the two at 0.3 take one
+    assert flow.tolist() == [0, 0] and mult.tolist() == [2, 1]
+    assert rate.tolist() == [0.3, 0.5]
+    # at full rate every packet survives: each group returns K x
+    full = simulate._draw_plan(mm, np.ones(mm.n_o))
+    sums = simulate._sample_flow_sums([7.0], mm, np.ones(mm.n_o),
+                                      np.random.default_rng(0), full)
+    assert sums.tolist() == [28.0]
+    # and with every rate 0 there is nothing to draw
+    none = simulate._draw_plan(mm, np.zeros(mm.n_o))
+    assert all(a.size == 0 for a in none)
+    assert simulate._sample_flow_sums([[7.0], [3.0]], mm, np.zeros(mm.n_o),
+                                      np.random.default_rng(0),
+                                      none).tolist() == [[0.0], [0.0]]
+
+
+def test_grouped_block_draw_equals_one_period_draws():
+    mm = two_flow_mm()
+    xi = np.full(mm.n_o, 0.3)
+    xi[mm.k_of[1]] = 0.6  # flow 0 crosses one point at each rate
+    plan = simulate._draw_plan(mm, xi)
+    x = np.array([[120.0, 60.0], [0.0, 7.0], [95.0, 0.0], [3.0, 41.0]])
+    block_rng = np.random.default_rng(17)
+    step_rng = np.random.default_rng(17)
+    block = simulate._sample_flow_sums(x, mm, xi, block_rng, plan)
+    rows = np.stack([simulate._sample_flow_sums(row, mm, xi, step_rng, plan)
+                     for row in x])
+    assert block.shape == (4, mm.n_r)
+    assert block.tobytes() == rows.tobytes()
+    assert block_rng.bit_generator.state == step_rng.bit_generator.state
+
+
+def test_grouped_draw_shares_the_input_check():
+    mm = two_flow_mm()
+    rng = np.random.default_rng(0)
+    xi = np.full(mm.n_o, 0.3)
+    plan = simulate._draw_plan(mm, xi)
+    for x, rates, message in (
+            ([100.0], xi, "one entry per flow"),
+            ([100.0, 50.0], np.full(mm.n_o, 1.5), "must lie in"),
+            ([100.0, 50.5], xi, "integer packet counts"),
+            ([100.0, np.nan], xi, "finite and >= 0"),
+            ([1e19, 50.0], xi, r"at most 2\*\*53")):
+        for draw in (sample_packets, simulate._sample_flow_sums):
+            args = (plan,) if draw is simulate._sample_flow_sums else ()
+            with pytest.raises(ValidationError, match=message):
+                draw(x, mm, rates, rng, *args)
+
+
+def test_grouped_draw_rejects_products_past_int64():
+    mm = chain_mm(1)
+    xi = np.full(mm.n_o, 0.5)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    # a hand-made plan with K = 2**11: K x = 2**64 would wrap
+    wide = (np.array([0]), np.array([2 ** 11]), np.array([0.5]))
+    with pytest.raises(ValidationError, match="exceed int64"):
+        simulate._sample_flow_sums([2.0 ** 53], mm, xi, rng, wide)
+    assert rng.bit_generator.state == before
+    # at the count ceiling a plan of the model itself still draws
+    sums = simulate._sample_flow_sums([2.0 ** 53], mm, np.ones(mm.n_o), rng,
+                                      simulate._draw_plan(mm, np.ones(mm.n_o)))
+    assert sums.tolist() == [2.0 ** 53]
 
 
 # ------------------------------------------------------------------ fusion
