@@ -55,14 +55,15 @@ def _cmd_design(args) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     res = solve_scheme(args.scheme, p, fm, tol_theta=cfg.tol_theta)
     os.makedirs(args.out, exist_ok=True)
-    (theta,) = floats_text(res.theta, {})
+    theta, *xi = floats_text([res.theta, *res.xi])
     write_lines(os.path.join(args.out, "xi.csv"),
                 ["# flowdesign xi.csv v1", "op_id,xi"]
-                + [f"{k},{v}" for k, v in enumerate(floats_text(res.xi, {}), 1)])
+                + [f"{k},{v}" for k, v in enumerate(xi, 1)])
     write_lines(os.path.join(args.out, "theta.txt"), [theta])
-    if args.scheme == "steady_state":
-        write_lines(os.path.join(args.out, "socp.txt"),
-                    serialize_socp(export_canonical_socp(p, fm)).splitlines())
+    if args.scheme == "steady_state":  # the text ends each line in "\n"
+        with open(os.path.join(args.out, "socp.txt"), "w", newline="",
+                  encoding="utf-8") as fh:
+            fh.write(serialize_socp(export_canonical_socp(p, fm)))
     print(f"{res.scheme}: theta = {theta} over {mm.n_o} observation "
           f"points -> {args.out}")
     return 0
@@ -77,7 +78,7 @@ def _cmd_experiment(args) -> int:
     ms = run(cfg)
     write_metrics(ms, args.out, flows_dump=cfg.flows_dump)
     print(f"{args.command}[{ms.scheme}]: median max MSE "
-          f"{floats_text(ms.median, {})[0]} over "
+          f"{floats_text(ms.median)[0]} over "
           f"t={ms.window[0]}..{ms.window[1]} -> {args.out}")
     return 0
 

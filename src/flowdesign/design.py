@@ -15,7 +15,7 @@ dispatches a scheme name to its solver for the CLI and both runners:
   bracket as its certificate. No cone solver needed, but
   export_canonical_socp emits the equivalent second-order cone data
   for cross-checking against one, and serialize_socp its text form,
-  with floats from model.floats_text.
+  with all its floats formatted in one model.floats_text call.
 * myopic: max over xi of the minimum one-step-ahead posterior
   information given accumulated prior information, again an LP.
 * naive: split each router budget equally over its traversed
@@ -440,21 +440,24 @@ def serialize_socp(socp: CanonicalSocp) -> str:
         s
         <float>
 
-    Floats are written by model.floats_text with one memo for the whole
-    text, 17 significant digits, so parsing recovers the exact IEEE values.
+    All floats are formatted by one model.floats_text call, in stanza
+    order, 17 significant digits, so parsing recovers the exact values.
     """
-    texts: dict = {}
+    texts = model.floats_text(np.concatenate([socp.f, *(
+        a for c in socp.cones for a in (c.P.ravel(), c.q, c.r, [c.s]))]))
+    at = 0
 
-    def fmt(values) -> str:
-        return " ".join(model.floats_text(values, texts))
+    def fmt(count: int) -> str:  # the next ``count`` texts, as one line
+        nonlocal at
+        at += count
+        return " ".join(texts[at - count:at])
 
     lines = ["socp-canonical v1",
              f"nvars {socp.n} flow_cones {socp.n_flow_cones} "
              f"budget_cones {socp.n_budget_cones}",
-             "f", fmt(socp.f)]
+             "f", fmt(socp.n)]
     for idx, cone in enumerate(socp.cones, start=1):
-        lines.append(f"cone {idx} rows {cone.P.shape[0]}")
-        lines.append("P")
-        lines.extend(fmt(row) for row in cone.P)
-        lines += ["q", fmt(cone.q), "r", fmt(cone.r), "s", fmt(cone.s)]
+        h, n = cone.P.shape
+        lines += [f"cone {idx} rows {h}", "P", *(fmt(n) for _ in range(h)),
+                  "q", fmt(cone.q.size), "r", fmt(cone.r.size), "s", fmt(1)]
     return "\n".join(lines) + "\n"

@@ -21,8 +21,8 @@ from design.solve_scheme:
 Config files are flat `key = value` text; see _CONFIG_KEYS for the
 vocabulary (keys mirror ExperimentConfig fields). CSV outputs carry a
 versioned `#` comment header so downstream scripts can pin schemas; like
-every file the package writes, they go through model.write_lines (UTF-8,
-lines ended by "\n") with floats from model.floats_text.
+every file the package writes, they are UTF-8 with "\n" line ends, and
+their floats come from one or a few large model.floats_text calls.
 """
 
 from __future__ import annotations
@@ -448,27 +448,26 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
 
 def write_metrics(ms: MetricsSeries, outdir: str,
                   flows_dump: bool = False) -> None:
-    """Write metrics.csv and rates.csv (and optionally flows.csv), one
-    line at a time. metrics.csv and rates.csv keep one float memo each,
-    flows.csv one per period, so its memo holds at most one row."""
+    """Write metrics.csv and rates.csv (and optionally flows.csv). Each
+    file's floats are formatted in one call, flows.csv's one per period,
+    so it never holds more than one row's texts."""
     os.makedirs(outdir, exist_ok=True)
-    texts: dict = {}
-    (median,) = floats_text(ms.median, texts)
+    (median,) = floats_text(ms.median)
     write_lines(os.path.join(outdir, "metrics.csv"), chain(
         ["# flowdesign metrics.csv v1",
          f"# median_max_mse {median} window {ms.window[0]}..{ms.window[1]}",
          "t,max_mse,scheme"],
         (f"{int(t)},{v},{ms.scheme}"
-         for t, v in zip(ms.t, floats_text(ms.max_mse, texts)))))
-    texts = {}
+         for t, v in zip(ms.t, floats_text(ms.max_mse)))))
+    texts = iter(floats_text(ms.rates))
     write_lines(os.path.join(outdir, "rates.csv"), chain(
         ["# flowdesign rates.csv v1",
          "# block_starts " + " ".join(str(int(t)) for t in ms.block_starts),
          "block,op_id,xi"],
-        (f"{bi},{k},{v}" for bi, row in enumerate(ms.rates, 1)
-         for k, v in enumerate(floats_text(row, texts), 1))))
+        (f"{bi},{k},{next(texts)}" for bi in range(1, len(ms.rates) + 1)
+         for k in range(1, ms.rates.shape[1] + 1))))
     if flows_dump:
         write_lines(os.path.join(outdir, "flows.csv"), chain(
             ["# flowdesign flows.csv v1", "t,flow,mse"],
             (f"{int(t)},{i},{v}" for t, row in zip(ms.t, ms.per_flow_mse)
-             for i, v in enumerate(floats_text(row, {}), 1))))
+             for i, v in enumerate(floats_text(row), 1))))

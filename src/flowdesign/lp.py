@@ -273,7 +273,9 @@ def _assemble(lp: LinearProgram) -> _Rows:
     with np.errstate(over="ignore"):
         implied = (A_imp > 0) & (b_ub[bounding, None] < 0.5 * span[caps] * A_imp)
     kept = caps[~implied.any(axis=0)]
-    A = np.vstack([A_ub, np.eye(free.size)[kept], lp.A_eq[:, free]])
+    cap_rows = np.zeros((kept.size, free.size))
+    cap_rows[np.arange(kept.size), kept] = 1.0
+    A = np.vstack([A_ub, cap_rows, lp.A_eq[:, free]])
     scale = np.max(np.abs(A), axis=1, initial=0.0)
     scale = np.where(scale > 0, scale, 1.0)
     A = A / scale[:, None]

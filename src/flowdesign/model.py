@@ -79,15 +79,19 @@ def write_lines(path: str, lines) -> None:
             fh.write("\n".join(block) + "\n")
 
 
-def floats_text(values, texts: dict) -> list:
-    """Each of ``values`` as %.17g text, which parses back to the same
-    float64. ``texts`` maps float64 bits to text, so each distinct value
-    is formatted once per memo; it is keyed on bits because -0.0 == 0.0
-    but they print as -0 and 0. The caller scopes the memo (one per file
-    or per block of lines), since it keeps every distinct value's text."""
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    return [texts.get(bits) or texts.setdefault(bits, format(v, ".17g"))
-            for bits, v in zip(values.view(np.int64).tolist(), values.tolist())]
+def floats_text(values) -> list:
+    """Each of ``values`` (any shape, in C order) as %.17g text, which
+    parses back to the same float64. One vectorized pass formats each
+    distinct bit pattern once (-0.0 prints as -0); +0.0 skips the sort.
+    A call has a fixed cost: pass a whole file's floats, not short rows."""
+    bits = np.ravel(np.asarray(values, dtype=float)).view(np.int64)
+    nonzero = np.flatnonzero(bits)
+    distinct, inverse = np.unique(bits[nonzero], return_inverse=True)
+    formatted = [format(v, ".17g") for v in distinct.view(float).tolist()]
+    texts = np.empty(bits.size, dtype=object)
+    texts[:] = "0"
+    texts[nonzero] = np.array(formatted, dtype=object)[inverse]
+    return texts.tolist()
 
 
 def frozen(a: np.ndarray) -> np.ndarray:

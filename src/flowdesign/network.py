@@ -459,10 +459,11 @@ def save_topology(t: TopologySpec, dirpath: str) -> None:
     load_topology both produce."""
     links = _paired_links(t.edges)
     os.makedirs(dirpath, exist_ok=True)
-    texts: dict = {}
-    flows = ([f.origin, f.destination, *floats_text([f.sigma2, f.mu], texts)]
-             for f in t.flows)
-    budgets = zip(t.nodes, floats_text([t.budgets[n] for n in t.nodes], texts))
+    texts = iter(floats_text([v for f in t.flows for v in (f.sigma2, f.mu)]
+                             + [t.budgets[n] for n in t.nodes]))
+    flows = [[f.origin, f.destination, next(texts), next(texts)]
+             for f in t.flows]
+    budgets = zip(t.nodes, texts)  # the texts after the flows'
     for name, header, rows in (
             ("nodes.csv", "id", zip(t.nodes)), ("links.csv", "u,v", links),
             ("flows.csv", "origin,destination,sigma2,mu", flows),

@@ -29,7 +29,9 @@ different route, so agreement is meaningful:
   time, through the validating public functions and the library's
   grouped draw, with every block's design solved afresh.
 * float_texts: model.floats_text with every value formatted on its own,
-  where the library formats each distinct bit pattern once per memo.
+  where the library formats each distinct bit pattern once per call.
+* socp_text: serialize_socp's layout written line by line, where the
+  library formats the whole text's floats in one call.
 * parse_socp_text: serialize_socp's text read back, for round trips.
 * cone_residuals: each exported cone's slack at a point, for checking
   the cones against the steady-state feasible set.
@@ -530,8 +532,25 @@ def _first_present(mm, xi):
 
 
 def float_texts(values) -> list:
-    """The 17-significant-digit text of each of ``values``."""
-    return [format(float(v), ".17g") for v in np.atleast_1d(values)]
+    """The 17-significant-digit text of each of ``values`` (any shape,
+    read in C order), each formatted on its own."""
+    return [format(v, ".17g")
+            for v in np.ravel(np.asarray(values, dtype=float)).tolist()]
+
+
+def socp_text(socp: CanonicalSocp) -> str:
+    """serialize_socp's documented layout, each line's floats formatted
+    on their own."""
+    def line(values) -> str:
+        return " ".join(float_texts(values))
+
+    lines = ["socp-canonical v1",
+             f"nvars {socp.f.size} flow_cones {socp.n_flow_cones} "
+             f"budget_cones {socp.n_budget_cones}", "f", line(socp.f)]
+    for idx, cone in enumerate(socp.cones, start=1):
+        lines += [f"cone {idx} rows {len(cone.P)}", "P", *map(line, cone.P),
+                  "q", line(cone.q), "r", line(cone.r), "s", line(cone.s)]
+    return "".join(f"{ln}\n" for ln in lines)
 
 
 def parse_socp_text(text: str) -> CanonicalSocp:

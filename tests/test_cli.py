@@ -20,7 +20,10 @@ from flowdesign import (
     solve_steady_state_E,
     synth_topology,
 )
+from flowdesign import cli
 from flowdesign.cli import main
+
+from oracles import float_texts, socp_text
 
 
 @pytest.fixture()
@@ -67,6 +70,34 @@ def test_synth_validate_design_round_trip(bundle, tmp_path, capsys):
     assert float((out / "theta.txt").read_text()) == res.theta
     assert (out / "socp.txt").read_text() == serialize_socp(
         export_canonical_socp(p, fm))
+
+
+def test_design_files_match_per_value_oracle(tmp_path, monkeypatch):
+    bundle = str(tmp_path / "grid")
+    save_topology(synth_topology("grid", rows=4, cols=4, budget=0.02, seed=1),
+                  bundle)
+    seen = {}
+
+    def keep(key, fn):
+        def kept(*args, **kw):
+            seen[key] = fn(*args, **kw)
+            return seen[key]
+        return kept
+
+    monkeypatch.setattr(cli, "solve_scheme", keep("res", cli.solve_scheme))
+    monkeypatch.setattr(cli, "export_canonical_socp",
+                        keep("socp", cli.export_canonical_socp))
+    out = tmp_path / "design"
+    assert main(["design", "--topology", bundle, "--out", str(out)]) == 0
+    res = seen["res"]
+    assert (out / "xi.csv").read_bytes().decode().split("\n") == [
+        "# flowdesign xi.csv v1", "op_id,xi",
+        *(f"{k},{v}" for k, v in enumerate(float_texts(res.xi), 1)), ""]
+    assert (out / "theta.txt").read_bytes().decode() == (
+        float_texts(res.theta)[0] + "\n")
+    text = (out / "socp.txt").read_bytes().decode()
+    assert text == socp_text(seen["socp"])
+    assert " -0 " in text  # budget cones negate zero entries of R
 
 
 @pytest.mark.parametrize("scheme,solver", [

@@ -873,8 +873,7 @@ def test_socp_round_trip_exact():
 
 def _oracle_text(socp, monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(design.model, "floats_text",
-                  lambda values, texts: float_texts(values))
+        m.setattr(design.model, "floats_text", float_texts)
         return serialize_socp(socp)
 
 

@@ -32,7 +32,7 @@ from flowdesign import (
 )
 from flowdesign import cli, simulate
 
-from oracles import per_period_simulation, riccati_bisect
+from oracles import float_texts, per_period_simulation, riccati_bisect
 
 
 def synth_cfg(**kw):
@@ -765,6 +765,48 @@ def test_write_metrics_formats(tmp_path, monkeypatch):
     for path in written:
         with open(path, "rb") as fh:
             assert b"\r" not in fh.read(), path
+
+
+def _per_value_metrics(ms) -> dict:
+    """write_metrics' three files, line by line, with every float
+    formatted on its own."""
+    (median,) = float_texts(ms.median)
+    return {
+        "metrics.csv": [
+            "# flowdesign metrics.csv v1",
+            f"# median_max_mse {median} window {ms.window[0]}..{ms.window[1]}",
+            "t,max_mse,scheme",
+            *(f"{t},{format(v, '.17g')},{ms.scheme}"
+              for t, v in zip(ms.t.tolist(), ms.max_mse.tolist()))],
+        "rates.csv": [
+            "# flowdesign rates.csv v1",
+            "# block_starts " + " ".join(map(str, ms.block_starts.tolist())),
+            "block,op_id,xi",
+            *(f"{b},{k},{format(v, '.17g')}"
+              for b, row in enumerate(ms.rates.tolist(), 1)
+              for k, v in enumerate(row, 1))],
+        "flows.csv": [
+            "# flowdesign flows.csv v1", "t,flow,mse",
+            *(f"{t},{i},{format(v, '.17g')}"
+              for t, row in zip(ms.t.tolist(), ms.per_flow_mse.tolist())
+              for i, v in enumerate(row, 1))]}
+
+
+def test_write_metrics_matches_per_value_oracle(tmp_path):
+    # rows of rates repeat across blocks, and -0.0 sits next to +0.0
+    rates = np.array([[0.25, -0.0, 1 / 3, 0.0], [0.25, -0.0, 1 / 3, 0.0],
+                      [5e-324, 0.25, 0.25, 1 / 3]])
+    per_flow = np.array([[1.5, np.inf, -0.0], [1 / 3, 1 / 3, 2.0],
+                         [0.0, 1.5, 1e308], [2.0, 2.0, 2.0],
+                         [-0.0, np.nan, 1 / 3]])
+    ms = harness.MetricsSeries(
+        t=np.arange(1, 6), max_mse=per_flow.max(axis=1),
+        per_flow_mse=per_flow, block_starts=np.array([1, 3, 5]), rates=rates,
+        median=-0.0, window=(2, 5), scheme="myopic")
+    out = tmp_path / "out"
+    write_metrics(ms, str(out), flows_dump=True)
+    for name, lines in _per_value_metrics(ms).items():
+        assert (out / name).read_bytes().decode().split("\n") == lines + [""]
 
 
 def test_flows_dump_only_when_asked(tmp_path):

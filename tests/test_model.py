@@ -21,6 +21,7 @@ from flowdesign import (
     validate_problem,
 )
 from flowdesign import design
+from flowdesign.model import floats_text
 
 
 def test_flow_model_basic():
@@ -231,3 +232,23 @@ def test_array_value_types_compare_by_identity(name):
     assert type(a).__name__ == name
     assert a == a
     assert a != b
+
+
+# 24 values: both zeros, both infinities, a NaN, the least subnormal, a
+# value with 17 significant digits, a huge negative one, and repeats
+_ODD_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1 / 3, -1e308,
+               0.0, -0.0, 1 / 3, 5e-324, -1e308, np.nan, 2.5, 2.5,
+               -0.0, 1e-300, 1 / 3, 0.0, -np.inf, 7.0, 7.0, -0.0]
+
+
+@pytest.mark.parametrize("shape", [(24,), (4, 6)])
+def test_floats_text_matches_per_value_format(shape):
+    a = np.array(_ODD_FLOATS).reshape(shape)
+    for values in (a, a.T):  # a 2-D a.T is not C-contiguous
+        assert floats_text(values) == [format(v, ".17g")
+                                       for v in values.ravel().tolist()]
+
+
+def test_floats_text_empty():
+    assert floats_text([]) == []
+    assert floats_text(np.empty((0, 3))) == []
