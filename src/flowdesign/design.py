@@ -26,7 +26,7 @@ Every solver re-substitutes its output into the constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -226,17 +226,17 @@ def solve_steady_state_E(p: DesignProblem, fm: FlowModel,
     warnings: list = []
     c = 1.0 / fm.sigma2
     zero_rows = np.where(np.max(p.J, axis=1) <= 0.0)[0]
-    # every LP in order, each warm-started from the last. Only the last
-    # keeps its reuse record (program and rows; see lp): a superseded LP
-    # is read only for its pivots and perturbation flag
-    sols: list = []
+    # only the latest LP is kept (with its reuse record: program and
+    # rows; see lp), as the next one's warm start; every LP leaves its
+    # pivots and perturbation flag in stats
+    last = None
+    stats: list = []
 
     def solve(slopes, offsets) -> LpSolution:
-        sol = _theta_lp(p, slopes, offsets, sols[-1] if sols else None)
-        if sols:
-            sols[-1] = replace(sols[-1], _rows=None)
-        sols.append(sol)
-        return sol
+        nonlocal last
+        last = _theta_lp(p, slopes, offsets, last)
+        stats.append((last.iterations, last.perturbed))
+        return last
 
     def witness(sol: LpSolution):
         """The LP's design and its minimum steady-state information."""
@@ -254,7 +254,7 @@ def solve_steady_state_E(p: DesignProblem, fm: FlowModel,
         warnings.append(f"flows {zero_rows.tolist()} are unobservable; theta* = 0")
         hi = 0.0
     while hi - lo > tol_theta * hi:
-        if len(sols) == 2 and lo == 0.0:
+        if len(stats) == 2 and lo == 0.0:
             # theta* = 0 exactly when the classical optimum min_i (J xi)_i
             # is 0 (say, all budgets 0); the cuts would only halve hi.
             # A warm start can certify theta ~1e-22 there, and a starved
@@ -271,15 +271,15 @@ def solve_steady_state_E(p: DesignProblem, fm: FlowModel,
                                                          fm.sigma2)))
                     lo, hi, xi_best = theta_w, max(top, theta_w), xi
                     break
-        if len(sols) >= _CUT_MAX_ROUNDS:
-            warnings.append(f"gap {hi - lo!r} still open after {len(sols)} cut LPs")
+        if len(stats) >= _CUT_MAX_ROUNDS:
+            warnings.append(f"gap {hi - lo!r} still open after {len(stats)} cut LPs")
             break
         t = hi
         sol = solve(t * (t + 2.0 * c) / (t + c) ** 2, c * t * t / (t + c) ** 2)
         if not sol.ok:
             # a cut LP is never infeasible or unbounded in exact arithmetic
             # (theta = 0 fits any budget-feasible xi); keep the last bracket
-            warnings.append(f"cut LP {len(sols)} ended {sol.status}; bracket kept")
+            warnings.append(f"cut LP {len(stats)} ended {sol.status}; bracket kept")
             break
         xi, theta_w = witness(sol)
         if theta_w > lo:
@@ -290,9 +290,9 @@ def solve_steady_state_E(p: DesignProblem, fm: FlowModel,
     info = steady_state_info(m, fm.sigma2)
     theta = float(np.min(info))
     _check_certificate(theta, m, fm.sigma2, (lo, hi))
-    diagnostics = {"warnings": warnings, "bisection_iterations": len(sols),
-                   "lp_pivots": sum(s.iterations for s in sols),
-                   "lp_perturbed": any(s.perturbed for s in sols),
+    diagnostics = {"warnings": warnings, "bisection_iterations": len(stats),
+                   "lp_pivots": sum(pivots for pivots, _ in stats),
+                   "lp_perturbed": any(perturbed for _, perturbed in stats),
                    "theta_bracket": (lo, hi), "tol_theta": tol_theta}
     return DesignResult(xi=xi_best, theta=theta, scheme="steady_state",
                         info=info, diagnostics=diagnostics)

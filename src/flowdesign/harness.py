@@ -12,11 +12,11 @@ from design.solve_scheme:
   at block boundaries (plug-in means from the filter when
   mu_mode=plugin), sample, fuse, filter, and report squared errors
   averaged over replications. Replications advance block by block in
-  lockstep on one (R, n_r) filter state; the packet draws of W of them
-  (one per usable core) run at once, on the caller and W - 1 threads,
-  and each is fused there. The mu modes differ only in the designs and
-  in the mean that the information m divides by; the outputs are
-  byte-identical for every W.
+  lockstep on one (R, n_r) filter state; each block's packet draws run
+  on a pool of W threads (one per usable core), one task per
+  replication, and each is fused there. The mu modes differ only in the
+  designs and in the mean that the information m divides by; the
+  outputs are byte-identical for every W.
 
 Config files are flat `key = value` text; see _CONFIG_KEYS for the
 vocabulary (keys mirror ExperimentConfig fields). CSV outputs carry a
@@ -333,13 +333,6 @@ def _draw(x, mm, xi, rng, rate_sum, plan):
     return _fuse(_sample_flow_sums(x, mm, xi, rng, plan), rate_sum)
 
 
-def _draw_group(pool, arg_lists):
-    """_draw(*args) for each of ``arg_lists``, in order: the first on the
-    caller, the others on ``pool`` at the same time."""
-    futures = [pool.submit(_draw, *args) for args in arg_lists[1:]]
-    return [_draw(*arg_lists[0])] + [f.result() for f in futures]
-
-
 def _draw_threads(replications: int) -> int:
     """W, the number of replications whose packets are drawn at once: one
     per usable core, at most one per replication."""
@@ -359,13 +352,13 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
     estimates exist yet, and the naive design is solved once per run.
     Replications advance in lockstep on one (R, n_r) filter state. A
     block is one draw per replication on its (B, n_r) slice of the
-    trace (the same values as B one-period draws), W at a time
-    (W = usable cores, at most R): one on the caller and W - 1 on a
-    thread pool. A draw takes one Binomial(K x, r) per flow and distinct
-    rate r on its path, K the flow's measurements at r: the law of their
-    summed counts, which is all the fusion reads. Each design result
-    carries its per-flow rate sums and this draw plan, built once with
-    it.
+    trace (the same values as B one-period draws), each a task on a pool
+    of W threads (W = usable cores, at most R) that writes its fused
+    block into the replication's row. A draw takes one Binomial(K x, r)
+    per flow and distinct rate r on its path, K the flow's measurements
+    at r: the law of their summed counts, which is all the fusion reads.
+    Each design result carries its per-flow rate sums and this draw
+    plan, built once with it.
 
     Under plugin each replication solves the run's problem with J from
     its clamped filter means (the logged rates are replication 0's). Under
@@ -389,7 +382,6 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
             for stream in np.random.SeedSequence(cfg.seed).spawn(R)]
     info = np.zeros((R, fm.n_r))
     mean = np.tile(fm.mu, (R, 1))
-    W = _draw_threads(R)
 
     sq_sum = np.zeros((T, fm.n_r))
     rates = np.zeros((block_starts.size, mm.n_o))
@@ -412,7 +404,7 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
 
     # imported here so design and idealized runs do not load its logging
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max(W - 1, 1)) as pool:
+    with ThreadPoolExecutor(_draw_threads(R)) as pool:
         for bi, t0 in enumerate(block_starts - 1):
             scheme = cfg.scheme
             if t0 == 0 and cfg.warmup_scheme == "naive":
@@ -424,10 +416,12 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
             rates[bi] = designs[0][0]
             rate_sum = np.stack([s for _, s, _ in designs])
             out = np.empty((R,) + x.shape)  # fused y, then posterior means
-            args = [(x, mm, xi, rng, s, plan)
-                    for (xi, s, plan), rng in zip(designs, rngs)]
-            for g0 in range(0, R, W):  # W replications drawn at once
-                out[g0:g0 + W] = _draw_group(pool, args[g0:g0 + W])
+
+            def draw(r):  # replication r's fused block, into its row of out
+                xi, s, plan = designs[r]
+                out[r] = _draw(x, mm, xi, rngs[r], s, plan)
+
+            list(pool.map(draw, range(R)))  # re-raises the first failed draw
             for b in range(x.shape[0]):  # one update per period steps all R rows
                 mu_hat = np.maximum(mean, _MU_FLOOR) if plugin else fm.mu
                 info, mean = _update(info, mean, fm.sigma2, rate_sum / mu_hat,

@@ -33,10 +33,11 @@ class ValidationError(FlowDesignError):
 
 
 def read_text(path: str) -> str:
-    """The file's text as UTF-8, whatever the locale; a ValidationError
-    names the file and the line of the first byte that is not UTF-8."""
+    """The file's text as UTF-8, whatever the locale, without a leading
+    byte-order mark; a ValidationError names the file and the line of the
+    first byte that is not UTF-8."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -1,4 +1,5 @@
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -7,11 +8,14 @@ import pytest
 
 import flowdesign
 from flowdesign import (
+    ConfigError,
     build_measurement_model,
     design_problem,
     export_canonical_socp,
     flow_model,
     load_topology,
+    load_trace,
+    parse_config,
     save_topology,
     serialize_socp,
     solve_classical_E,
@@ -413,6 +417,51 @@ def test_non_utf8_trace_exits_1(bundle, tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: walk.csv: line 3 is not UTF-8")
     assert "Traceback" not in proc.stderr
+
+
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark some editors write first
+
+
+def with_bom(path, to=None):
+    """Write ``path``'s bytes behind a byte-order mark to ``to`` (default:
+    ``path`` itself); returns the path written, as a string."""
+    to = pathlib.Path(path if to is None else to)
+    to.write_bytes(BOM + pathlib.Path(path).read_bytes())
+    return str(to)
+
+
+def test_config_with_bom_reads_as_without(bundle, tmp_path):
+    cfg = write_cfg(tmp_path, bundle)  # topology_dir is its first key
+    assert parse_config(with_bom(cfg, tmp_path / "bom.cfg")) == parse_config(cfg)
+
+
+def test_bundle_with_bom_reads_as_without(bundle, tmp_path):
+    import shutil
+    marked = tmp_path / "marked"
+    shutil.copytree(bundle, marked)
+    for name in ("nodes.csv", "links.csv", "flows.csv", "budgets.csv"):
+        with_bom(marked / name)
+    assert load_topology(str(marked)) == load_topology(bundle)
+
+
+def test_trace_with_bom_reads_as_without(tmp_path):
+    plain = tmp_path / "walk.csv"
+    plain.write_bytes(b"t,flow_1,flow_2\n1,5,7\n2,6,8\n")
+    marked = load_trace(with_bom(plain, tmp_path / "bom.csv"))
+    assert np.array_equal(marked.x, load_trace(str(plain)).x)
+
+
+@pytest.mark.parametrize("data,line", [
+    (b"# caf\xc3\xa9 is UTF-8\nhorizon = 10\nscheme = \xff\n", 3),
+    (b"a\n\xff\n", 2),  # the bad byte sits within three bytes of a line end
+])
+def test_bad_byte_after_bom_keeps_its_line_number(tmp_path, data, line):
+    for name, text in (("plain.cfg", data), ("bom.cfg", BOM + data)):
+        cfg = tmp_path / name
+        cfg.write_bytes(text)
+        with pytest.raises(ConfigError,
+                           match=f"{name}: line {line} is not UTF-8$"):
+            parse_config(str(cfg))
 
 
 @pytest.mark.parametrize("volume", ["1000.5", "-3", "inf", "nan"])

@@ -449,7 +449,8 @@ def test_stacked_true_mu_filter_matches_per_period_oracle(scheme,
 @pytest.mark.parametrize("mu_mode", ["true_mu", "plugin"])
 @pytest.mark.parametrize("scheme", ["myopic", "steady_state"])
 def test_simulation_independent_of_draw_threads(monkeypatch, scheme, mu_mode):
-    # 5 replications: the last group of every W > 1 is a partial one
+    # 5 replications: more tasks than workers for every W, and for W > 1
+    # not a multiple of W
     cfg = synth_cfg(horizon=11, block_size=4, replications=5, seed=8,
                     scheme=scheme, mu_mode=mu_mode, mu_scale=10.0,
                     sigma_rel=0.5)
@@ -472,10 +473,10 @@ def test_simulation_independent_of_draw_threads(monkeypatch, scheme, mu_mode):
             monkeypatch.setattr(harness, "_draw_threads", lambda replications: w)
             draws.clear()
             runs.append(run_simulation(cfg))
-            # the caller draws one replication of each group itself, so
-            # W = 1 starts no thread and W > 1 at most W - 1 workers
-            assert max(live for _, live in draws) <= before + w - 1
-            assert all(on_main for on_main, _ in draws) == (w == 1)
+            # every draw runs on the run's pool of at most W workers,
+            # W = 1 included, and the pool is joined when the run ends
+            assert max(live for _, live in draws) <= before + w
+            assert not any(on_main for on_main, _ in draws)
             assert threading.active_count() == before
     finally:
         sys.setswitchinterval(interval)
