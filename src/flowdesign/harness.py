@@ -80,10 +80,10 @@ class ExperimentConfig:
     mu_scale: float | None = None
     sigma_rel: float | None = None
     budget: float | None = None
-    # trace: replay file, or a seeded synthetic walk
+    # trace: replay file, or a seeded synthetic walk (unset: seed 1, floor 1)
     trace_file: str | None = None
-    trace_seed: int = 1
-    trace_floor: float = 1.0
+    trace_seed: int | None = None
+    trace_floor: float | None = None
     # experiment
     scheme: str = "steady_state"
     horizon: int = 200
@@ -112,12 +112,9 @@ class ExperimentConfig:
                               ("warmup_scheme", _WARMUP)):
             if getattr(self, name) not in allowed:
                 raise ConfigError(name, f"must be one of {', '.join(allowed)}")
-        if self.horizon < 1:
-            raise ConfigError("horizon", "must be >= 1")
-        if self.block_size < 1:
-            raise ConfigError("block_size", "must be >= 1")
-        if self.replications < 1:
-            raise ConfigError("replications", "must be >= 1")
+        for name in ("horizon", "block_size", "replications"):
+            if getattr(self, name) < 1:
+                raise ConfigError(name, "must be >= 1")
         if not (0 < self.cap <= 1):
             raise ConfigError("cap", "must lie in (0, 1]")
         if not (math.isfinite(self.tol_theta) and self.tol_theta > 0):
@@ -126,8 +123,12 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ConfigError(name, "must be >= 0")
-        if fault := _count_fault(self.trace_floor):  # the walk clamps at it
+        if self.trace_floor is not None and (  # the walk clamps at it
+                fault := _count_fault(self.trace_floor)):
             raise ConfigError("trace_floor", f"must be {fault}")
+        for name in ("topology_dir", "trace_file"):
+            if getattr(self, name) == "":
+                raise ConfigError(name, "must not be empty")
         if (self.topology_dir is None) == (self.topology_kind is None):
             raise ConfigError(
                 "topology_dir", "give exactly one of topology_dir or topology_kind")
@@ -138,10 +139,13 @@ class ExperimentConfig:
                 1 <= self.median_window_start <= self.horizon):
             raise ConfigError("median_window_start",
                               "must lie in [1, horizon]")
-        if self.topology_dir is not None:  # the bundle fixes what these would generate
-            for key in _SYNTH_KEYS:
+        # a bundle leaves the synth keys unread, a replayed file the walk's
+        for source, keys, only in (
+                (self.topology_dir, _SYNTH_KEYS, "with topology_kind"),
+                (self.trace_file, ("trace_seed", "trace_floor"), "without trace_file")):
+            for key in keys if source is not None else ():
                 if getattr(self, key) is not None:
-                    raise ConfigError(key, "applies only with topology_kind")
+                    raise ConfigError(key, f"applies only {only}")
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,
@@ -162,16 +166,9 @@ _KINDS = {int: (numbers.Integral, "an integer"),
           _to_bool: (bool, "a boolean"), str: (str, "a string")}
 
 
-def _config_converters():
-    out = {}
-    for f in fields(ExperimentConfig):
-        base = f.type.replace(" | None", "")
-        out[f.name] = {"int": int, "float": float, "bool": _to_bool,
-                       "str": str}[base]
-    return out
-
-
-_CONFIG_KEYS = _config_converters()
+# each config key's converter, from its annotated type
+_CONFIG_KEYS = {f.name: {"int": int, "float": float, "bool": _to_bool, "str": str}[
+    f.type.replace(" | None", "")] for f in fields(ExperimentConfig)}
 # the synthetic generator's inputs: with topology_dir they would go unread
 _SYNTH_KEYS = ("topology_seed", "n_nodes", "rows", "cols", "n_links", "n_flows",
                "flow_fraction", "mu_scale", "sigma_rel", "budget")
@@ -227,9 +224,7 @@ def _series(cfg: ExperimentConfig, per_flow: np.ndarray,
     """Series over t = 1..horizon; the median of max MSE is taken over
     [median_window_start (default floor(0.2 T) + 1), T]."""
     T = cfg.horizon
-    start = cfg.median_window_start
-    if start is None:
-        start = math.floor(0.2 * T) + 1
+    start = cfg.median_window_start or math.floor(0.2 * T) + 1
     max_mse = per_flow.max(axis=1)
     return MetricsSeries(
         t=np.arange(1, T + 1), max_mse=max_mse, per_flow_mse=per_flow,
@@ -266,14 +261,13 @@ def _get_trace(cfg: ExperimentConfig, fm: FlowModel) -> Trace:
             raise ConfigError("horizon",
                               f"exceeds trace length {trace.T}")
         return Trace(x=trace.x[:cfg.horizon], source=trace.source)
-    return gen_random_walk_trace(fm, cfg.horizon, seed=cfg.trace_seed,
-                                 floor=cfg.trace_floor)
+    return gen_random_walk_trace(
+        fm, cfg.horizon, seed=1 if cfg.trace_seed is None else cfg.trace_seed,
+        floor=1.0 if cfg.trace_floor is None else cfg.trace_floor)
 
 
 def _mse_from_info(info: np.ndarray) -> np.ndarray:
-    out = np.full(info.shape, np.inf)
-    np.divide(1.0, info, out=out, where=info > 0)
-    return out
+    return np.divide(1.0, info, out=np.full(info.shape, np.inf), where=info > 0)
 
 
 def run_idealized(cfg: ExperimentConfig) -> MetricsSeries:
@@ -295,7 +289,9 @@ def run_idealized(cfg: ExperimentConfig) -> MetricsSeries:
     block_size and warmup_scheme are ignored: with the true means known
     there is nothing to wait for, so the fixed schemes hold from t = 1
     with no warm-up block, and myopic tracks the exact information
-    recursion, one design (and one logged rate row) per period.
+    recursion, one design (and one logged rate row) per period. With no
+    draws, seed, replications and the trace keys are ignored too (a
+    trace_file is not even opened).
     """
     if cfg.mu_mode != "true_mu":
         raise ConfigError("mu_mode", "run_idealized requires true_mu")
@@ -326,11 +322,11 @@ def run_idealized(cfg: ExperimentConfig) -> MetricsSeries:
     return _series(cfg, per_flow, block_starts, rates, meta)
 
 
-def _draw(x, mm, xi, rng, rate_sum, plan):
-    """One replication's block draw on the (B, n_r) volumes ``x``: one
+def _draw(counts, rng, rate_sum, plan):
+    """One replication's block draw on the (B, n_r) int64 ``counts``: one
     binomial per (flow, K, rate) group of ``plan`` and period, returned
     as the (B, n_r) fused observations y = sum n / rate_sum per flow."""
-    return _fuse(_sample_flow_sums(x, mm, xi, rng, plan), rate_sum)
+    return _fuse(_sample_flow_sums(counts, rng, plan, rate_sum.size), rate_sum)
 
 
 def _draw_threads(replications: int) -> int:
@@ -358,7 +354,10 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
     per flow and distinct rate r on its path, K the flow's measurements
     at r: the law of their summed counts, which is all the fusion reads.
     Each design result carries its per-flow rate sums and this draw
-    plan, built once with it.
+    plan, built once with it. The draws check nothing again (the Trace
+    checked the volumes, check_design_output the rates): they read each
+    block's int64 counts, converted once per block, and that K x fits in
+    int64 is checked once per run.
 
     Under plugin each replication solves the run's problem with J from
     its clamped filter means (the logged rates are replication 0's). Under
@@ -373,6 +372,10 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
     """
     mm, fm, p, warnings = load_instance(cfg)
     trace = _get_trace(cfg, fm)
+    # a plan's K for a flow is at most its measurement count k
+    most = zip(trace.x.max(axis=0).tolist(), np.bincount(mm.l_of, minlength=fm.n_r))
+    if any(round(x) * int(k) >= 2 ** 63 for x, k in most):
+        raise ValidationError("volumes times measurements per rate exceed int64")
     T = cfg.horizon
     B = cfg.block_size
     R = cfg.replications
@@ -410,6 +413,7 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
             if t0 == 0 and cfg.warmup_scheme == "naive":
                 scheme = "naive"
             x = trace.x[t0:t0 + B]
+            counts = np.rint(x).astype(np.int64)
             designs = ([design(scheme, np.maximum(mean[r], _MU_FLOOR), info[r])
                         for r in range(R)] if plugin
                        else [design(scheme, fm.mu, info[0])] * R)
@@ -418,8 +422,8 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
             out = np.empty((R,) + x.shape)  # fused y, then posterior means
 
             def draw(r):  # replication r's fused block, into its row of out
-                xi, s, plan = designs[r]
-                out[r] = _draw(x, mm, xi, rngs[r], s, plan)
+                _, s, plan = designs[r]
+                out[r] = _draw(counts, rngs[r], s, plan)
 
             list(pool.map(draw, range(R)))  # re-raises the first failed draw
             for b in range(x.shape[0]):  # one update per period steps all R rows

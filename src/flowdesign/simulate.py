@@ -103,22 +103,6 @@ def gen_random_walk_trace(fm: FlowModel, T: int, seed: int = 0,
     return Trace(x=out, source="synthetic-random-walk")
 
 
-def _draw_input(x_t, mm: MeasurementModel, xi):
-    """The checked inputs of a packet draw: the int64 counts of ``x_t``,
-    one period (n_r,) or a block (B, n_r), and the float rates ``xi``."""
-    x_t = np.atleast_1d(np.asarray(x_t, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if x_t.ndim > 2 or x_t.shape[-1] != mm.n_r or x_t.size == 0:
-        raise ValidationError("x_t must have one entry per flow in each period")
-    if xi.shape != (mm.n_o,):
-        raise ValidationError("xi must have one entry per observation point")
-    if np.any(xi < 0) or np.any(xi > 1) or not np.all(np.isfinite(xi)):
-        raise ValidationError("sampling rates must lie in [0, 1]")
-    if fault := _count_fault(x_t):
-        raise ValidationError(f"volumes must be {fault}")
-    return np.rint(x_t).astype(np.int64), xi
-
-
 def sample_packets(x_t, mm: MeasurementModel, xi, rng) -> np.ndarray:
     """Binomially thin each flow at each observation point it crosses.
 
@@ -130,8 +114,18 @@ def sample_packets(x_t, mm: MeasurementModel, xi, rng) -> np.ndarray:
     measurements take no draw (the generator returns 0 for p = 0 without
     consuming its stream).
     """
-    counts, xi = _draw_input(x_t, mm, xi)
-    return rng.binomial(counts[..., mm.l_of], xi[mm.k_of])
+    x_t = np.atleast_1d(np.asarray(x_t, dtype=float))
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if x_t.ndim > 2 or x_t.shape[-1] != mm.n_r or x_t.size == 0:
+        raise ValidationError("x_t must have one entry per flow in each period")
+    if xi.shape != (mm.n_o,):
+        raise ValidationError("xi must have one entry per observation point")
+    if np.any(xi < 0) or np.any(xi > 1) or not np.all(np.isfinite(xi)):
+        raise ValidationError("sampling rates must lie in [0, 1]")
+    if fault := _count_fault(x_t):
+        raise ValidationError(f"volumes must be {fault}")
+    return rng.binomial(np.rint(x_t).astype(np.int64)[..., mm.l_of],
+                        xi[mm.k_of])
 
 
 def _draw_plan(mm: MeasurementModel, xi):
@@ -144,19 +138,17 @@ def _draw_plan(mm: MeasurementModel, xi):
     return key // rates.size, mult, rates[key % rates.size]
 
 
-def _sample_flow_sums(x_t, mm: MeasurementModel, xi, rng, plan):
-    """Each flow's sampled packets, summed over its observation points:
-    shape (n_r,) or (B, n_r) like ``x_t``, float64. ``plan`` is
-    _draw_plan(mm, xi); each of its groups (flow i, K, r) takes one
-    Binomial(K x_i, r) draw, which has the law of the sum of flow i's K
-    draws in sample_packets. Row b of a block equals what a one-period
-    call on row b would draw next from ``rng``."""
-    counts, _ = _draw_input(x_t, mm, xi)
+def _sample_flow_sums(counts, rng, plan, n_r: int):
+    """Each of the n_r flows' sampled packets, summed over its observation
+    points: shape (n_r,) or (B, n_r) like the int64 volumes ``counts``,
+    float64. ``plan`` is _draw_plan(mm, xi); each of its groups (flow i,
+    K, r) takes one Binomial(K x_i, r) draw, which has the law of the sum
+    of flow i's K draws in sample_packets. Row b of a block equals what a
+    one-period call on row b would draw next from ``rng``. Nothing is
+    checked here: the caller's Trace holds the counts, its design the
+    rates, and K x must fit in int64."""
     flow, mult, rate = plan
-    volume = counts[..., flow]
-    if np.any(volume > np.iinfo(np.int64).max // mult):
-        raise ValidationError("volumes times measurements per rate exceed int64")
-    return _flow_sums(rng.binomial(volume * mult, rate), flow, mm.n_r)
+    return _flow_sums(rng.binomial(counts[..., flow] * mult, rate), flow, n_r)
 
 
 def fuse_gls(n, mm: MeasurementModel, xi, mu_plugin):

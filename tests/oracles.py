@@ -471,8 +471,8 @@ def per_period_simulation(cfg):
     Every block's design is solved afresh, on the problem remapped to
     the plug-in means under mu_mode=plugin, with its draw plan. Every
     period is sampled by one grouped draw (simulate._sample_flow_sums on
-    the one period), then fused and filtered by one call each of
-    fuse_gls and predict_update: fuse_gls gets each flow's summed count
+    the one period's int64 counts), then fused and filtered by one call
+    each of fuse_gls and predict_update: fuse_gls gets each flow's summed count
     at the flow's first measurement of positive rate, which it adds back
     to the same sum. Under plugin the fusion mean is taken from the
     filter each period, clamped at the harness floor.
@@ -510,8 +510,9 @@ def per_period_simulation(cfg):
                 plan = simulate._draw_plan(mm, xi)
                 first = _first_present(mm, xi)
             n = np.zeros(mm.n_g)
-            n[first] = simulate._sample_flow_sums(trace.x[t - 1], mm, xi, rng,
-                                                  plan)[mm.l_of[first]]
+            counts = np.rint(trace.x[t - 1]).astype(np.int64)
+            n[first] = simulate._sample_flow_sums(counts, rng, plan,
+                                                  mm.n_r)[mm.l_of[first]]
             y, m = fuse_gls(n, mm, xi, mu_hat)
             info, mean = predict_update(info, mean, fm, m, y)
             sq_sum[t - 1] += (mean - trace.x[t - 1]) ** 2

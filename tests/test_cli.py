@@ -24,7 +24,7 @@ from flowdesign import (
     solve_steady_state_E,
     synth_topology,
 )
-from flowdesign import cli
+from flowdesign import cli, harness
 from flowdesign.cli import main
 
 from oracles import float_texts, socp_text
@@ -232,6 +232,44 @@ def test_synth_key_next_to_topology_dir_exits_2(bundle, tmp_path, capsys, key, v
     assert f"config field '{key}': applies only with topology_kind" in (
         capsys.readouterr().err)
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("key,value,flags", [
+    ("trace_seed", "77", []), ("trace_floor", "3", []),
+    ("trace_seed", None, ["--trace-seed", "9"]),
+])
+def test_walk_key_next_to_trace_file_exits_2(bundle, tmp_path, capsys, key,
+                                            value, flags):
+    # the file fixes the trace, so the key would silently go unread
+    trace = tmp_path / "walk.csv"
+    trace.write_text("t,flow_1,flow_2,flow_3\n"
+                     + "".join(f"{t},500,600,700\n" for t in range(1, 11)))
+    given = {} if value is None else {key: value}
+    argv = ["simulate", "--config",
+            write_cfg(tmp_path, bundle, trace_file=str(trace), **given),
+            "--out", str(tmp_path / "x")] + flags
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: config field '{key}': applies only without trace_file\n")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["simulate", "topology_dir"], "topology_dir"),
+    (["simulate", "trace_file"], "trace_file"),
+    (["design", "--topology", "", "--out", "x"], "topology_dir"),
+    (["validate", "--topology", ""], "topology_dir"),
+])
+def test_empty_path_exits_2_naming_its_key(bundle, tmp_path, capsys, argv, key):
+    # "" is no path: it must not reach the loader as a missing directory
+    if argv[0] == "simulate":
+        argv = ["simulate", "--config", write_cfg(tmp_path, bundle, **{argv[1]: ""}),
+                "--out", str(tmp_path / "x")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: config field '{key}': must not be empty\n")
 
 
 @pytest.mark.parametrize("key,value,dest", [
@@ -488,6 +526,23 @@ def test_trace_volume_past_the_count_ceiling_exits_1(bundle, tmp_path):
     proc = run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "x"))
     assert proc.returncode == 1
     assert proc.stderr == "error: walk.csv: line 4: volumes must be at most 2**53\n"
+
+
+def test_trace_volume_times_measurements_past_int64_exits_1(
+        long_chain, tmp_path, capsys, monkeypatch):
+    # every volume is a count <= 2**53, but 2**53 packets times the flow's
+    # 1,024 measurements would wrap int64: the run stops with one error
+    # line before any packet is drawn
+    bundle, trace = long_chain
+    drawn = []
+    monkeypatch.setattr(harness, "_draw", lambda *args: drawn.append(args))
+    cfg = write_cfg(tmp_path, bundle, trace_file=trace(2 ** 53),
+                    scheme="naive", horizon=1, replications=1)
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == (
+        "error: volumes times measurements per rate exceed int64\n")
+    assert drawn == []
 
 
 _IMPORT_PROBE = """

@@ -75,8 +75,11 @@ def test_parse_config_full_file(tmp_path):
     assert cfg.budget == 0.05
     assert cfg.flows_dump is True
     assert cfg.median_window_start == 50
-    # untouched keys keep their defaults
-    assert cfg.cap == 1.0 and cfg.trace_seed == 1
+    # untouched keys keep their defaults; an unset trace seed walks as 1
+    assert cfg.cap == 1.0
+    fm = harness.load_instance(cfg)[1]
+    assert np.array_equal(harness._get_trace(cfg, fm).x,
+                          gen_random_walk_trace(fm, cfg.horizon, seed=1).x)
 
 
 _SYNTH_VALUES = {"topology_seed": 3, "n_nodes": 5, "rows": 4, "cols": 4,
@@ -91,6 +94,14 @@ def test_config_rejects_synth_key_next_to_topology_dir(tmp_path, key):
         ExperimentConfig(topology_dir=str(tmp_path), **{key: _SYNTH_VALUES[key]})
     assert exc.value.field == key
     assert str(exc.value) == f"config field '{key}': applies only with topology_kind"
+
+
+@pytest.mark.parametrize("key,value", [("trace_seed", 77), ("trace_floor", 3.0)])
+def test_config_rejects_walk_key_next_to_trace_file(key, value):
+    # built in Python as from a file: the replayed trace would leave it unread
+    with pytest.raises(ConfigError) as exc:
+        synth_cfg(trace_file="walk.csv", **{key: value})
+    assert str(exc.value) == f"config field '{key}': applies only without trace_file"
 
 
 def test_load_instance_passes_only_set_synth_keys(monkeypatch):

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from flowdesign import (
+    ExperimentConfig,
     Flow,
     FlowModel,
     Trace,
@@ -12,12 +15,13 @@ from flowdesign import (
     gen_random_walk_trace,
     load_trace,
     predict_update,
+    run_simulation,
     sample_packets,
     save_trace,
     steady_state_info,
     synth_topology,
 )
-from flowdesign import simulate
+from flowdesign import harness, simulate
 
 from oracles import dense_gls
 
@@ -259,8 +263,8 @@ def test_grouped_draw_follows_the_summed_binomial_law():
     assert [a.tolist() for a in plan] == [[0], [3], [0.3]]  # one group, K = 3
     periods = 20_000
     x = np.full((periods, 1), 5.0)
-    grouped = simulate._sample_flow_sums(x, mm, xi, np.random.default_rng(11),
-                                         plan)[:, 0]
+    grouped = simulate._sample_flow_sums(
+        x.astype(np.int64), np.random.default_rng(11), plan, mm.n_r)[:, 0]
     assert np.array_equal(grouped, np.rint(grouped))
     # three Binomial(5, 0.3) draws sum to one Binomial(15, 0.3)
     expected = periods * stats.binom.pmf(np.arange(16), 15, 0.3)
@@ -284,15 +288,15 @@ def test_grouped_draw_plans_one_draw_per_flow_and_rate():
     assert rate.tolist() == [0.3, 0.5]
     # at full rate every packet survives: each group returns K x
     full = simulate._draw_plan(mm, np.ones(mm.n_o))
-    sums = simulate._sample_flow_sums([7.0], mm, np.ones(mm.n_o),
-                                      np.random.default_rng(0), full)
+    sums = simulate._sample_flow_sums(np.array([7]), np.random.default_rng(0),
+                                      full, mm.n_r)
     assert sums.tolist() == [28.0]
     # and with every rate 0 there is nothing to draw
     none = simulate._draw_plan(mm, np.zeros(mm.n_o))
     assert all(a.size == 0 for a in none)
-    assert simulate._sample_flow_sums([[7.0], [3.0]], mm, np.zeros(mm.n_o),
-                                      np.random.default_rng(0),
-                                      none).tolist() == [[0.0], [0.0]]
+    assert simulate._sample_flow_sums(np.array([[7], [3]]),
+                                      np.random.default_rng(0), none,
+                                      mm.n_r).tolist() == [[0.0], [0.0]]
 
 
 def test_grouped_block_draw_equals_one_period_draws():
@@ -300,11 +304,11 @@ def test_grouped_block_draw_equals_one_period_draws():
     xi = np.full(mm.n_o, 0.3)
     xi[mm.k_of[1]] = 0.6  # flow 0 crosses one point at each rate
     plan = simulate._draw_plan(mm, xi)
-    x = np.array([[120.0, 60.0], [0.0, 7.0], [95.0, 0.0], [3.0, 41.0]])
+    x = np.array([[120, 60], [0, 7], [95, 0], [3, 41]])
     block_rng = np.random.default_rng(17)
     step_rng = np.random.default_rng(17)
-    block = simulate._sample_flow_sums(x, mm, xi, block_rng, plan)
-    rows = np.stack([simulate._sample_flow_sums(row, mm, xi, step_rng, plan)
+    block = simulate._sample_flow_sums(x, block_rng, plan, mm.n_r)
+    rows = np.stack([simulate._sample_flow_sums(row, step_rng, plan, mm.n_r)
                      for row in x])
     assert block.shape == (4, mm.n_r)
     assert block.tobytes() == rows.tobytes()
@@ -312,35 +316,47 @@ def test_grouped_block_draw_equals_one_period_draws():
 
 
 def test_grouped_draw_shares_the_input_check():
+    # the closed loop's grouped draw checks nothing again: Trace checks
+    # its volumes and check_design_output its rates where they enter;
+    # the public per-measurement draw keeps every check of its own
     mm = two_flow_mm()
     rng = np.random.default_rng(0)
     xi = np.full(mm.n_o, 0.3)
-    plan = simulate._draw_plan(mm, xi)
     for x, rates, message in (
             ([100.0], xi, "one entry per flow"),
             ([100.0, 50.0], np.full(mm.n_o, 1.5), "must lie in"),
             ([100.0, 50.5], xi, "integer packet counts"),
             ([100.0, np.nan], xi, "finite and >= 0"),
             ([1e19, 50.0], xi, r"at most 2\*\*53")):
-        for draw in (sample_packets, simulate._sample_flow_sums):
-            args = (plan,) if draw is simulate._sample_flow_sums else ()
-            with pytest.raises(ValidationError, match=message):
-                draw(x, mm, rates, rng, *args)
+        with pytest.raises(ValidationError, match=message):
+            sample_packets(x, mm, rates, rng)
 
 
-def test_grouped_draw_rejects_products_past_int64():
+def test_grouped_draw_rejects_products_past_int64(long_chain, monkeypatch):
+    # K x is bounded once per run, from each flow's largest volume and
+    # its measurement count: 2**53 packets at K = 1,024 would wrap, so
+    # the run stops before it solves a design or draws a packet
+    bundle, trace = long_chain
+    calls = []
+    for name in ("solve_scheme", "_draw"):
+        monkeypatch.setattr(harness, name,
+                            lambda *a, name=name, **kw: calls.append(name))
+    cfg = ExperimentConfig(topology_dir=bundle, trace_file=trace(2 ** 53),
+                           scheme="naive", horizon=1, replications=1)
+    with pytest.raises(ValidationError,
+                       match="^volumes times measurements per rate exceed int64$"):
+        run_simulation(cfg)
+    assert calls == []
+    # one packet fewer fits, and the run draws it
+    monkeypatch.undo()
+    ms = run_simulation(replace(cfg, trace_file=trace(2 ** 53 - 1)))
+    assert np.isfinite(ms.median)
+    # at the count ceiling a plan of a one-hop model still draws
     mm = chain_mm(1)
-    xi = np.full(mm.n_o, 0.5)
-    rng = np.random.default_rng(0)
-    before = rng.bit_generator.state
-    # a hand-made plan with K = 2**11: K x = 2**64 would wrap
-    wide = (np.array([0]), np.array([2 ** 11]), np.array([0.5]))
-    with pytest.raises(ValidationError, match="exceed int64"):
-        simulate._sample_flow_sums([2.0 ** 53], mm, xi, rng, wide)
-    assert rng.bit_generator.state == before
-    # at the count ceiling a plan of the model itself still draws
-    sums = simulate._sample_flow_sums([2.0 ** 53], mm, np.ones(mm.n_o), rng,
-                                      simulate._draw_plan(mm, np.ones(mm.n_o)))
+    sums = simulate._sample_flow_sums(np.array([2 ** 53]),
+                                      np.random.default_rng(0),
+                                      simulate._draw_plan(mm, np.ones(mm.n_o)),
+                                      mm.n_r)
     assert sums.tolist() == [2.0 ** 53]
 
 
