@@ -26,7 +26,7 @@ res = solve_steady_state_E(p, fm, tol_theta=1e-12)
 # the reported theta is the witness design's own, the bracket's lower end
 print("tangent-cut result: theta* =", res.theta)
 print("  xi =", res.xi)
-print("  cut LPs:", res.diagnostics["bisection_iterations"],
+print("  cut_rounds:", res.diagnostics["cut_rounds"],
       " certified bracket:", res.diagnostics["theta_bracket"])
 
 socp = export_canonical_socp(p, fm)

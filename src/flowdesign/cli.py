@@ -76,6 +76,8 @@ def _cmd_experiment(args) -> int:
     cfg = replace(parse_config(args.config), **overrides)
     run = run_simulation if args.command == "simulate" else run_idealized
     ms = run(cfg)
+    for warning in ms.meta["warnings"]:  # the instance's, as design prints them
+        print(f"warning: {warning}", file=sys.stderr)
     write_metrics(ms, args.out, flows_dump=cfg.flows_dump)
     print(f"{args.command}[{ms.scheme}]: median max MSE "
           f"{floats_text(ms.median)[0]} over "

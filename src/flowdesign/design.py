@@ -213,11 +213,9 @@ def solve_steady_state_E(p: DesignProblem, fm: FlowModel,
     theta* = 0 up to roundoff; if so, the bracket closes at once. Each
     LP after the first is warm-started from the previous one's optimal
     basis; only the theta column and the offsets change between rounds.
-    ``diagnostics["bisection_iterations"]`` counts the LPs, the classical
-    one included, and ``lp_pivots`` and ``lp_perturbed`` total their
-    pivots and perturbation flags. The count keeps the name of the
-    bisection this replaced because the benchmark tracer
-    (perfbench/tracing.py) reads it.
+    ``diagnostics["cut_rounds"]`` counts the LPs, the classical one
+    included, and ``lp_pivots`` and ``lp_perturbed`` total their pivots
+    and perturbation flags.
     """
     if fm.n_r != p.n_r:
         raise ValidationError("flow model and problem disagree on n_r")
@@ -290,7 +288,7 @@ def solve_steady_state_E(p: DesignProblem, fm: FlowModel,
     info = steady_state_info(m, fm.sigma2)
     theta = float(np.min(info))
     _check_certificate(theta, m, fm.sigma2, (lo, hi))
-    diagnostics = {"warnings": warnings, "bisection_iterations": len(stats),
+    diagnostics = {"warnings": warnings, "cut_rounds": len(stats),
                    "lp_pivots": sum(pivots for pivots, _ in stats),
                    "lp_perturbed": any(perturbed for _, perturbed in stats),
                    "theta_bracket": (lo, hi), "tol_theta": tol_theta}

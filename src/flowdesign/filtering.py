@@ -76,9 +76,8 @@ def _update(info, mean, sigma2, m, y):
     if not observed.any():
         return info_new, mean.copy()
     gain = np.divide(m, info_new, out=np.zeros(info_new.shape), where=observed)
-    resid = np.where(observed & np.isnan(mean), 0.0, mean)
-    # diffuse prior with an observation: gain is 1, mean becomes y
-    mean_new = np.where(observed, resid + gain * (y - resid), mean)
+    mean_new = np.where(observed, mean + gain * (y - mean), mean)
+    # diffuse prior with an observation: the mean, perhaps NaN, becomes y
     return info_new, np.where(observed & (info == 0), y, mean_new)
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import re
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 
@@ -175,7 +176,9 @@ _SYNTH_KEYS = ("topology_seed", "n_nodes", "rows", "cols", "n_links", "n_flows",
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    """Flat `key = value` file, `#` comments, one key per line."""
+    """Flat `key = value` file, one key per line. A `#` at the start of a
+    line or after a space or tab starts a comment; any other `#` is part
+    of the value, as in `topology_dir = run#1/topo`."""
     if not os.path.exists(path):
         raise ConfigError("config", f"file {path!r} not found")
     try:
@@ -185,7 +188,7 @@ def parse_config(path: str) -> ExperimentConfig:
     values = {}
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|[ \t])#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -260,7 +263,7 @@ def _get_trace(cfg: ExperimentConfig, fm: FlowModel) -> Trace:
         if cfg.horizon > trace.T:
             raise ConfigError("horizon",
                               f"exceeds trace length {trace.T}")
-        return Trace(x=trace.x[:cfg.horizon], source=trace.source)
+        return trace  # read in place: the run reads rows 1..horizon
     return gen_random_walk_trace(
         fm, cfg.horizon, seed=1 if cfg.trace_seed is None else cfg.trace_seed,
         floor=1.0 if cfg.trace_floor is None else cfg.trace_floor)
@@ -372,11 +375,12 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
     """
     mm, fm, p, warnings = load_instance(cfg)
     trace = _get_trace(cfg, fm)
+    T = cfg.horizon
+    volumes = trace.x[:T]  # a replayed file may run past the horizon
     # a plan's K for a flow is at most its measurement count k
-    most = zip(trace.x.max(axis=0).tolist(), np.bincount(mm.l_of, minlength=fm.n_r))
+    most = zip(volumes.max(axis=0).tolist(), np.bincount(mm.l_of, minlength=fm.n_r))
     if any(round(x) * int(k) >= 2 ** 63 for x, k in most):
         raise ValidationError("volumes times measurements per rate exceed int64")
-    T = cfg.horizon
     B = cfg.block_size
     R = cfg.replications
     plugin = cfg.mu_mode == "plugin"
@@ -412,7 +416,7 @@ def run_simulation(cfg: ExperimentConfig) -> MetricsSeries:
             scheme = cfg.scheme
             if t0 == 0 and cfg.warmup_scheme == "naive":
                 scheme = "naive"
-            x = trace.x[t0:t0 + B]
+            x = volumes[t0:t0 + B]
             counts = np.rint(x).astype(np.int64)
             designs = ([design(scheme, np.maximum(mean[r], _MU_FLOOR), info[r])
                         for r in range(R)] if plugin

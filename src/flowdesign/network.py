@@ -348,7 +348,7 @@ def _random_links(n: int, n_links: int, rng):
 
 
 def synth_topology(kind: str, *, n_nodes=None, rows=None, cols=None,
-                   n_links=None, n_flows=None, flow_fraction: float = 0.25,
+                   n_links=None, n_flows=None, flow_fraction: float | None = None,
                    mu_scale: float = 1000.0, sigma_rel: float = 0.05,
                    budget: float = 0.01, seed: int = 0) -> TopologySpec:
     """Reproducible synthetic topology with flows and budgets.
@@ -357,18 +357,34 @@ def synth_topology(kind: str, *, n_nodes=None, rows=None, cols=None,
     random (n_nodes, n_links; a random spanning tree plus extra links).
     Every link becomes two directed edges. Candidate flows are all
     ordered node pairs with lognormal mean volumes; the heaviest
-    fraction (or the top ``n_flows``) is kept, mirroring how only the
-    largest flows are worth tracking. Innovation std is
-    sigma_rel * mu * Uniform(0.5, 1.5) per flow.
+    fraction (default 0.25) or the top ``n_flows`` is kept, mirroring
+    how only the largest flows are worth tracking. Innovation std is
+    sigma_rel * mu * Uniform(0.5, 1.5) per flow. A size the kind does
+    not read (n_nodes for a grid, rows or cols for any other kind,
+    n_links for any kind but random), or flow_fraction next to n_flows,
+    raises ParameterError rather than going unread.
     """
     for name, value, ok, need in (
             ("mu_scale", mu_scale, mu_scale > 0, "finite and > 0"),
             ("sigma_rel", sigma_rel, sigma_rel > 0, "finite and > 0"),
             ("budget", budget, budget >= 0, "finite and >= 0"),
-            ("flow_fraction", flow_fraction, 0 < flow_fraction <= 1, "in (0, 1]"),
+            ("flow_fraction", flow_fraction,
+             flow_fraction is None or 0 < flow_fraction <= 1, "in (0, 1]"),
             ("n_flows", n_flows, n_flows is None or n_flows >= 1, ">= 1")):
         if not (ok and (value is None or np.isfinite(value))):
             raise ParameterError(name, f"must be {need}, got {value!r}")
+    if kind not in TOPOLOGY_KINDS:
+        raise ParameterError(
+            "kind", f"must be one of {', '.join(TOPOLOGY_KINDS)}, got {kind!r}")
+    for name, value, read, only in (
+            ("n_nodes", n_nodes, kind != "grid", "to line, star and random topologies"),
+            ("rows", rows, kind == "grid", "to a grid"),
+            ("cols", cols, kind == "grid", "to a grid"),
+            ("n_links", n_links, kind == "random", "to a random topology")):
+        if value is not None and not read:
+            raise ParameterError(name, f"applies only {only}, not to a {kind}")
+    if flow_fraction is not None and n_flows is not None:
+        raise ParameterError("flow_fraction", "applies only without a flow count")
     rng = np.random.default_rng(seed)
     if kind == "grid":
         for name, value in (("rows", rows), ("cols", cols)):
@@ -377,7 +393,7 @@ def synth_topology(kind: str, *, n_nodes=None, rows=None, cols=None,
         if rows * cols < 2:
             raise ParameterError("cols", "must be >= 2 when rows is 1, got 1")
         n, links = rows * cols, _grid_links(rows, cols)
-    elif kind in ("line", "star", "random"):
+    else:
         if n_nodes is None or n_nodes < 2:
             raise ParameterError(
                 "n_nodes", f"must be >= 2 for a {kind} topology, got {n_nodes!r}")
@@ -390,15 +406,13 @@ def synth_topology(kind: str, *, n_nodes=None, rows=None, cols=None,
             if n_links is None:
                 n_links = min(2 * n, n * (n - 1) // 2)
             links = _random_links(n, n_links, rng)
-    else:
-        raise ParameterError(
-            "kind", f"must be one of {', '.join(TOPOLOGY_KINDS)}, got {kind!r}")
 
     names = _node_names(n)
     edges = [e for a, b in links for e in ((names[a], names[b]), (names[b], names[a]))]
 
     pairs = [(u, v) for u in names for v in names if u != v]
-    keep = n_flows if n_flows is not None else max(1, round(flow_fraction * len(pairs)))
+    keep = n_flows if n_flows is not None else max(
+        1, round((flow_fraction or 0.25) * len(pairs)))  # 0 was rejected above
     if keep > len(pairs):
         raise ParameterError("n_flows", f"must be <= {len(pairs)}, got {keep}")
     with np.errstate(over="ignore"):  # a non-finite mu or sigma2 is named below

@@ -229,11 +229,12 @@ def load_trace(path: str) -> Trace:
     if not x:
         raise ValidationError(f"{name}: no data rows")
     x = np.array(x)
-    if _count_fault(x):  # checked whole; only a bad file is searched by row
+    x.flags.writeable = False  # so Trace stores it uncopied
+    try:  # Trace checks it whole; only a bad file is searched by row
+        return Trace(x=x, source="file-replay")
+    except ValidationError:
         line, fault = next((ln, fault) for ln, row in zip(lines, x)
                            if (fault := _count_fault(row)))
-        if fault != _OVER:
-            fault = "integer packet counts >= 0"
-        raise ValidationError(f"{name}: line {line}: volumes must be {fault}")
-    x.flags.writeable = False  # so Trace stores it uncopied
-    return Trace(x=x, source="file-replay")
+    if fault != _OVER:
+        fault = "integer packet counts >= 0"
+    raise ValidationError(f"{name}: line {line}: volumes must be {fault}")

@@ -332,6 +332,78 @@ def test_bad_topology_shape_is_named(tmp_path, capsys, settings, key, dest, via)
     assert "Warning" not in err
 
 
+@pytest.mark.parametrize("settings,key,dest", [
+    # the run this once was: a 9-node grid with 4 flows, and no word
+    (dict(topology_kind="grid", rows=3, cols=3, n_nodes=50, n_links=2,
+          n_flows=4, flow_fraction=0.9), "n_nodes", "nodes"),
+    (dict(topology_kind="line", n_nodes=4, rows=3), "rows", "rows"),
+    (dict(topology_kind="star", n_nodes=4, cols=3), "cols", "cols"),
+    (dict(topology_kind="line", n_nodes=4, n_links=3), "n_links", "links"),
+    (dict(topology_kind="grid", rows=2, cols=2, n_links=3), "n_links", "links"),
+    (dict(topology_kind="line", n_nodes=4, n_flows=3, flow_fraction=0.5),
+     "flow_fraction", "flow_fraction"),
+])
+@pytest.mark.parametrize("via", ["config", "synth"])
+def test_synth_key_the_topology_never_reads_exits_2(tmp_path, capsys, settings,
+                                                    key, dest, via):
+    if via == "config":
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items())
+                       + "horizon = 4\nreplications = 1\n")
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]
+        field = key
+    else:
+        flags = {"topology_kind": "kind", "n_nodes": "nodes",
+                 "n_links": "links", "n_flows": "flows"}
+        argv = ["synth", "--out", str(tmp_path / "x")]
+        for k, v in settings.items():
+            argv += ["--" + flags.get(k, k).replace("_", "-"), str(v)]
+        field = dest
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field '{field}': applies only ")
+    assert not (tmp_path / "x").exists()
+
+
+def test_hash_inside_a_path_value_is_kept(tmp_path, capsys):
+    # a `#` with no blank before it is part of the path, not a comment
+    topo = str(tmp_path / "run#1" / "topo")
+    assert main(["synth", "--kind", "line", "--nodes", "4", "--flows", "2",
+                 "--budget", "0.02", "--out", topo]) == 0
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"topology_dir = {topo}  # the first run\n"
+                   "scheme = naive # a note\nhorizon = 6\nblock_size = 3\n"
+                   "replications = 2\n")
+    out = tmp_path / "x"
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("simulate[naive]: ")
+    assert (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "idealized"])
+def test_runs_print_the_instance_warnings(tmp_path, capsys, command):
+    # b -> b has no link on its path: its flow is unobservable, which the
+    # runs now say, as design does, before idealized reports inf
+    topo = str(tmp_path / "topo")
+    save_topology(flowdesign.TopologySpec(
+        nodes=("a", "b", "c"), edges=(("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")),
+        flows=(flowdesign.Flow("a", "c", sigma2=100.0, mu=1000.0),
+               flowdesign.Flow("b", "b", sigma2=100.0, mu=1000.0)),
+        budgets={"a": 0.02, "b": 0.02, "c": 0.02}), topo)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"topology_dir = {topo}\nmu_mode = true_mu\nhorizon = 20\n"
+                   "block_size = 5\nreplications = 2\n")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: flow 1 is unobservable (all-zero J row)\n"
+    assert captured.out.startswith(f"{command}[steady_state]: median max MSE ")
+    if command == "idealized":
+        assert " median max MSE inf " in captured.out
+
+
 def test_runtime_errors_exit_1(bundle, tmp_path, capsys):
     assert main(["design", "--topology", str(tmp_path / "nowhere"),
                  "--out", str(tmp_path / "x")]) == 1

@@ -339,8 +339,7 @@ def test_steady_state_asymmetric_noise_exact():
     assert np.allclose(res.xi, [2.0 / 9.0, 7.0 / 9.0], atol=1e-6)
     assert res.xi[0] < res.xi[1]
     # a certified bracket closed to tol_theta within a handful of cut LPs
-    # ("bisection_iterations" counts them; the name is kept for the tracer)
-    assert res.diagnostics["bisection_iterations"] <= 10
+    assert res.diagnostics["cut_rounds"] <= 10
     lo, hi = res.diagnostics["theta_bracket"]
     assert 0.0 < lo and hi - lo <= res.diagnostics["tol_theta"] * hi
     # theta is recomputed from the witness, so allow roundoff around the bracket
@@ -400,7 +399,7 @@ def test_steady_state_infinite_caps_use_lp_bracket(monkeypatch):
                       b=[1.0], upper=[np.inf, np.inf])
     res = solve_steady_state_E(p, pair_fm())
     assert res.theta == pytest.approx(50.0, rel=1e-6)
-    assert len(lps) == res.diagnostics["bisection_iterations"]
+    assert len(lps) == res.diagnostics["cut_rounds"]
     assert all(lp.n == 1 + p.n_o and lp.c[0] == 1.0 for lp in lps)
 
 
@@ -457,7 +456,7 @@ def test_steady_state_zero_optimum_survives_roundoff_theta(monkeypatch, leak):
     assert res.diagnostics["warnings"] == []
     lo, hi = res.diagnostics["theta_bracket"]
     assert lo == res.theta <= hi < 1e-13
-    assert res.diagnostics["bisection_iterations"] == 3
+    assert res.diagnostics["cut_rounds"] == 3
 
 
 def _grid4():
@@ -492,12 +491,12 @@ def _assert_in_bracket(res):
 def test_steady_state_keeps_the_bracket_when_a_later_cut_lp_fails(monkeypatch):
     p, fm = _grid4()
     full = solve_steady_state_E(p, fm)
-    assert full.diagnostics["bisection_iterations"] > 2
+    assert full.diagnostics["cut_rounds"] > 2
     calls = _numerical_on_call(monkeypatch, 2)
     res = solve_steady_state_E(p, fm)
     assert len(calls) == 2
     assert res.diagnostics["warnings"] == ["cut LP 2 ended numerical; bracket kept"]
-    assert res.diagnostics["bisection_iterations"] == 2
+    assert res.diagnostics["cut_rounds"] == 2
     _assert_in_bracket(res)
     # the bracket is round 1's, so it still holds the full solve's theta
     lo, hi = res.diagnostics["theta_bracket"]
@@ -508,7 +507,7 @@ def test_steady_state_warns_when_the_round_cap_leaves_a_gap(monkeypatch):
     p, fm = _grid4()
     monkeypatch.setattr(design, "_CUT_MAX_ROUNDS", 2)
     res = solve_steady_state_E(p, fm)
-    assert res.diagnostics["bisection_iterations"] == 2
+    assert res.diagnostics["cut_rounds"] == 2
     (warning,) = res.diagnostics["warnings"]
     lo, hi = res.diagnostics["theta_bracket"]
     assert warning == f"gap {hi - lo!r} still open after 2 cut LPs"
@@ -535,7 +534,6 @@ def _record_solutions(monkeypatch):
     ("numerical_cut", 2),   # the second LP ends numerical
 ])
 def test_steady_state_diagnostics_count_every_lp(monkeypatch, case, n_lps):
-    # the benchmark tracer reads bisection_iterations and lp_pivots
     if case == "zero_budget":
         p = DesignProblem(J=[[40.0, 10.0], [10.0, 40.0]], R=[[1.0, 1.0]], b=[0.0])
         fm = pair_fm(1.0, 1.0)
@@ -548,7 +546,7 @@ def test_steady_state_diagnostics_count_every_lp(monkeypatch, case, n_lps):
         _numerical_on_call(monkeypatch, 2)
     sols = _record_solutions(monkeypatch)
     d = solve_steady_state_E(p, fm).diagnostics
-    assert d["bisection_iterations"] == len(sols) == n_lps
+    assert d["cut_rounds"] == len(sols) == n_lps
     assert d["lp_pivots"] == sum(s.iterations for s in sols) > 0
     assert d["lp_perturbed"] is any(s.perturbed for s in sols)
     assert sols[-1].ok == (case != "numerical_cut")
@@ -573,7 +571,7 @@ def test_steady_state_keeps_only_the_last_lp_record(monkeypatch, mode):
 
     monkeypatch.setattr(design, "_theta_lp", recording)
     res = solve_steady_state_E(p, fm)
-    assert len(records) == res.diagnostics["bisection_iterations"] >= 4
+    assert len(records) == res.diagnostics["cut_rounds"] >= 4
     assert all(r() is None for r in records)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flowdesign import filtering
 from flowdesign import (
     FlowModel,
     ValidationError,
@@ -73,6 +74,29 @@ def test_predict_update_returns_new_arrays(m):
     info[:] = -5.0
     mean[:] = np.nan
     assert np.all(info2 > 0) and np.all(np.isfinite(mean2))
+
+
+def test_update_has_the_bits_of_a_nan_zeroing_blend():
+    # a NaN mean is a posterior only where info is 0, where an observed
+    # flow's mean becomes y outright: the update needs no NaN rule of its
+    # own, and matches a blend that first sets NaN means to 0
+    rng = np.random.default_rng(5)
+    info = rng.uniform(0.0, 3.0, (4, 6))
+    info[:, :2] = 0.0
+    mean = rng.normal(100.0, 10.0, (4, 6))
+    mean[:, 0] = np.nan
+    m = rng.uniform(0.0, 2.0, (4, 6))
+    m[::2, ::3] = 0.0
+    y = np.where(m > 0, rng.normal(100.0, 10.0, (4, 6)), np.nan)
+    sigma2 = rng.uniform(0.1, 1.0, 6)
+    observed = m > 0
+    info_new = predicted_info(info, sigma2) + m
+    gain = np.divide(m, info_new, out=np.zeros(info_new.shape), where=observed)
+    resid = np.where(observed & np.isnan(mean), 0.0, mean)
+    blend = np.where(observed, resid + gain * (y - resid), mean)
+    got_info, got_mean = filtering._update(info, mean, sigma2, m, y)
+    assert got_info.tobytes() == info_new.tobytes()
+    assert got_mean.tobytes() == np.where(observed & (info == 0), y, blend).tobytes()
 
 
 def test_predict_update_validation():

@@ -82,6 +82,20 @@ def test_parse_config_full_file(tmp_path):
                           gen_random_walk_trace(fm, cfg.horizon, seed=1).x)
 
 
+@pytest.mark.parametrize("line,key,value", [
+    ("scheme = naive # note", "scheme", "naive"),
+    ("scheme = naive\t# note", "scheme", "naive"),
+    ("topology_dir = run#1/topo", "topology_dir", "run#1/topo"),
+    ("topology_dir = run#1/topo  # a bundle", "topology_dir", "run#1/topo"),
+])
+def test_hash_starts_a_comment_only_after_blank_space(tmp_path, line, key, value):
+    p = tmp_path / "exp.cfg"
+    p.write_text("  # indented comment\n#comment\n"
+                 + ("topology_kind = line\n" if key != "topology_dir" else "")
+                 + line + "\n")
+    assert getattr(parse_config(str(p)), key) == value
+
+
 _SYNTH_VALUES = {"topology_seed": 3, "n_nodes": 5, "rows": 4, "cols": 4,
                  "n_links": 4, "n_flows": 2, "flow_fraction": 0.5,
                  "mu_scale": 500.0, "sigma_rel": 0.1, "budget": -1.0}
@@ -672,6 +686,30 @@ def test_simulation_trace_replay(tmp_path):
         run_simulation(synth_cfg(horizon=20, replications=1,
                                  trace_file=str(tmp_path / "short.csv")))
     assert exc.value.field == "trace_file"
+
+
+def test_replayed_trace_is_checked_once_and_read_in_place(tmp_path, monkeypatch):
+    # a file longer than the horizon: the run reads rows 1..horizon of the
+    # Trace that load_trace built, after that Trace's one count check
+    cfg = synth_cfg(horizon=20, block_size=5, replications=2, mu_mode="plugin")
+    fm = flow_model(rebuild_problem(cfg)[0])
+    long, cut = str(tmp_path / "long.csv"), str(tmp_path / "cut.csv")
+    trace = gen_random_walk_trace(fm, T=30, seed=9)
+    save_trace(trace, long)
+    save_trace(simulate.Trace(x=trace.x[:20], source="file-replay"), cut)
+    loaded, checked = [], []
+    load_trace, count_fault = simulate.load_trace, simulate._count_fault
+    monkeypatch.setattr(harness, "load_trace",
+                        lambda path: loaded.append(load_trace(path)) or loaded[-1])
+    monkeypatch.setattr(simulate, "_count_fault",
+                        lambda x: checked.append(np.shape(x)) or count_fault(x))
+    assert harness._get_trace(replace(cfg, trace_file=long), fm) is loaded[0]
+    checked.clear()
+    ms = run_simulation(replace(cfg, trace_file=long))
+    assert checked == [(30, fm.n_r)]
+    ref = run_simulation(replace(cfg, trace_file=cut))
+    assert np.array_equal(ms.per_flow_mse, ref.per_flow_mse)
+    assert np.array_equal(ms.rates, ref.rates)
 
 
 def test_simulation_noiseless_full_rate_tracks_analytic_variance(tmp_path):

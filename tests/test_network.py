@@ -23,6 +23,8 @@ from flowdesign import (
     synth_topology,
 )
 
+from flowdesign.network import ParameterError
+
 from oracles import csv_bundle, dense_gls, path_incidence, per_flow_routes
 
 
@@ -82,6 +84,26 @@ def test_routes_match_per_flow_bfs(kind, kw, seed):
     # every ordered pair, so most destinations serve several flows
     t = synth_topology(kind, flow_fraction=1.0, seed=seed, **kw)
     assert route_flows(t) == per_flow_routes(t)
+
+
+@pytest.mark.parametrize("kind,kw,key", [
+    ("grid", dict(rows=3, cols=3, n_nodes=50), "n_nodes"),
+    ("line", dict(n_nodes=4, rows=2), "rows"),
+    ("random", dict(n_nodes=4, cols=2), "cols"),
+    ("star", dict(n_nodes=4, n_links=3), "n_links"),
+    ("line", dict(n_nodes=4, n_flows=3, flow_fraction=0.9), "flow_fraction"),
+])
+def test_synth_rejects_what_the_kind_never_reads(kind, kw, key):
+    with pytest.raises(ParameterError) as exc:
+        synth_topology(kind, **kw)
+    assert exc.value.param == key
+
+
+def test_unset_flow_fraction_keeps_a_quarter_of_the_pairs():
+    # 6 nodes: 30 ordered pairs, of which round(0.25 * 30) = 8 are kept
+    default = synth_topology("line", n_nodes=6, seed=3)
+    assert default == synth_topology("line", n_nodes=6, flow_fraction=0.25, seed=3)
+    assert len(default.flows) == 8
 
 
 def test_unreachable_flow_message_matches_per_flow_bfs():
