@@ -104,7 +104,7 @@ def _cmd_validate(args) -> int:
     mm, _fm, _p, warnings = load_instance(
         ExperimentConfig(topology_dir=args.topology))
     for warning in warnings:
-        print(f"warning: {warning}")
+        print(f"warning: {warning}", file=sys.stderr)
     print(f"ok: {mm.n_v} routers, {mm.n_o} observation points, "
           f"{mm.n_r} flows, {mm.n_g} measurements")
     return 0

@@ -33,7 +33,8 @@ import numpy as np
 from . import model
 from .filtering import predicted_info, steady_state_info
 # check_feasible is unused here but stays bound: perfbench/tracing.py patches it
-from .lp import LinearProgram, LpSolution, check_feasible, solve_lp  # noqa: F401
+from .lp import (LinearProgram, LpSolution, check_feasible,  # noqa: F401
+                 resolve_lp, solve_lp)
 from .model import DesignProblem, FlowDesignError, FlowModel, ValidationError
 
 _SLACK_TOL = 1e-8       # hyperbolic slack on returned designs, relative to theta^2
@@ -55,16 +56,9 @@ class DesignResult:
     scheme: str                 # one of SCHEMES
     info: np.ndarray            # per-flow information whose minimum is theta
     diagnostics: dict = field(default_factory=dict)
-    # the LP behind classical and myopic designs; warm-starts the next one
+    # the LP behind classical and myopic designs and its problem; for the next start
     lp_solution: LpSolution | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class _ThetaProgram(LinearProgram):
-    """A theta LP, the problem _theta_lp built it from and the shape and
-    bits of its slopes."""
     problem: DesignProblem | None = None
-    slopes: tuple = ()
 
 
 def _theta_lp(p: DesignProblem, slopes, offsets: np.ndarray,
@@ -74,23 +68,8 @@ def _theta_lp(p: DesignProblem, slopes, offsets: np.ndarray,
     Variable order is (theta, xi_1 .. xi_no) to match the canonical cone
     form's x' = (theta, xi'). Slope 1 gives the classical and myopic
     rows; the steady-state cuts pass per-flow tangent slopes. ``start``
-    is an earlier solution of this family, offered as a warm start.
-
-    When ``start``'s program was built here from the same DesignProblem
-    object and slopes of the same shape and bits (the previous myopic
-    period's, say), only the offsets, b_ub's first n_r entries, differ:
-    with_b_ub swaps them in and checks them, and shares every other
-    array, so solve_lp reuses start's record. A DesignProblem's arrays
-    are read-only, so the program has the bits of a fresh build, and the
-    solve and its output bytes are the same.
+    is an earlier solution of this family, offered as a warm start only.
     """
-    slopes = np.asarray(slopes, dtype=float)
-    key = (slopes.shape, slopes.tobytes())
-    prev = None if start is None or start._rows is None else start._rows.lp
-    if isinstance(prev, _ThetaProgram) and prev.problem is p and prev.slopes == key:
-        rhs = np.concatenate([offsets, prev.b_ub[p.n_r:]])
-        rhs.flags.writeable = False  # built here, so with_b_ub keeps it uncopied
-        return solve_lp(prev.with_b_ub(rhs), start=start)
     n = 1 + p.n_o
     c = np.zeros(n)
     c[0] = 1.0
@@ -107,8 +86,8 @@ def _theta_lp(p: DesignProblem, slopes, offsets: np.ndarray,
     upper = np.concatenate([[np.inf], p.upper])
     for a in (c, A_ub, rhs, A_eq, b_eq, upper):
         a.flags.writeable = False  # built here, so LinearProgram keeps them uncopied
-    return solve_lp(_ThetaProgram(c=c, A_ub=A_ub, b_ub=rhs, A_eq=A_eq, b_eq=b_eq,
-                                  upper=upper, problem=p, slopes=key), start=start)
+    return solve_lp(LinearProgram(c=c, A_ub=A_ub, b_ub=rhs, A_eq=A_eq, b_eq=b_eq,
+                                  upper=upper), start=start)
 
 
 def _require_optimal(sol, scheme: str, unbounded: str,
@@ -124,9 +103,18 @@ def _require_optimal(sol, scheme: str, unbounded: str,
 
 
 def _lp_design(p: DesignProblem, offsets: np.ndarray, scheme: str,
-               start: LpSolution | None = None) -> DesignResult:
-    """Shared LP core: max theta s.t. offsets + J xi >= theta, budgets, bounds."""
-    sol = _theta_lp(p, 1.0, offsets, start)
+               start: DesignResult | None = None) -> DesignResult:
+    """Shared LP core: max theta s.t. offsets + J xi >= theta, budgets, bounds.
+
+    A ``start`` of this very DesignProblem object differs only in the
+    offsets, so its program is re-solved with them (resolve_lp); that
+    problem's arrays are read-only, so the bytes are a fresh build's.
+    """
+    if start is not None and start.problem is p:
+        sol = resolve_lp(start.lp_solution,
+                         np.concatenate([offsets, p.b[~p.row_is_equality]]))
+    else:
+        sol = _theta_lp(p, 1.0, offsets, start and start.lp_solution)
     _require_optimal(sol, scheme, "objective unbounded; add caps or budget rows")
     xi = model.check_design_output(p, sol.x[1:])
     info = offsets + p.J @ xi
@@ -136,7 +124,7 @@ def _lp_design(p: DesignProblem, offsets: np.ndarray, scheme: str,
         diagnostics={"lp_iterations": sol.iterations,
                      "lp_perturbed": sol.perturbed,
                      "max_violation": sol.max_violation},
-        lp_solution=sol)
+        lp_solution=sol, problem=p)
 
 
 def solve_classical_E(p: DesignProblem) -> DesignResult:
@@ -155,9 +143,9 @@ def solve_myopic(p: DesignProblem, fm: FlowModel, prior_info,
     period's design on the same problem, warm-starts the LP from its
     optimal basis: successive periods move only the offsets a, so that
     basis usually stays optimal and is certified with no pivot. On the
-    same DesignProblem object the period also reuses start's program
-    with the new offsets swapped in, and its record (see _theta_lp);
-    the output has the bits of a period built from scratch.
+    same DesignProblem object the period re-solves start's program with
+    the new offsets through resolve_lp, reusing its record (see
+    _lp_design); the output has the bits of a period built from scratch.
 
     The LP is often degenerate: only the smallest entry of a + J xi is
     maximized, so many xi can share the optimum. The returned (and
@@ -170,8 +158,7 @@ def solve_myopic(p: DesignProblem, fm: FlowModel, prior_info,
     a = np.atleast_1d(np.asarray(prior_info, dtype=float))
     if a.shape != (p.n_r,) or np.any(a < 0) or not np.all(np.isfinite(a)):
         raise ValidationError("prior_info must be finite, >= 0, one entry per flow")
-    return _lp_design(p, predicted_info(a, fm.sigma2), "myopic",
-                      None if start is None else start.lp_solution)
+    return _lp_design(p, predicted_info(a, fm.sigma2), "myopic", start)
 
 
 def _check_certificate(theta: float, m: np.ndarray, sigma2: np.ndarray,
@@ -223,10 +210,9 @@ def solve_steady_state_E(p: DesignProblem, fm: FlowModel,
         raise ValidationError("tol_theta must be finite and positive")
     warnings: list = []
     c = 1.0 / fm.sigma2
-    zero_rows = np.where(np.max(p.J, axis=1) <= 0.0)[0]
-    # only the latest LP is kept (with its reuse record: program and
-    # rows; see lp), as the next one's warm start; every LP leaves its
-    # pivots and perturbation flag in stats
+    unobservable = np.where(np.max(p.J, axis=1) <= 0.0)[0]
+    # only the latest LP is kept, as the next one's warm start; every LP
+    # leaves its pivots and perturbation flag in stats
     last = None
     stats: list = []
 
@@ -248,8 +234,8 @@ def solve_steady_state_E(p: DesignProblem, fm: FlowModel,
                      "(over-constrained equalities?)")
     xi_best, lo = witness(sol)
     hi = float(sol.x[0])
-    if zero_rows.size:
-        warnings.append(f"flows {zero_rows.tolist()} are unobservable; theta* = 0")
+    if unobservable.size:
+        warnings.append(f"flows {unobservable.tolist()} are unobservable; theta* = 0")
         hi = 0.0
     while hi - lo > tol_theta * hi:
         if len(stats) == 2 and lo == 0.0:

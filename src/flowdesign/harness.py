@@ -283,11 +283,11 @@ def run_idealized(cfg: ExperimentConfig) -> MetricsSeries:
     re-solves its LP every period from the accumulated information,
     warm-started from the previous period's optimal basis (only the
     offsets move, so most periods need no pivot). Its LP is built and
-    validated once: a later period swaps its offsets into the previous
-    period's program and reuses that matrix's assembled rows, so every
-    rate and MSE has the bits of periods solved from programs built
-    afresh. Naive and steady_state solve once, at t = 1, and keep that
-    design.
+    validated once: a later period re-solves the previous period's
+    program with its own offsets (lp.resolve_lp) and reuses that
+    matrix's assembled rows, so every rate and MSE has the bits of
+    periods solved from programs built afresh. Naive and steady_state
+    solve once, at t = 1, and keep that design.
 
     block_size and warmup_scheme are ignored: with the true means known
     there is nothing to wait for, so the fixed schemes hold from t = 1

@@ -53,21 +53,21 @@ cold two-phase solve, so a hint never changes which answers are
 possible, only how many pivots they take.
 
 Reuse: myopic periods move only the theta rows' right-hand side, so
-their LPs share one matrix, and a period's program is the previous
-one's with a new b_ub (LinearProgram.with_b_ub), sharing its other
-arrays. Every LpSolution carries a private record of the work that
-reads the matrix alone: the program it was assembled from, the
-assembled, equilibrated rows and their scales, ``free`` and the kept
-caps, _violation's row scales, and, for the basis last offered as a
-hint on those rows, B = A[T,S] and the dual half of its certificate (u
-and its reduced-cost and dual test). A solve started from that
-solution reuses the record when its program holds the record
-program's c, A_ub, A_eq and upper objects themselves, and equal b_ub on
-the rows that are >= 0 over the free columns, the only rows the
-kept-cap test reads. A LinearProgram's arrays are read-only and own
-their data (model.frozen), so the same object keeps the same bits; the
-kept-cap test reads b_ub only through comparisons, which cannot tell
--0.0 from 0.0. Each reused array is then the same function of the same
+their LPs share one matrix, and resolve_lp re-solves the previous
+period's program with a new b_ub, sharing its other arrays. Every
+LpSolution carries the program it solved and a private record of the
+work that reads the matrix alone: the assembled, equilibrated rows and
+their scales, ``free`` and the kept caps, _violation's row scales, and,
+for the basis last offered as a hint on those rows, B = A[T,S] and the
+dual half of its certificate (u and its reduced-cost and dual test). A
+solve started from that solution reuses the record when its program
+holds the solved program's c, A_ub, A_eq and upper objects themselves,
+and equal b_ub on the rows that are >= 0 over the free columns, the
+only rows the kept-cap test reads; by transitivity it then matches the
+program the record was assembled from. A LinearProgram's arrays are
+read-only and own their data (model.frozen), so the same object keeps
+the same bits; the kept-cap test reads b_ub only through comparisons,
+which cannot tell -0.0 from 0.0. Each reused array is then the same function of the same
 bits, so pivots, bases and output bytes are those of a solve without
 the record, and an accepted period costs b / scale, one solve with B
 and the primal checks.
@@ -139,16 +139,6 @@ class LinearProgram:
                           ("A_eq", A_eq), ("b_eq", b_eq), ("upper", upper)):
             object.__setattr__(self, name, frozen(val))
 
-    def with_b_ub(self, b_ub) -> LinearProgram:
-        """This program with ``b_ub`` in place of its own, checked as the
-        constructor checks it. The other arrays, validated and read-only
-        already, are shared, not copied or re-checked, so a solve started
-        from a solution of this program can reuse its record."""
-        b_ub = frozen(_rhs_vector(b_ub, self.A_ub.shape[0], "b_ub", "A_ub"))
-        lp = copy.copy(self)
-        object.__setattr__(lp, "b_ub", b_ub)
-        return lp
-
     @property
     def lower(self) -> np.ndarray:
         """Read-only zeros, one per variable: only the benchmark reads them."""
@@ -164,7 +154,6 @@ class _Rows:
     """The work of solve_lp that reads only the LP's matrix (module
     docstring). ``cert`` holds, for the basis last offered as a hint on
     these rows, that basis's bytes and the dual half of its certificate."""
-    lp: LinearProgram        # the program assembled; with_b_ub derives others
     nonneg: np.ndarray       # A_ub rows >= 0 over the free columns
     free: np.ndarray         # columns with upper > 0
     span_kept: np.ndarray    # the kept caps' right-hand sides
@@ -176,8 +165,7 @@ class _Rows:
     s_eq: np.ndarray
     cert: tuple | None = None
 
-    def matches(self, lp: LinearProgram) -> bool:
-        old = self.lp
+    def matches(self, lp: LinearProgram, old: LinearProgram) -> bool:
         return (lp.c is old.c and lp.A_ub is old.A_ub and lp.A_eq is old.A_eq
                 and lp.upper is old.upper
                 and np.array_equal(lp.b_ub[self.nonneg], old.b_ub[self.nonneg]))
@@ -197,6 +185,7 @@ class LpSolution:
     # what the solve derived from the LP's matrix alone, reused by a later
     # solve of a program sharing that matrix, started from this solution
     _rows: _Rows | None = field(default=None, repr=False)
+    _lp: LinearProgram | None = field(default=None, repr=False)  # the program solved
 
     @property
     def ok(self) -> bool:
@@ -282,7 +271,7 @@ def _assemble(lp: LinearProgram) -> _Rows:
     A.flags.writeable = False  # shared by every solve that reuses it
     n_ub = b_ub.size
     return _Rows(
-        lp=lp, nonneg=nonneg, free=free, span_kept=span[kept],
+        nonneg=nonneg, free=free, span_kept=span[kept],
         pos=np.concatenate([np.arange(n_ub), n_ub + kept,
                             n_ub + caps.size + np.arange(lp.A_eq.shape[0])]),
         A=A, scale=scale,
@@ -445,15 +434,15 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None,
 
     ``start``, a solution of an earlier LP of the same shape, offers its
     basis as a warm start, and its matrix work when ``lp`` shares the
-    matrix arrays of start's program (see the module docstring); a
-    rejected hint costs one small solve and changes nothing else. If the
-    pivot cap is hit (degenerate cycling despite Bland's rule can only
+    matrix arrays of start's program, as resolve_lp's does (see the
+    module docstring); a rejected hint costs one small solve and changes
+    nothing else. If the pivot cap is hit (degenerate cycling despite Bland's rule can only
     happen through roundoff), the solve is retried once with a tiny
     deterministic perturbation of the right-hand sides and the result is
     flagged ``perturbed``.
     """
     rows = None if start is None else start._rows
-    if rows is None or not rows.matches(lp):
+    if rows is None or not rows.matches(lp, start._lp):
         rows = _assemble(lp)
     b = _rhs(lp, rows)
     c_max = lp.c[rows.free]
@@ -474,12 +463,23 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None,
         iters += it2
         if status == "iteration_limit":
             return LpSolution("numerical", None, None, iters, True, np.inf,
-                              _rows=rows)
+                              _rows=rows, _lp=lp)
     if status in ("infeasible", "unbounded"):
-        return LpSolution(status, None, None, iters, perturbed, 0.0, _rows=rows)
+        return LpSolution(status, None, None, iters, perturbed, 0.0, _rows=rows, _lp=lp)
     # a basis short of the row count lost redundant rows in phase 1
     return _finish(lp, rows, z_free, iters, perturbed,
                    basis if basis.size == b.size else None)
+
+
+def resolve_lp(start: LpSolution, b_ub) -> LpSolution:
+    """Solve ``start``'s program from ``start`` with ``b_ub``, checked as
+    the constructor checks it, in place of its own. The other arrays are
+    shared, not copied or re-checked, so the solve can reuse start's
+    record and has the bits of a fresh build's solve (module docstring)."""
+    lp = copy.copy(start._lp)
+    object.__setattr__(lp, "b_ub", frozen(
+        _rhs_vector(b_ub, lp.A_ub.shape[0], "b_ub", "A_ub")))
+    return solve_lp(lp, start=start)
 
 
 def _finish(lp, rows, z_free, iters, perturbed, basis) -> LpSolution:
@@ -497,7 +497,7 @@ def _finish(lp, rows, z_free, iters, perturbed, basis) -> LpSolution:
     viol = _violation(lp, x, rows)
     ok = viol <= _CHECK_TOL
     return LpSolution("optimal" if ok else "numerical", x, float(lp.c @ x),
-                      iters, perturbed, viol, basis if ok else None, rows)
+                      iters, perturbed, viol, basis if ok else None, rows, lp)
 
 
 def check_feasible(n: int, A_ub=None, b_ub=None, A_eq=None, b_eq=None,

@@ -70,6 +70,15 @@ def read_csv(path: str, what: str):
     return header, rows()
 
 
+def parse_number(token: str, name: str, line: int, kind=float):
+    """``kind(token)``, or a ValidationError that names file ``name``,
+    the line and the token."""
+    try:
+        return kind(token)
+    except ValueError:
+        raise ValidationError(f"{name}: line {line}: bad number {token!r}") from None
+
+
 def write_lines(path: str, lines) -> None:
     """Write the strings of ``lines`` (any iterable, consumed as it goes)
     to ``path`` as UTF-8, each ended by "\\n" on every platform. Lines

@@ -29,8 +29,8 @@ from itertools import chain
 
 import numpy as np
 
-from .model import (DesignProblem, FlowDesignError, FlowModel,
-                    ValidationError, floats_text, frozen, read_csv, write_lines)
+from .model import (DesignProblem, FlowDesignError, FlowModel, ValidationError,
+                    floats_text, frozen, parse_number, read_csv, write_lines)
 
 
 CONSTRAINT_MODES = ("inequality", "equality_with_zeroing")
@@ -491,25 +491,18 @@ def load_topology(dirpath: str) -> TopologySpec:
     if not os.path.isdir(dirpath):
         raise ValidationError(f"topology bundle {dirpath!r} is not a directory")
 
-    def num(token, name, line):
-        try:
-            return float(token)
-        except ValueError:
-            raise ValidationError(
-                f"{name}: line {line}: bad number {token!r}") from None
-
     nodes = tuple(n for _line, (n,) in _read_csv(dirpath, "nodes.csv", ["id"]))
     edges = [e for _line, (u, v) in _read_csv(dirpath, "links.csv", ["u", "v"])
              for e in ((u, v), (v, u))]
     flows = tuple(
-        Flow(origin=o, destination=d, sigma2=num(s2, "flows.csv", line),
-             mu=num(m, "flows.csv", line))
+        Flow(origin=o, destination=d, sigma2=parse_number(s2, "flows.csv", line),
+             mu=parse_number(m, "flows.csv", line))
         for line, (o, d, s2, m) in _read_csv(
             dirpath, "flows.csv", ["origin", "destination", "sigma2", "mu"]))
     budgets = {}
     for line, (r, bv) in _read_csv(dirpath, "budgets.csv", ["router", "b"]):
         if r in budgets:
             raise ValidationError(f"budgets.csv: duplicate router {r!r}")
-        budgets[r] = num(bv, "budgets.csv", line)
+        budgets[r] = parse_number(bv, "budgets.csv", line)
     return TopologySpec(nodes=nodes, edges=tuple(edges), flows=flows,
                         budgets=budgets)

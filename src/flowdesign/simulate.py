@@ -29,7 +29,8 @@ from itertools import chain
 
 import numpy as np
 
-from .model import FlowModel, ValidationError, frozen, read_csv, write_lines
+from .model import (FlowModel, ValidationError, frozen, parse_number, read_csv,
+                    write_lines)
 from .network import MeasurementModel
 
 _INT_TOL = 1e-6   # how far a volume may sit from an integer packet count
@@ -217,10 +218,8 @@ def load_trace(path: str) -> Trace:
             f"{name}: line 1: header must be t,flow_1,...,flow_nr")
     lines, x = [], []
     for line, (t, *vals) in rows:
-        try:
-            t, vals = int(t), list(map(float, vals))
-        except ValueError:
-            raise ValidationError(f"{name}: line {line}: bad number") from None
+        t = parse_number(t, name, line, int)
+        vals = [parse_number(v, name, line) for v in vals]
         if t != len(x) + 1:
             raise ValidationError(
                 f"{name}: line {line}: periods must run 1..T in order")

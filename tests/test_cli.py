@@ -468,8 +468,9 @@ def test_unobservable_flow_is_warned_and_still_exits_0(bundle, tmp_path, capsys)
     warning = "warning: flow 1 is unobservable (all-zero J row)\n"
     assert main(["validate", "--topology", bundle]) == 0
     out = capsys.readouterr()
-    assert out.out.startswith(warning) and out.err == ""
-    assert "4 flows" in out.out
+    # stdout holds the ok: line alone, for a script to read
+    assert out.err == warning
+    assert out.out.startswith("ok: ") and "4 flows" in out.out
     assert main(["design", "--topology", bundle, "--out", str(tmp_path / "d")]) == 0
     out = capsys.readouterr()
     assert out.err == warning

@@ -32,6 +32,8 @@ from flowdesign import (
 )
 
 from flowdesign import ExperimentConfig, LinearProgram, run_idealized
+from flowdesign import lp as lp_module
+from flowdesign.harness import load_instance
 from oracles import (bisect_steady_state, cone_residuals, float_texts,
                      fresh_theta_lp, grid_design_bounds, highs_classical_theta,
                      parse_socp_text)
@@ -169,40 +171,52 @@ def test_myopic_warm_chain_matches_cold_solves():
     assert warm >= 10
 
 
-def _idealized_myopic(monkeypatch, size, mode, theta_lp):
-    """run_idealized myopic over T = 200 with ``theta_lp`` patched in for
-    design._theta_lp; returns the series, each period's LpSolution and
-    program, and the count of validated programs."""
-    sols, progs, validated = [], [], []
-    solve, post_init = design.solve_lp, LinearProgram.__post_init__
+def _idealized_myopic(monkeypatch, size, mode, fresh):
+    """run_idealized myopic over T = 200; with ``fresh``, every period's
+    program is built and solved through oracles.fresh_theta_lp in place
+    of design._theta_lp and resolve_lp, from the same warm start. Returns
+    the series, each period's LpSolution, and the counts of validated
+    programs and of assembled LP matrices."""
+    cfg = ExperimentConfig(
+        topology_kind="grid", rows=size, cols=size, budget=0.02,
+        topology_seed=1, scheme="myopic", mu_mode="true_mu", horizon=200,
+        constraint_mode=mode)
+    sols, validated, assembled = [], [], []
+    solve, post_init, assemble = (design.solve_myopic, LinearProgram.__post_init__,
+                                  lp_module._assemble)
 
-    def recording(prog, start=None):
-        progs.append(prog)
-        sols.append(solve(prog, start=start))
-        return sols[-1]
+    def recording(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        sols.append(res.lp_solution)
+        return res
 
     def validating(prog):
         validated.append(prog)
         post_init(prog)
 
+    def assembling(prog):
+        assembled.append(prog)
+        return assemble(prog)
+
     with monkeypatch.context() as m:
-        m.setattr(design, "_theta_lp", theta_lp)
-        m.setattr(design, "solve_lp", recording)
+        if fresh:
+            p = load_instance(cfg)[2]  # bit for bit the run's problem
+            m.setattr(design, "_theta_lp", fresh_theta_lp)
+            m.setattr(design, "resolve_lp", lambda start, b_ub: fresh_theta_lp(
+                p, 1.0, b_ub[:p.n_r], start))
+        m.setattr(design, "solve_myopic", recording)
         m.setattr(LinearProgram, "__post_init__", validating)
-        ms = run_idealized(ExperimentConfig(
-            topology_kind="grid", rows=size, cols=size, budget=0.02,
-            topology_seed=1, scheme="myopic", mu_mode="true_mu", horizon=200,
-            constraint_mode=mode))
-    return ms, sols, progs, len(validated)
+        m.setattr(lp_module, "_assemble", assembling)
+        ms = run_idealized(cfg)
+    return ms, sols, len(validated), len(assembled)
 
 
 @pytest.mark.parametrize("mode", ["inequality", "equality_with_zeroing"])
 @pytest.mark.parametrize("size", [4, 5])
 def test_idealized_myopic_reuse_matches_fresh_builds(monkeypatch, size, mode):
-    ms, sols, progs, validated = _idealized_myopic(
-        monkeypatch, size, mode, design._theta_lp)
-    ref, ref_sols, _, ref_validated = _idealized_myopic(
-        monkeypatch, size, mode, fresh_theta_lp)
+    ms, sols, validated, assembled = _idealized_myopic(monkeypatch, size, mode, False)
+    ref, ref_sols, ref_validated, ref_assembled = _idealized_myopic(
+        monkeypatch, size, mode, True)
     assert np.array_equal(ms.per_flow_mse, ref.per_flow_mse)
     assert np.array_equal(ms.rates, ref.rates)
     assert len(sols) == len(ref_sols) == 200
@@ -210,10 +224,12 @@ def test_idealized_myopic_reuse_matches_fresh_builds(monkeypatch, size, mode):
         assert sol.iterations == want.iterations
         assert np.array_equal(sol.basis, want.basis)
         assert np.array_equal(sol.x, want.x)
-    # one program built and validated; every later period swaps its
-    # offsets into the first period's program
+    # one program built and validated, and its matrix assembled once:
+    # every later period re-solves the first period's program with its
+    # own offsets (resolve_lp)
     assert (validated, ref_validated) == (1, 200)
-    assert all(prog.A_ub is progs[0].A_ub for prog in progs)
+    assert (assembled, ref_assembled) == (1, 200)
+    assert all(sol._lp.A_ub is sols[0]._lp.A_ub for sol in sols)
 
 
 def _grid_myopic_start(size=4, mode="inequality"):
@@ -266,14 +282,14 @@ def test_theta_lp_rebuilds_for_a_moved_problem(monkeypatch, field):
     start = res.lp_solution
     want = fresh_theta_lp(q, 1.0, offsets, start)
     built = _count_builds(monkeypatch)
-    sol = design._theta_lp(q, 1.0, offsets, start)
+    sol = design._lp_design(q, offsets, "myopic", res).lp_solution
     assert len(built) == 1
-    prog = sol._rows.lp
-    assert prog is not start._rows.lp
+    prog = sol._lp
+    assert prog.A_ub is not start._lp.A_ub
     assert (sol.status, sol.iterations) == (want.status, want.iterations)
     assert sol.x.tobytes() == want.x.tobytes()
     assert np.array_equal(sol.basis, want.basis)
-    ref = want._rows.lp
+    ref = want._lp
     for name in ("c", "A_ub", "b_ub", "A_eq", "b_eq", "upper"):
         assert getattr(prog, name).tobytes() == getattr(ref, name).tobytes()
 
@@ -290,25 +306,17 @@ def test_theta_lp_checks_swapped_offsets(monkeypatch, bad):
         fresh_theta_lp(p, 1.0, offsets)
     built = _count_builds(monkeypatch)
     with pytest.raises(ValidationError) as swapped:
-        design._theta_lp(p, 1.0, offsets, res.lp_solution)
+        design._lp_design(p, offsets, "myopic", res)  # through resolve_lp
     assert built == []
-    assert str(swapped.value) == str(fresh.value)
+    assert str(swapped.value) == str(fresh.value) == (
+        "b_ub must be finite with one entry per A_ub row")
 
 
-def test_theta_lp_swapped_program_is_read_only(monkeypatch):
+def test_theta_lp_swapped_program_is_read_only():
     p, _, res, offsets = _grid_myopic_start()
-    progs = []
-    solve = design.solve_lp
-
-    def recording(prog, start=None):
-        progs.append(prog)
-        return solve(prog, start=start)
-
-    monkeypatch.setattr(design, "solve_lp", recording)
     writeable = offsets.copy()
-    design._theta_lp(p, 1.0, writeable, res.lp_solution)
-    (prog,) = progs
-    assert prog is not res.lp_solution._rows.lp
+    prog = design._lp_design(p, writeable, "myopic", res).lp_solution._lp
+    assert prog is not res.lp_solution._lp
     for name in ("c", "A_ub", "b_ub", "A_eq", "b_eq", "upper"):
         a = getattr(prog, name)
         assert not a.flags.writeable
@@ -554,7 +562,7 @@ def test_steady_state_diagnostics_count_every_lp(monkeypatch, case, n_lps):
 
 @pytest.mark.parametrize("mode", ["inequality", "equality_with_zeroing"])
 def test_steady_state_keeps_only_the_last_lp_record(monkeypatch, mode):
-    # a superseded cut LP's record (rows, program, matrix key) is freed;
+    # a superseded cut LP's record (rows and program) is freed;
     # only the last LP's, the next warm start, stays alive
     mm = build_measurement_model(synth_topology(
         "grid", rows=4, cols=4, budget=0.02, seed=1))

@@ -279,6 +279,28 @@ def test_idealized_myopic_rates_converge():
     assert ms.max_mse[-1] == pytest.approx(ss.max_mse[-1], rel=1e-3)
 
 
+def test_runners_score_a_never_observed_flow_differently(tmp_path):
+    # flow 1 (b -> b) crosses no link, so no period observes it. The
+    # analytic runner scores it by its diffuse prior's variance, 1/0 =
+    # inf; the closed loop keeps its prior mean mu, so it scores the
+    # walk's squared distance from mu (ROADMAP item 2 reconciles them)
+    topo = str(tmp_path / "topo")
+    save_topology(TopologySpec(
+        nodes=("a", "b", "c"), edges=(("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")),
+        flows=(Flow("a", "c", sigma2=100.0, mu=1000.0),
+               Flow("b", "b", sigma2=100.0, mu=1000.0)),
+        budgets={"a": 0.02, "b": 0.02, "c": 0.02}), topo)
+    cfg = ExperimentConfig(topology_dir=topo, mu_mode="true_mu", horizon=20,
+                           block_size=5, replications=2)
+    ideal, sim = run_idealized(cfg), run_simulation(cfg)
+    warning = ["flow 1 is unobservable (all-zero J row)"]
+    assert ideal.meta["warnings"] == sim.meta["warnings"] == warning
+    assert np.all(np.isinf(ideal.per_flow_mse[:, 1])) and ideal.median == np.inf
+    x = gen_random_walk_trace(harness.load_instance(cfg)[1], 20, seed=1).x
+    assert sim.per_flow_mse[:, 1].tolist() == ((x[:, 1] - 1000.0) ** 2).tolist()
+    assert sim.median == 12111.972087481528
+
+
 def test_idealized_requires_true_mu():
     with pytest.raises(ConfigError) as exc:
         run_idealized(synth_cfg(mu_mode="plugin"))

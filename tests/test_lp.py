@@ -188,11 +188,10 @@ def test_hint_with_a_repeated_basis_entry_is_solved_cold(column):
         _assert_solved_cold(design_lp(), start)
 
 
-def _solve_as_without_record(prog, start):
-    """solve_lp(prog, start=start), asserted equal bit for bit to the
-    solve from the same hint without start's reuse record."""
-    sol = solve_lp(prog, start=start)
-    bare = solve_lp(prog, start=replace(start, _rows=None))
+def _assert_as_without_record(sol, start):
+    """``sol``, solved from ``start``, equals bit for bit the solve of its
+    program from the same hint without start's reuse record."""
+    bare = solve_lp(sol._lp, start=replace(start, _rows=None))
     assert (sol.status, sol.iterations, sol.perturbed, sol.max_violation) == (
         bare.status, bare.iterations, bare.perturbed, bare.max_violation)
     assert (sol.x is None) == (bare.x is None)
@@ -201,29 +200,25 @@ def _solve_as_without_record(prog, start):
     assert (sol.basis is None) == (bare.basis is None)
     if sol.basis is not None:
         assert np.array_equal(sol.basis, bare.basis)
-    return sol
 
 
 @pytest.mark.parametrize("size", [4, 5])
-def test_reuse_on_myopic_chain_matches_solve_without_record(size, monkeypatch):
+def test_reuse_on_myopic_chain_matches_solve_without_record(size):
     mm = build_measurement_model(synth_topology(
         "grid", rows=size, cols=size, budget=0.02, seed=1))
     p, fm = design_problem(mm), flow_model(mm)
     reused, pivoted = [], []
-
-    def checked(prog, start=None):
-        if start is None:
-            return solve_lp(prog)
-        sol = _solve_as_without_record(prog, start)
-        reused.append(sol._rows is start._rows)
-        pivoted.append(sol.iterations > 0)
-        return sol
-
-    monkeypatch.setattr(design, "solve_lp", checked)
     info, res = np.zeros(p.n_r), None
     for _ in range(50):
-        res = design.solve_myopic(p, fm, info, start=res)
+        prev = res
+        # a period after the first re-solves prev's program (resolve_lp)
+        res = design.solve_myopic(p, fm, info, start=prev)
         info = predicted_info(info, fm.sigma2) + p.J @ res.xi
+        if prev is not None:
+            start, sol = prev.lp_solution, res.lp_solution
+            _assert_as_without_record(sol, start)
+            reused.append(sol._rows is start._rows)
+            pivoted.append(sol.iterations > 0)
     # every period after the first shares the first one's matrix, and
     # some periods reject the hint and move to a new basis by pivoting
     assert reused == [True] * 49
@@ -269,18 +264,23 @@ def test_validation_names_the_bound(kwargs, message):
 
 @pytest.mark.parametrize("b_ub", [[1.0, np.nan], [np.inf, 1.0], [1.0], [[1.0, 2.0]]])
 def test_with_b_ub_checks_as_the_constructor(b_ub):
+    # resolve_lp checks the b_ub it re-solves with as the constructor does
     base = LinearProgram(c=[1.0, 1.0], A_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[1.0, 1.0])
     with pytest.raises(ValidationError) as fresh:
         LinearProgram(c=base.c, A_ub=base.A_ub, b_ub=b_ub)
     with pytest.raises(ValidationError) as swapped:
-        base.with_b_ub(b_ub)
-    assert str(swapped.value) == str(fresh.value)
+        lp_module.resolve_lp(solve_lp(base), b_ub)
+    assert str(swapped.value) == str(fresh.value) == (
+        "b_ub must be finite with one entry per A_ub row")
 
 
 def test_with_b_ub_shares_all_but_b_ub():
+    # resolve_lp's program is start's with b_ub swapped in
     base = design_lp()
+    start = solve_lp(base)
     b_ub = base.b_ub * 2.0
-    lp = base.with_b_ub(b_ub)
+    sol = lp_module.resolve_lp(start, b_ub)
+    lp = sol._lp
     for name in ("c", "A_ub", "A_eq", "b_eq", "upper"):
         assert getattr(lp, name) is getattr(base, name)
     # a writeable argument is copied, so a later write cannot reach lp
@@ -288,11 +288,23 @@ def test_with_b_ub_shares_all_but_b_ub():
     b_ub[0] = -1.0
     assert lp.b_ub.tobytes() == (base.b_ub * 2.0).tobytes()
     assert base.b_ub.tobytes() == design_lp().b_ub.tobytes()
-    # the same answer as the program built from scratch
+    # the same answer as the program built from scratch, from the same hint
     built = LinearProgram(c=base.c, A_ub=base.A_ub, b_ub=lp.b_ub,
                           A_eq=base.A_eq, b_eq=base.b_eq, upper=base.upper)
-    a, b = solve_lp(lp), solve_lp(built)
-    assert (a.iterations, a.x.tobytes()) == (b.iterations, b.x.tobytes())
+    b = solve_lp(built, start=start)
+    assert (sol.iterations, sol.x.tobytes()) == (b.iterations, b.x.tobytes())
+
+
+def test_resolve_lp_keeps_starts_own_b_eq():
+    # start reused the record of a program with another b_eq; the re-solve
+    # keeps start's b_eq, not that of the program the record came from
+    first = solve_lp(LinearProgram(c=[1.0, 1.0], A_ub=[[1.0, 0.0]], b_ub=[0.5],
+                                   A_eq=[[1.0, 1.0]], b_eq=[0.7], upper=[1.0, 1.0]))
+    start = solve_lp(replace(first._lp, b_eq=[0.9]), start=first)
+    assert start._rows is first._rows
+    sol = lp_module.resolve_lp(start, [0.6])
+    assert sol._lp.b_eq is start._lp.b_eq
+    assert sol.x.tolist() == pytest.approx([0.6, 0.3], abs=1e-15)
 
 
 def test_lower_is_not_an_option():
@@ -759,13 +771,13 @@ def _same_matrix(a, b) -> bool:
     return np.array_equal(a.b_ub[rows], b.b_ub[rows])
 
 
-def _chain_step(prev, step, start):
-    """The solve of LP ``step`` from ``start``, a solution of LP ``prev``:
-    it equals the solve without start's reuse record, and the record is
+def _chain_step(prev, start, sol):
+    """``sol``, solved from ``start``, a solution of LP ``prev``: it
+    equals the solve without start's reuse record, and the record is
     reused exactly when the two LPs share their matrix."""
-    sol = _solve_as_without_record(step, start)
+    _assert_as_without_record(sol, start)
     reused = start._rows is not None and sol._rows is start._rows
-    assert reused == (start._rows is not None and _same_matrix(prev, step))
+    assert reused == (start._rows is not None and _same_matrix(prev, sol._lp))
     return sol
 
 
@@ -833,16 +845,19 @@ def test_design_family_lps_against_highs(chain):
     if res.status == 0:
         assert sol.objective == pytest.approx(-res.fun, rel=1e-7)
     # warm starts from sol on the next LP of a chain, then from that warm
-    # solution on a step after it. Steps that keep the matrix derive their
-    # program with with_b_ub, as the design loops do, so they share its
-    # arrays and may reuse the record
+    # solution on a step after it. Steps that move only the offsets
+    # re-solve start's program with resolve_lp, as the myopic chain does,
+    # so they share its arrays and may reuse the record
     n_r, n_ub = r.size, kw["b_ub"].size - r.size
     A_ub = kw["A_ub"].copy()
     A_ub[:n_r, 0] = slopes
-    for moved in (base.with_b_ub(np.concatenate([r, base.b_ub[n_r:]])),
-                  LinearProgram(**dict(kw, A_ub=A_ub))):
+    for warm in (
+            _chain_step(base, sol, lp_module.resolve_lp(
+                sol, np.concatenate([r, base.b_ub[n_r:]]))),
+            _chain_step(base, sol, solve_lp(LinearProgram(**dict(kw, A_ub=A_ub)),
+                                            start=sol))):
+        moved = warm._lp
         cold = solve_lp(moved)
-        warm = _chain_step(base, moved, sol)
         assert warm.status == cold.status
         if cold.ok:
             # at theta* = 0 no relative test can hold: theta is then the
@@ -854,15 +869,16 @@ def test_design_family_lps_against_highs(chain):
                      / np.max(np.abs(rows), axis=1))
             assert warm.objective == pytest.approx(
                 cold.objective, rel=1e-9, abs=64 * np.spacing(np.max(terms)))
+        # a myopic period: the offsets move
+        _chain_step(moved, warm, lp_module.resolve_lp(
+            warm, np.concatenate([r2, moved.b_ub[n_r:]])))
         for step in (
-                # a myopic period: the offsets move
-                moved.with_b_ub(np.concatenate([r2, moved.b_ub[n_r:]])),
                 # the budgets move, which under cap 0.012 can turn an
                 # implied cap into a kept one or back; replace re-checks
                 # the program but keeps its read-only arrays
-                replace(moved.with_b_ub(np.concatenate([moved.b_ub[:n_r], b2[:n_ub]])),
+                replace(moved, b_ub=np.concatenate([moved.b_ub[:n_r], b2[:n_ub]]),
                         b_eq=b2[n_ub:]),
                 # every -0.0 of -J turns +0.0
                 replace(moved, A_ub=moved.A_ub + 0.0)):
             # warm may have left sol's basis by a cold re-solve
-            _chain_step(moved, step, warm)
+            _chain_step(moved, warm, solve_lp(step, start=warm))

@@ -212,7 +212,6 @@ def array_value_objects() -> dict:
                            mu_mode="true_mu", horizon=5)
     return {
         "LinearProgram": lp,
-        "_ThetaProgram": design._ThetaProgram(c=[1.0, 2.0], problem=p),
         "LpSolution": solve_lp(lp),
         "DesignProblem": p,
         "FlowModel": fm,

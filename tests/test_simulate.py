@@ -535,9 +535,13 @@ def test_trace_file_errors(tmp_path):
     p.write_text("t,flow_1\n1,5\n3,6\n")  # gap
     with pytest.raises(ValidationError):
         load_trace(str(p))
-    p.write_text("t,flow_1\n1,abc\n")
-    with pytest.raises(ValidationError):
-        load_trace(str(p))
+    # a bad number is named, in the t column or among the volumes
+    for text, token in (("t,flow_1\n1,5\n2,abc\n", "'abc'"),
+                        ("t,flow_1,flow_2\n1,5,6\n2.0,5,6\n", "'2.0'")):
+        p.write_text(text)
+        with pytest.raises(ValidationError,
+                           match=f"^t.csv: line 3: bad number {token}$"):
+            load_trace(str(p))
     p.write_text("t,flow_1\n")
     with pytest.raises(ValidationError):
         load_trace(str(p))
