@@ -111,14 +111,13 @@ def _lp_design(p: DesignProblem, offsets: np.ndarray, scheme: str,
     problem's arrays are read-only, so the bytes are a fresh build's.
     """
     if start is not None and start.problem is p:
-        sol = resolve_lp(start.lp_solution,
-                         np.concatenate([offsets, p.b[~p.row_is_equality]]))
+        sol = resolve_lp(start.lp_solution, np.concatenate([offsets, p._checks[1]]))
     else:
         sol = _theta_lp(p, 1.0, offsets, start and start.lp_solution)
     _require_optimal(sol, scheme, "objective unbounded; add caps or budget rows")
     xi = model.check_design_output(p, sol.x[1:])
     info = offsets + p.J @ xi
-    theta = float(np.min(info))
+    theta = float(info.min())
     return DesignResult(
         xi=xi, theta=theta, scheme=scheme, info=info,
         diagnostics={"lp_iterations": sol.iterations,
@@ -156,7 +155,7 @@ def solve_myopic(p: DesignProblem, fm: FlowModel, prior_info,
     if fm.n_r != p.n_r:
         raise ValidationError("flow model and problem disagree on n_r")
     a = np.atleast_1d(np.asarray(prior_info, dtype=float))
-    if a.shape != (p.n_r,) or np.any(a < 0) or not np.all(np.isfinite(a)):
+    if a.shape != (p.n_r,) or (a < 0).any() or not np.isfinite(a).all():
         raise ValidationError("prior_info must be finite, >= 0, one entry per flow")
     return _lp_design(p, predicted_info(a, fm.sigma2), "myopic", start)
 

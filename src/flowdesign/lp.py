@@ -69,8 +69,8 @@ read-only and own their data (model.frozen), so the same object keeps
 the same bits; the kept-cap test reads b_ub only through comparisons,
 which cannot tell -0.0 from 0.0. Each reused array is then the same function of the same
 bits, so pivots, bases and output bytes are those of a solve without
-the record, and an accepted period costs b / scale, one solve with B
-and the primal checks.
+the record, and an accepted period costs b / scale, one solve with B,
+the primal checks and _violation.
 
 Convention: maximize c'x subject to A_ub x <= b_ub, A_eq x = b_eq and
 0 <= x <= upper, the bound form of every design LP. Upper bounds must be
@@ -168,7 +168,7 @@ class _Rows:
     def matches(self, lp: LinearProgram, old: LinearProgram) -> bool:
         return (lp.c is old.c and lp.A_ub is old.A_ub and lp.A_eq is old.A_eq
                 and lp.upper is old.upper
-                and np.array_equal(lp.b_ub[self.nonneg], old.b_ub[self.nonneg]))
+                and (lp.b_ub[self.nonneg] == old.b_ub[self.nonneg]).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +208,7 @@ def _pivot(T, basis, row, col):
     nz = prow.nonzero()[0]
     colvals = T[:, col].copy()
     colvals[row] = 0.0
-    T.T[nz] -= prow[nz, None] * colvals
+    T.T[nz] -= np.multiply.outer(prow[nz], colvals)
     basis[row] = col
 
 
@@ -223,17 +223,16 @@ def _bland(T, basis, n_cols, cap):
     rhs = T[:-1, -1]
     pivots = 0
     while pivots < cap:
-        neg = cost < -_PIVOT_TOL
-        enter = neg.argmax() if n_cols else 0  # argmax of nothing raises
-        if not n_cols or not neg[enter]:
+        enter = (cost < -_PIVOT_TOL).argmax() if n_cols else 0  # argmax of nothing raises
+        if not n_cols or not cost[enter] < -_PIVOT_TOL:
             return "optimal", pivots
         col = T[:-1, enter]
         rows = (col > _PIVOT_TOL).nonzero()[0]
-        if rows.size == 0:
+        if not rows.size:
             return "unbounded", pivots
         ratios = rhs[rows] / col[rows]
         ties = rows[ratios == ratios.min()]
-        leave = ties[0] if ties.size == 1 else ties[np.argmin(basis[ties])]
+        leave = ties[0] if ties.size == 1 else ties[basis[ties].argmin()]
         _pivot(T, basis, leave, enter)
         pivots += 1
     return "iteration_limit", pivots
@@ -365,7 +364,7 @@ def _two_phase(A, b, is_eq, c_max, cap):
 
 
 def _dual_half(rows: _Rows, c_max, basis):
-    """(S, tight, B, loose rows of A) for a hinted basis that fits these
+    """(S, tight, B, loose = ~tight, A[loose]) for a hinted basis that fits these
     rows, has a nonsingular B and passes the dual test; else None."""
     A, is_eq = rows.A, rows.is_eq
     m, n = A.shape
@@ -380,10 +379,10 @@ def _dual_half(rows: _Rows, c_max, basis):
         u = np.linalg.solve(B.T, c_max[S])
     except np.linalg.LinAlgError:
         return None
-    if np.any(u @ A[tight] - c_max < -_PIVOT_TOL) or np.any(
-            u[~is_eq[tight]] < -_PIVOT_TOL):
+    if (u @ A[tight] - c_max < -_PIVOT_TOL).any() or (
+            u[~is_eq[tight]] < -_PIVOT_TOL).any():
         return None
-    return S, tight, B, A[~tight]
+    return S, tight, B, ~tight, A[~tight]
 
 
 def _warm_start(rows: _Rows, b, c_max, basis):
@@ -402,14 +401,14 @@ def _warm_start(rows: _Rows, b, c_max, basis):
         cert = rows.cert = (basis.tobytes(), _dual_half(rows, c_max, basis))
     if cert[1] is None:
         return None
-    S, tight, B, loose = cert[1]
+    S, tight, B, loose, A_loose = cert[1]
     try:
         x_S = np.linalg.solve(B, b[tight])
     except np.linalg.LinAlgError:
         return None
     z = np.zeros(rows.A.shape[1])
     z[S] = x_S
-    if np.any(x_S < 0.0) or np.any(loose @ z > b[~tight]):
+    if (x_S < 0.0).any() or (A_loose @ z > b[loose]).any():
         return None
     return z
 
@@ -422,10 +421,10 @@ def _violation(lp: LinearProgram, x: np.ndarray, rows: _Rows) -> float:
     bounds have unit coefficients and are left raw (x - inf is -inf,
     which never counts)."""
     return float(max(
-        np.max((lp.A_ub @ x - lp.b_ub) / rows.s_ub, initial=0.0),
-        np.max(np.abs(lp.A_eq @ x - lp.b_eq) / rows.s_eq, initial=0.0),
-        np.max(-x, initial=0.0),
-        np.max(x - lp.upper, initial=0.0)))
+        ((lp.A_ub @ x - lp.b_ub) / rows.s_ub).max(initial=0.0),
+        (np.abs(lp.A_eq @ x - lp.b_eq) / rows.s_eq).max(initial=0.0),
+        (-x).max(initial=0.0),
+        (x - lp.upper).max(initial=0.0)))
 
 
 def solve_lp(lp: LinearProgram, max_iter: int | None = None,

@@ -17,6 +17,7 @@ import csv
 import io
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -210,6 +211,17 @@ class DesignProblem:
         """Read-only zeros, one per rate: only the benchmark reads them."""
         return np.broadcast_to(0.0, (self.n_o,))
 
+    @cached_property
+    def _checks(self) -> tuple:
+        """The inequality rows' mask and b, the inequality and equality rows'
+        limits and upper + _OUTPUT_TOL: check_design_output's and the myopic
+        period's reads of this object alone, built once per object."""
+        ineq = ~self.row_is_equality
+        limit = np.maximum(_OUTPUT_TOL * np.abs(self.b),
+                           np.finfo(float).eps * np.abs(self.R).sum(axis=1))
+        return (ineq, self.b[ineq], limit[ineq], limit[self.row_is_equality],
+                self.upper + _OUTPUT_TOL)
+
     @property
     def n_r(self) -> int:
         return self.J.shape[0]
@@ -253,22 +265,21 @@ def check_design_output(p: DesignProblem, xi: np.ndarray) -> np.ndarray:
     finite, if a bound is violated by more than _OUTPUT_TOL, or a budget
     or equality row by more than _OUTPUT_TOL relative to its b_j (with a
     floor of one ulp of a unit rate per coefficient, for rows with b_j = 0).
+    Those limits are built once per DesignProblem object (its _checks).
     Solvers call this on every output, so downstream code can rely on
     the feasibility of the vector plus nonnegativity of ``J @ xi`` (J >= 0).
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (p.n_o,):
         raise ValidationError(f"design vector has shape {xi.shape}, expected ({p.n_o},)")
-    if not np.all(np.isfinite(xi)):
+    if not np.isfinite(xi).all():
         raise ValidationError("design vector must be finite")
-    if np.any(xi < -_OUTPUT_TOL) or np.any(xi > p.upper + _OUTPUT_TOL):
+    ineq, _, limit_ub, limit_eq, upper_tol = p._checks
+    if (xi < -_OUTPUT_TOL).any() or (xi > upper_tol).any():
         raise ValidationError("design vector violates variable bounds")
     resid = p.R @ xi - p.b
-    limit = np.maximum(_OUTPUT_TOL * np.abs(p.b),
-                       np.finfo(float).eps * np.abs(p.R).sum(axis=1))
-    eq = p.row_is_equality
-    if np.any(resid[~eq] > limit[~eq]):
+    if (resid[ineq] > limit_ub).any():
         raise ValidationError("design vector violates a budget row")
-    if np.any(np.abs(resid[eq]) > limit[eq]):
+    if (np.abs(resid[p.row_is_equality]) > limit_eq).any():
         raise ValidationError("design vector violates an equality budget row")
-    return np.clip(xi, 0.0, p.upper)
+    return xi.clip(0.0, p.upper)

@@ -1,5 +1,6 @@
 import collections
 import os
+import subprocess
 import sys
 import threading
 from dataclasses import replace
@@ -224,6 +225,54 @@ def test_config_validation(kw):
     with pytest.raises(ConfigError) as exc:
         synth_cfg(**{"horizon": 200, **kw})
     assert exc.value.field == next(iter(kw))  # the message names the key
+
+
+_MEDIAN_CASES = [
+    [1.0], [2.0, 1.0], [3.0, 1.0, 2.0], [4.0, 1.0, 3.0, 2.0],
+    # signed zeros; np.median's partition may put equal zeros in either
+    # order, so in no case does the middle's value depend on that order
+    [-0.0], [0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [-1.0, -0.0, 1.0],
+    [-1.0, 0.0, -0.0, 1.0], [-0.0, -0.0, 2.0], [-1.0, -0.0, -0.0, 1.0],
+    [np.inf], [np.inf, -np.inf], [1.0, np.inf], [np.inf, np.inf, 1.0],
+    [-np.inf, 5.0, np.inf], [-np.inf, 5.0, 6.0, np.inf],
+    [np.nan], [1.0, np.nan], [np.nan, 1.0, 2.0], [np.inf, np.nan],
+    [np.nan, -0.0, 1.0, np.inf],
+    *(np.random.default_rng(n).standard_normal(n) for n in range(1, 12)),
+]
+
+
+@pytest.mark.parametrize("values", _MEDIAN_CASES, ids=range(len(_MEDIAN_CASES)))
+def test_median_is_np_median_bit_for_bit(values):
+    a = np.array(values)
+    with np.errstate(invalid="ignore"):  # inf - inf, in both
+        want = np.float64(np.median(a)).tobytes()
+        assert np.float64(harness._median(a)).tobytes() == want
+
+
+_NUMPY_MA_PROBE = """
+import sys
+import numpy
+before = "numpy.ma" in sys.modules  # numpy < 2 imports it with numpy
+from flowdesign import ExperimentConfig, run_idealized, run_simulation
+cfg = ExperimentConfig(topology_kind="line", n_nodes=5, n_flows=3, budget=0.02,
+                       scheme="myopic", mu_mode="true_mu", horizon=20,
+                       block_size=5, replications=2)
+run_idealized(cfg)
+run_simulation(cfg)
+print(before, "numpy.ma" in sys.modules)
+"""
+
+
+def test_runners_do_not_import_numpy_ma():
+    # np.median imports numpy.ma on its first call (12 ms, 2 MB); a fresh
+    # process is needed, since scipy has imported it into this one
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_MA_PROBE],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert after == before
 
 
 def test_median_window_default_and_override():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,84 @@ def test_check_design_output_budget_rows_are_relative_to_b():
             check_design_output(p, np.array([0.02, 1e-12]))  # b_j = 0 row
     with pytest.raises(ValidationError, match="equality"):
         check_design_output(p, np.array([0.02 - 1e-9, 0.0]))
+
+
+_BUDGET_MSG = "^design vector violates a budget row$"
+_EQUALITY_MSG = "^design vector violates an equality budget row$"
+_BOUNDS_MSG = "^design vector violates variable bounds$"
+
+
+def test_check_limits_of_a_replaced_copy_are_its_own():
+    # p's limits are built by its first check; a copy with another b or
+    # upper must build its own, and p must keep its
+    eps = np.finfo(float).eps
+    p = DesignProblem(J=np.eye(2), R=np.eye(2), b=[0.5, 0.5])
+    check_design_output(p, np.array([0.5, 0.5]))
+    q = replace(p, b=[0.5, 0.0])
+    # q's row 1 has b = 0, so its limit is eps * sum|R_1| = eps, and the
+    # row's residual is xi_1 exactly: at the limit passes, one float up fails
+    check_design_output(q, np.array([0.5, eps]))
+    with pytest.raises(ValidationError, match=_BUDGET_MSG):
+        check_design_output(q, np.array([0.5, np.nextafter(eps, 1.0)]))
+    check_design_output(p, np.array([0.5, np.nextafter(eps, 1.0)]))
+    # the bound check's upper + 1e-8, as check_design_output forms it
+    r = replace(p, upper=[0.25, 1.0])
+    at = r.upper[0] + 1e-8
+    check_design_output(r, np.array([at, 0.0]))
+    with pytest.raises(ValidationError, match=_BOUNDS_MSG):
+        check_design_output(r, np.array([np.nextafter(at, 1.0), 0.0]))
+    check_design_output(p, np.array([np.nextafter(at, 1.0), 0.0]))
+
+
+def _last_passing(p, xi, j, k, step):
+    """xi with xi[k] moved by ``step`` (+inf or -inf) to the last float at
+    which budget row j passes max(1e-8 |b_j|, eps sum_k |R_jk|), the
+    limit written out here, and the same with the next float along."""
+    limit = max(1e-8 * abs(p.b[j]), np.finfo(float).eps * np.abs(p.R[j]).sum())
+    eq = p.row_is_equality[j]
+
+    def resid(v):
+        x = xi.copy()
+        x[k] = v
+        return (p.R @ x - p.b)[j]  # the check's own expression
+
+    def passes(v):
+        return (abs(resid(v)) if eq else resid(v)) <= limit
+
+    # jump to about the limit, then walk to its last passing float
+    v = xi[k] + (np.copysign(limit, step) - resid(xi[k])) / p.R[j, k]
+    while not passes(v):
+        v = np.nextafter(v, -step)
+    while passes(np.nextafter(v, step)):
+        v = np.nextafter(v, step)
+    inside, outside = xi.copy(), xi.copy()
+    inside[k], outside[k] = v, np.nextafter(v, step)
+    return inside, outside
+
+
+@pytest.mark.parametrize("first", ["inequality", "equality_with_zeroing"])
+def test_check_limits_of_each_constraint_mode_are_its_own(first):
+    # both modes of one topology share R and b; whichever is checked
+    # first, each must judge its rows by its own equality flags
+    mm = build_measurement_model(synth_topology("line", n_nodes=4, n_flows=2,
+                                                budget=0.02, seed=3))
+    other = "equality_with_zeroing" if first == "inequality" else "inequality"
+    problems = {mode: design_problem(mm, constraint_mode=mode) for mode in (first, other)}
+    p_eq = problems["equality_with_zeroing"]
+    j = int(np.flatnonzero(p_eq.row_is_equality)[0])
+    k = int(np.flatnonzero((p_eq.R[j] > 0) & (p_eq.upper > 0))[0])
+    for mode, p in problems.items():
+        xi = design.solve_naive(p).xi
+        up_in, up_out = _last_passing(p, xi, j, k, np.inf)
+        check_design_output(p, up_in)
+        with pytest.raises(ValidationError, match=(
+                _EQUALITY_MSG if p.row_is_equality[j] else _BUDGET_MSG)):
+            check_design_output(p, up_out)
+        if p.row_is_equality[j]:  # below b_j only an equality row can fail
+            down_in, down_out = _last_passing(p, xi, j, k, -np.inf)
+            check_design_output(p, down_in)
+            with pytest.raises(ValidationError, match=_EQUALITY_MSG):
+                check_design_output(p, down_out)
 
 
 @pytest.mark.parametrize("make,field", [
